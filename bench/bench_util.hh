@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared helpers for the figure-regeneration benches: scale selection
- * (BVL_SCALE=tiny|small|medium), row printing, the workload lists of
- * the paper's evaluation (Tables IV/V + Ligra suite), and the
- * crash-safe sweep-service plumbing every bench shares.
+ * (BVL_SCALE=tiny|small|medium), row printing, and the crash-safe
+ * sweep-service plumbing every bench shares. Which workloads a figure
+ * sweeps, and in what order, comes from workloadNames(Suite).
  *
  * All benches submit their full simulation grid to a SweepService and
  * consume the futures in submission order, so stdout is byte-identical
@@ -54,28 +54,6 @@ scaleName(Scale s)
       case Scale::medium: return "medium";
     }
     return "?";
-}
-
-inline std::vector<std::string>
-dataParallelNames()
-{
-    return {"vvadd", "mmult", "saxpy", "backprop", "kmeans",
-            "blackscholes", "particlefilter", "jacobi-2d", "pathfinder",
-            "lavamd", "sw"};
-}
-
-inline std::vector<std::string>
-taskParallelNames()
-{
-    return {"bfs", "bc", "tc", "radii", "components", "pagerank",
-            "mis", "kcore"};
-}
-
-/** The Swan-style mobile kernel tier (DESIGN.md §18). */
-inline std::vector<std::string>
-mobileNames()
-{
-    return {"idct8", "ycbcr", "conv2d", "gemm8", "bytescan"};
 }
 
 /**

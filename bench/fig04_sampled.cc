@@ -115,7 +115,7 @@ main()
     unsigned counted = 0;
     bool failed = false;
 
-    for (const auto &name : dataParallelNames()) {
+    for (const auto &name : workloadNames(Suite::dataParallel)) {
         auto wl = makeWorkload(name, scale);
         bvl_assert(wl != nullptr, "unknown workload '%s'", name.c_str());
         RunResult full;

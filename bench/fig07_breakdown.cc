@@ -25,7 +25,7 @@ runConfig(const char *label, const VEngineParams &ep, Scale scale,
           SweepService &pool)
 {
     SweepResults runs(pool);
-    for (const auto &name : dataParallelNames()) {
+    for (const auto &name : workloadNames(Suite::dataParallel)) {
         RunOptions opts;
         opts.engineOverride = ep;
         runs.push(Design::d1b4VL, name, scale, opts);
@@ -37,7 +37,7 @@ runConfig(const char *label, const VEngineParams &ep, Scale scale,
         std::printf(" %9s", c);
     std::printf("\n");
 
-    for (const auto &name : dataParallelNames()) {
+    for (const auto &name : workloadNames(Suite::dataParallel)) {
         auto r = runs.pop();
 
         // Average the four lanes' per-cause cycles; report percent.

@@ -69,12 +69,12 @@ main()
     SweepService pool(benchServiceOptions("fig09_dvfs_heatmap"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
-        for (const auto &name : dataParallelNames()) {
+        for (const auto &name : workloadNames(Suite::dataParallel)) {
             runs.push(Design::d1L, name, scale);
             submitHeatmap(Design::d1bIV4L, name, scale, runs);
             submitHeatmap(Design::d1b4VL, name, scale, runs);
         }
-        for (const auto &name : dataParallelNames()) {
+        for (const auto &name : workloadNames(Suite::dataParallel)) {
             auto base = runs.pop();
             printHeatmap(Design::d1bIV4L, name, base, runs);
             printHeatmap(Design::d1b4VL, name, base, runs);

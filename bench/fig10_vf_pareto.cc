@@ -23,7 +23,7 @@ main()
     SweepService pool(benchServiceOptions("fig10_vf_pareto"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
-        for (const auto &name : dataParallelNames()) {
+        for (const auto &name : workloadNames(Suite::dataParallel)) {
             (void)name;
             for (unsigned bi = 0; bi < bigLevels.size(); ++bi) {
                 for (unsigned li = 0; li < littleLevels.size(); ++li) {
@@ -35,7 +35,7 @@ main()
             }
         }
 
-        for (const auto &name : dataParallelNames()) {
+        for (const auto &name : workloadNames(Suite::dataParallel)) {
             std::printf("\n%s\n%6s %6s %12s %8s %7s\n", name.c_str(),
                         "big", "little", "time(ns)", "power(W)",
                         "pareto");

@@ -25,7 +25,7 @@ main()
     SweepService pool(benchServiceOptions("fig11_design_pareto"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
-        for (const auto &name : dataParallelNames()) {
+        for (const auto &name : workloadNames(Suite::dataParallel)) {
             for (Design d : designs) {
                 for (unsigned bi = 0; bi < bigLevels.size(); ++bi) {
                     // 1bDV has no little cluster: big levels only.
@@ -42,7 +42,7 @@ main()
             }
         }
 
-        for (const auto &name : dataParallelNames()) {
+        for (const auto &name : workloadNames(Suite::dataParallel)) {
             std::printf("\n%s\n", name.c_str());
             for (Design d : designs) {
                 std::vector<PerfPowerPoint> points;

@@ -61,7 +61,7 @@ main()
     bool failed = false;
     int rc = finishSweep(pool, [&] {
         SweepResults runs(pool);
-        for (const auto &name : mobileNames()) {
+        for (const auto &name : workloadNames(Suite::mobile)) {
             runs.push(base, name, scale);
             for (Design d : vec)
                 runs.push(d, name, scale);
@@ -70,7 +70,7 @@ main()
         std::printf("%-10s %8s %8s %8s   %-7s %9s %9s %9s\n",
                     "workload", "1bIV", "1bDV", "1b-4VL", "design",
                     "unit", "strided", "indexed");
-        for (const auto &name : mobileNames()) {
+        for (const auto &name : workloadNames(Suite::mobile)) {
             RunResult b = runs.pop();
             failed |= !usable(b) || !b.verified;
             double sp[3];

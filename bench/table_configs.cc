@@ -70,10 +70,10 @@ main()
 
     std::printf("\n# Tables IV/V: workload suite\n");
     std::printf("data-parallel:");
-    for (const auto &n : dataParallelNames())
+    for (const auto &n : workloadNames(Suite::dataParallel))
         std::printf(" %s", n.c_str());
     std::printf("\ntask-parallel:");
-    for (const auto &n : taskParallelNames())
+    for (const auto &n : workloadNames(Suite::taskParallel))
         std::printf(" %s", n.c_str());
     std::printf("\n");
     return 0;

@@ -75,6 +75,16 @@ if os.path.exists(out_path):
     except (OSError, ValueError):
         pass
 
+# Fields Google Benchmark writes for every run; any other numeric key
+# is a user counter (ticks/s, simCycles/s, insts/s, ...) and is kept.
+GBENCH_FIELDS = {
+    "name", "family_index", "per_family_instance_index", "run_name",
+    "run_type", "repetitions", "repetition_index", "threads",
+    "iterations", "real_time", "cpu_time", "time_unit",
+    "aggregate_name", "aggregate_unit", "label", "error_occurred",
+    "error_message",
+}
+
 bench = {}
 for b in data.get("benchmarks", []):
     if b.get("run_type", "iteration") != "iteration":
@@ -83,9 +93,9 @@ for b in data.get("benchmarks", []):
         "time_ns": round(b["real_time"], 3),
         "cpu_ns": round(b["cpu_time"], 3),
     }
-    for k in ("ticks/s", "simCycles/s", "runs/s"):
-        if k in b:
-            entry[k] = round(b[k], 1)
+    for k, v in b.items():
+        if k not in GBENCH_FIELDS and isinstance(v, (int, float)):
+            entry[k] = round(v, 1)
     bench[b["name"]] = entry
 
 git_rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Crash-safety smoke for the sweep service (DESIGN.md §14), shared by
 # scripts/ci.sh and the GitHub Actions workflow. Exercises, against a
-# real figure bench (fig05, tiny scale):
+# real figure bench (fig04_speedup, tiny scale):
 #
 #   1. warm journal rerun     -> zero simulations, byte-identical stdout
 #   2. kill -9 mid-sweep      -> resume completes, byte-identical stdout
@@ -15,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 build="${1:-build}"
 scratch="${2:-$build/sweep-smoke}"
-bench="$build/bench/fig05_ifetch"
+bench="$build/bench/fig04_speedup"
 [ -x "$bench" ] || { echo "FAIL: $bench not built" >&2; exit 1; }
 
 rm -rf "$scratch"

@@ -147,9 +147,6 @@ class BigCore : public Clocked
         bool predictedWrong = false;
         ProducerKind producerKind = ProducerKind::shortOp;
         std::vector<RobInst *> consumers;
-        /** Youngest older store to the same line (load ordering). */
-        RobInst *depStore = nullptr;
-        bool depStoreDone = true;
         /** Pipeline-stage timestamps, recorded only while tracing. */
         Tick fetchTick = 0;
         Tick issueTick = 0;
@@ -168,7 +165,6 @@ class BigCore : public Clocked
     void vecDispatchStage();
     void commitStage();
     void completeInst(RobInst *inst);
-    void tryWakeReady(RobInst *inst);
     bool fuAvailable(FuClass fu, Tick now);
     void consumeFu(FuClass fu, Tick now);
     void maybeFinish();

@@ -781,15 +781,16 @@ class ParticlefilterWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeComputeApps(Scale scale)
+std::span<const WorkloadRow>
+computeRows()
 {
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<BackpropWorkload>(scale));
-    v.push_back(std::make_unique<KmeansWorkload>(scale));
-    v.push_back(std::make_unique<BlackscholesWorkload>(scale));
-    v.push_back(std::make_unique<ParticlefilterWorkload>(scale));
-    return v;
+    static constexpr WorkloadRow rows[] = {
+        {"backprop", Suite::dataParallel, makeRow<BackpropWorkload>},
+        {"kmeans", Suite::dataParallel, makeRow<KmeansWorkload>},
+        {"blackscholes", Suite::dataParallel, makeRow<BlackscholesWorkload>},
+        {"particlefilter", Suite::dataParallel, makeRow<ParticlefilterWorkload>},
+    };
+    return rows;
 }
 
 } // namespace bvl

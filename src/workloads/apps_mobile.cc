@@ -1268,16 +1268,17 @@ class BytescanWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeMobileApps(Scale scale)
+std::span<const WorkloadRow>
+mobileRows()
 {
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<Idct8Workload>(scale));
-    v.push_back(std::make_unique<YcbcrWorkload>(scale));
-    v.push_back(std::make_unique<Conv2dWorkload>(scale));
-    v.push_back(std::make_unique<Gemm8Workload>(scale));
-    v.push_back(std::make_unique<BytescanWorkload>(scale));
-    return v;
+    static constexpr WorkloadRow rows[] = {
+        {"idct8", Suite::mobile, makeRow<Idct8Workload>},
+        {"ycbcr", Suite::mobile, makeRow<YcbcrWorkload>},
+        {"conv2d", Suite::mobile, makeRow<Conv2dWorkload>},
+        {"gemm8", Suite::mobile, makeRow<Gemm8Workload>},
+        {"bytescan", Suite::mobile, makeRow<BytescanWorkload>},
+    };
+    return rows;
 }
 
 } // namespace bvl

@@ -674,14 +674,15 @@ class LavamdWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeStencilApps(Scale scale)
+std::span<const WorkloadRow>
+stencilRows()
 {
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<Jacobi2dWorkload>(scale));
-    v.push_back(std::make_unique<PathfinderWorkload>(scale));
-    v.push_back(std::make_unique<LavamdWorkload>(scale));
-    return v;
+    static constexpr WorkloadRow rows[] = {
+        {"jacobi-2d", Suite::dataParallel, makeRow<Jacobi2dWorkload>},
+        {"pathfinder", Suite::dataParallel, makeRow<PathfinderWorkload>},
+        {"lavamd", Suite::dataParallel, makeRow<LavamdWorkload>},
+    };
+    return rows;
 }
 
 } // namespace bvl

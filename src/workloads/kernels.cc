@@ -403,14 +403,15 @@ class MmultWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeKernels(Scale scale)
+std::span<const WorkloadRow>
+kernelRows()
 {
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<VvaddWorkload>(scale));
-    v.push_back(std::make_unique<MmultWorkload>(scale));
-    v.push_back(std::make_unique<SaxpyWorkload>(scale));
-    return v;
+    static constexpr WorkloadRow rows[] = {
+        {"vvadd", Suite::dataParallel, makeRow<VvaddWorkload>},
+        {"mmult", Suite::dataParallel, makeRow<MmultWorkload>},
+        {"saxpy", Suite::dataParallel, makeRow<SaxpyWorkload>},
+    };
+    return rows;
 }
 
 } // namespace bvl

@@ -488,15 +488,16 @@ class KcoreWorkload : public GraphWorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeIterativeGraphApps(Scale scale)
+std::span<const WorkloadRow>
+iterativeGraphRows()
 {
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<ComponentsWorkload>(scale));
-    v.push_back(std::make_unique<PagerankWorkload>(scale));
-    v.push_back(std::make_unique<MisWorkload>(scale));
-    v.push_back(std::make_unique<KcoreWorkload>(scale));
-    return v;
+    static constexpr WorkloadRow rows[] = {
+        {"components", Suite::taskParallel, makeRow<ComponentsWorkload>},
+        {"pagerank", Suite::taskParallel, makeRow<PagerankWorkload>},
+        {"mis", Suite::taskParallel, makeRow<MisWorkload>},
+        {"kcore", Suite::taskParallel, makeRow<KcoreWorkload>},
+    };
+    return rows;
 }
 
 } // namespace bvl

@@ -568,15 +568,16 @@ class RadiiWorkload : public GraphWorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeTraversalGraphApps(Scale scale)
+std::span<const WorkloadRow>
+traversalGraphRows()
 {
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<BfsWorkload>(scale));
-    v.push_back(std::make_unique<BcWorkload>(scale));
-    v.push_back(std::make_unique<TcWorkload>(scale));
-    v.push_back(std::make_unique<RadiiWorkload>(scale));
-    return v;
+    static constexpr WorkloadRow rows[] = {
+        {"bfs", Suite::taskParallel, makeRow<BfsWorkload>},
+        {"bc", Suite::taskParallel, makeRow<BcWorkload>},
+        {"tc", Suite::taskParallel, makeRow<TcWorkload>},
+        {"radii", Suite::taskParallel, makeRow<RadiiWorkload>},
+    };
+    return rows;
 }
 
 } // namespace bvl

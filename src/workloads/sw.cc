@@ -482,12 +482,13 @@ class SwWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeGenomicsApps(Scale scale)
+std::span<const WorkloadRow>
+genomicsRows()
 {
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<SwWorkload>(scale));
-    return v;
+    static constexpr WorkloadRow rows[] = {
+        {"sw", Suite::dataParallel, makeRow<SwWorkload>},
+    };
+    return rows;
 }
 
 } // namespace bvl

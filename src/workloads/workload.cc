@@ -1,18 +1,16 @@
 #include "workloads/workload.hh"
 
-#include <set>
-
-#include "sim/logging.hh"
-
 namespace bvl
 {
 
-// Factories implemented in the per-category translation units.
-std::vector<WorkloadPtr> makeComputeApps(Scale scale);
-std::vector<WorkloadPtr> makeStencilApps(Scale scale);
-std::vector<WorkloadPtr> makeGenomicsApps(Scale scale);
-std::vector<WorkloadPtr> makeIterativeGraphApps(Scale scale);
-std::vector<WorkloadPtr> makeTraversalGraphApps(Scale scale);
+// Rows exported by the per-category translation units.
+std::span<const WorkloadRow> kernelRows();
+std::span<const WorkloadRow> mobileRows();
+std::span<const WorkloadRow> computeRows();
+std::span<const WorkloadRow> stencilRows();
+std::span<const WorkloadRow> genomicsRows();
+std::span<const WorkloadRow> traversalGraphRows();
+std::span<const WorkloadRow> iterativeGraphRows();
 
 Addr
 Workload::nextTextBase()
@@ -22,69 +20,27 @@ Workload::nextTextBase()
     return base;
 }
 
-std::vector<WorkloadPtr>
-makeDataParallelApps(Scale scale)
+std::span<const WorkloadRow>
+workloadTable()
 {
-    std::vector<WorkloadPtr> v;
-    for (auto &w : makeComputeApps(scale))
-        v.push_back(std::move(w));
-    for (auto &w : makeStencilApps(scale))
-        v.push_back(std::move(w));
-    for (auto &w : makeGenomicsApps(scale))
-        v.push_back(std::move(w));
-    return v;
-}
-
-std::vector<WorkloadPtr>
-makeTaskParallelApps(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    for (auto &w : makeTraversalGraphApps(scale))
-        v.push_back(std::move(w));
-    for (auto &w : makeIterativeGraphApps(scale))
-        v.push_back(std::move(w));
-    return v;
-}
-
-namespace
-{
-
-/** Every registered factory, in suite order. */
-std::vector<WorkloadPtr>
-allWorkloads(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    for (auto maker : {makeKernels, makeMobileApps, makeDataParallelApps,
-                       makeTaskParallelApps}) {
-        for (auto &w : maker(scale))
-            v.push_back(std::move(w));
-    }
-    checkUniqueNames(v);
-    return v;
-}
-
-} // namespace
-
-void
-checkUniqueNames(const std::vector<WorkloadPtr> &suite)
-{
-    std::set<std::string> seen;
-    for (const auto &w : suite) {
-        if (!seen.insert(w->name()).second) {
-            fatal("duplicate workload name '%s': two registered factories "
-                  "produce it; rename one (names key sweep journals, "
-                  "result caches and checkpoint farms)",
-                  w->name().c_str());
-        }
-    }
+    // A function-local static: initialized once, thread-safely.
+    static const std::vector<WorkloadRow> table = [] {
+        std::vector<WorkloadRow> t;
+        for (auto rows : {kernelRows(), mobileRows(), computeRows(),
+                          stencilRows(), genomicsRows(),
+                          traversalGraphRows(), iterativeGraphRows()})
+            t.insert(t.end(), rows.begin(), rows.end());
+        return t;
+    }();
+    return table;
 }
 
 WorkloadPtr
 makeWorkload(const std::string &name, Scale scale)
 {
-    for (auto &w : allWorkloads(scale))
-        if (w->name() == name)
-            return std::move(w);
+    for (const auto &row : workloadTable())
+        if (name == row.name)
+            return row.make(scale);
     return nullptr;
 }
 
@@ -92,8 +48,18 @@ std::vector<std::string>
 allWorkloadNames()
 {
     std::vector<std::string> names;
-    for (auto &w : allWorkloads(Scale::tiny))
-        names.push_back(w->name());
+    for (const auto &row : workloadTable())
+        names.push_back(row.name);
+    return names;
+}
+
+std::vector<std::string>
+workloadNames(Suite suite)
+{
+    std::vector<std::string> names;
+    for (const auto &row : workloadTable())
+        if (row.suite == suite)
+            names.push_back(row.name);
     return names;
 }
 

@@ -16,6 +16,7 @@
 #define BVL_WORKLOADS_WORKLOAD_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,36 +84,48 @@ class Workload
 
 using WorkloadPtr = std::unique_ptr<Workload>;
 
-/** The 3 kernels of Table IV: vvadd, mmult, saxpy. */
-std::vector<WorkloadPtr> makeKernels(Scale scale);
+/** Which figures sweep a workload. */
+enum class Suite
+{
+    dataParallel,   ///< Table IV kernels + Table V apps
+    taskParallel,   ///< the Ligra-style graph apps
+    mobile,         ///< the Swan-style mobile tier (DESIGN.md §18)
+};
 
-/** The 8 data-parallel applications of Table V. */
-std::vector<WorkloadPtr> makeDataParallelApps(Scale scale);
+/** One registered workload: its name, its suite and its factory. */
+struct WorkloadRow
+{
+    const char *name;
+    Suite suite;
+    WorkloadPtr (*make)(Scale scale);
+};
 
-/** The 8 Ligra-style task-parallel graph applications. */
-std::vector<WorkloadPtr> makeTaskParallelApps(Scale scale);
+/** Factory for a row whose workload is constructed from a Scale. */
+template <class W>
+WorkloadPtr
+makeRow(Scale scale)
+{
+    return std::make_unique<W>(scale);
+}
 
 /**
- * The Swan-style mobile kernel tier: integer IDCT, YCbCr->RGB,
- * separable 2D convolution, quantized int8 GEMM, byte scanning
- * (DESIGN.md §18).
+ * Every workload, one row each: the Table IV kernels, the mobile
+ * tier, the Table V apps, then the Ligra apps. Row order is the order
+ * the figures print (workloadNames() keeps it), and names key sweep
+ * journals, result caches and checkpoint farms, so a name must never
+ * repeat (tests/test_mobile.cc checks both). Built once and immutable
+ * after, so concurrent sweep workers may read it.
  */
-std::vector<WorkloadPtr> makeMobileApps(Scale scale);
+std::span<const WorkloadRow> workloadTable();
 
-/**
- * fatal() with a one-line actionable error if two workloads in
- * @p suite share a name. Registration runs every factory through this
- * so a colliding name fails loudly instead of silently shadowing the
- * later workload (names key sweep journals, result caches and
- * checkpoint farms).
- */
-void checkUniqueNames(const std::vector<WorkloadPtr> &suite);
-
-/** One workload by name (nullptr if unknown). */
+/** One workload by name (nullptr if unknown); builds only that one. */
 WorkloadPtr makeWorkload(const std::string &name, Scale scale);
 
-/** Names of everything in the suite. */
+/** Names of everything in the table, in table order. */
 std::vector<std::string> allWorkloadNames();
+
+/** Names of one suite, in table order. */
+std::vector<std::string> workloadNames(Suite suite);
 
 } // namespace bvl
 

@@ -16,17 +16,19 @@
  *    on the vLITTLE design, and the taxonomy's completeness: every
  *    line request is classified exactly once.
  *
- *  - WorkloadRegistryTest (workloads label): the duplicate-name fatal
- *    diagnostic and the mobile tier's registration.
+ *  - WorkloadRegistryTest (workloads label): the workload table's
+ *    unique names, that every row builds its named workload, the
+ *    suite orders the figures print, and the mobile tier's
+ *    registration.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "soc/run_driver.hh"
 #include "soc/soc.hh"
 #include "workloads/workload.hh"
@@ -165,52 +167,41 @@ INSTANTIATE_TEST_SUITE_P(
         PatternCase{"bytescan", true, false, false}),
     [](const auto &info) { return std::string(info.param.name); });
 
-/** Minimal concrete workload used to provoke registry diagnostics. */
-class StubWorkload : public Workload
+TEST(WorkloadRegistryTest, TableNamesAreUnique)
 {
-  public:
-    explicit StubWorkload(std::string n) : n(std::move(n)) {}
-    std::string name() const override { return n; }
-    bool isDataParallel() const override { return true; }
-    void init(BackingStore &) override {}
-    ProgramPtr scalarProgram() override
-    {
-        Asm a(n);
-        a.halt();
-        auto p = a.finish();
-        p->setTextBase(nextTextBase());
-        return p;
-    }
-    ProgArgs fullRangeArgs() const override { return {}; }
-    TaskGraph taskGraph() override { return {}; }
-    bool verify(const BackingStore &) const override { return true; }
+    // Names key sweep journals, result caches and checkpoint farms, so
+    // a repeated name would silently share their entries.
+    std::set<std::string> seen;
+    for (const auto &row : workloadTable())
+        EXPECT_TRUE(seen.insert(row.name).second)
+            << "duplicate workload name '" << row.name
+            << "': rename one of its table rows";
+}
 
-  private:
-    std::string n;
-};
-
-TEST(WorkloadRegistryTest, DuplicateNameIsFatalAndNamesTheCulprit)
+TEST(WorkloadRegistryTest, EveryRowBuildsItsNamedWorkload)
 {
-    std::vector<WorkloadPtr> suite;
-    suite.push_back(std::make_unique<StubWorkload>("alpha"));
-    suite.push_back(std::make_unique<StubWorkload>("dupname"));
-    suite.push_back(std::make_unique<StubWorkload>("dupname"));
-    try {
-        checkUniqueNames(suite);
-        FAIL() << "duplicate name was not diagnosed";
-    } catch (const SimFatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("dupname"),
-                  std::string::npos)
-            << "diagnostic does not name the duplicate: " << e.what();
+    for (const auto &row : workloadTable()) {
+        auto w = row.make(Scale::tiny);
+        ASSERT_NE(w, nullptr) << row.name;
+        EXPECT_EQ(w->name(), row.name);
+        EXPECT_EQ(w->isDataParallel(), row.suite != Suite::taskParallel)
+            << row.name;
     }
 }
 
-TEST(WorkloadRegistryTest, UniqueNamesPass)
+TEST(WorkloadRegistryTest, SuiteNamesKeepFigureOrder)
 {
-    std::vector<WorkloadPtr> suite;
-    suite.push_back(std::make_unique<StubWorkload>("alpha"));
-    suite.push_back(std::make_unique<StubWorkload>("beta"));
-    EXPECT_NO_THROW(checkUniqueNames(suite));
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(workloadNames(Suite::dataParallel),
+              (Names{"vvadd", "mmult", "saxpy", "backprop", "kmeans",
+                     "blackscholes", "particlefilter", "jacobi-2d",
+                     "pathfinder", "lavamd", "sw"}));
+    EXPECT_EQ(workloadNames(Suite::taskParallel),
+              (Names{"bfs", "bc", "tc", "radii", "components",
+                     "pagerank", "mis", "kcore"}));
+    EXPECT_EQ(workloadNames(Suite::mobile),
+              (Names{"idct8", "ycbcr", "conv2d", "gemm8", "bytescan"}));
+    EXPECT_EQ(allWorkloadNames().size(), 24u);
 }
 
 TEST(WorkloadRegistryTest, MobileTierIsRegistered)
