@@ -25,8 +25,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "soc/run_driver.hh"
@@ -126,6 +128,25 @@ struct PatternCase
     bool unit, strided, indexed;
 };
 
+/**
+ * Print a case as its expected classes, e.g. "unit+strided". Without
+ * this gtest prints the raw bytes, including the address of `name`,
+ * which makes the ctest display name change from build to build.
+ */
+void
+PrintTo(const PatternCase &c, std::ostream *os)
+{
+    const char *sep = "";
+    for (auto [on, cls] : {std::pair{c.unit, "unit"},
+                           std::pair{c.strided, "strided"},
+                           std::pair{c.indexed, "indexed"}}) {
+        if (on) {
+            *os << sep << cls;
+            sep = "+";
+        }
+    }
+}
+
 class MobileVmuPatternTest : public ::testing::TestWithParam<PatternCase>
 {};
 
@@ -167,7 +188,7 @@ INSTANTIATE_TEST_SUITE_P(
         PatternCase{"bytescan", true, false, false}),
     [](const auto &info) { return std::string(info.param.name); });
 
-TEST(WorkloadRegistryTest, TableNamesAreUnique)
+TEST(WorkloadRegistryTest, UniqueNamesPass)
 {
     // Names key sweep journals, result caches and checkpoint farms, so
     // a repeated name would silently share their entries.
