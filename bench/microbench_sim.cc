@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulation kernel itself:
  * event-queue throughput, cache access path, little-core and big-core
- * simulated cycles per host second. Useful when changing the hot
- * simulation loops.
+ * simulated cycles and retired instructions per host second, and
+ * vector-engine micro-ops per host second. Useful when changing the
+ * hot simulation loops.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "sim/check/invariants.hh"
 #include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
+#include "soc/soc.hh"
 #include "sweep/sweep_runner.hh"
 
 namespace
@@ -217,15 +219,22 @@ BM_LittleCoreSimSpeed(benchmark::State &state)
     LittleCore little(cores, stats, sys, backing, 0, 512);
     auto prog = loopProgram(1000);
     std::uint64_t cycles = 0;
+    std::uint64_t insts = 0;
     for (auto _ : state) {
         bool done = false;
         Tick start = eq.now();
+        std::uint64_t retired = little.retired();
         little.runProgram(prog, {}, [&] { done = true; });
         while (!done && eq.step()) {}
         cycles += cores.ticksToCycles(eq.now() - start);
+        insts += little.retired() - retired;
     }
     state.counters["simCycles/s"] = benchmark::Counter(
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
+    // Per retired instruction, so a higher-IPC core does not look
+    // slower for finishing the same loop in fewer cycles.
+    state.counters["insts/s"] = benchmark::Counter(
+        static_cast<double>(insts), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_LittleCoreSimSpeed);
 
@@ -291,17 +300,94 @@ BM_BigCoreSimSpeed(benchmark::State &state)
     BigCore big(cores, stats, sys, backing, 512);
     auto prog = loopProgram(1000);
     std::uint64_t cycles = 0;
+    std::uint64_t insts = 0;
     for (auto _ : state) {
         bool done = false;
         Tick start = eq.now();
+        std::uint64_t retired = big.retired();
         big.runProgram(prog, {}, [&] { done = true; });
         while (!done && eq.step()) {}
         cycles += cores.ticksToCycles(eq.now() - start);
+        insts += big.retired() - retired;
     }
     state.counters["simCycles/s"] = benchmark::Counter(
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
+    state.counters["insts/s"] = benchmark::Counter(
+        static_cast<double>(insts), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BigCoreSimSpeed);
+
+/**
+ * Stripmined copy-and-add loop over 1024 32-bit elements, vector
+ * memory of one access pattern: Arg 0 unit-stride (vle/vse), 1
+ * strided (vlse/vsse, 16-byte stride), 2 indexed (vluxei/vsuxei with
+ * 8-byte offsets, built by vid + vsll).
+ */
+ProgramPtr
+vectorStreamProgram(int pattern)
+{
+    constexpr Addr src = 0x100000, dst = 0x200000;
+    const unsigned elemBytes = pattern == 0 ? 4 : pattern == 1 ? 16 : 8;
+    Asm a("vstream");
+    a.li(xreg(2), static_cast<std::int64_t>(src))
+     .li(xreg(3), static_cast<std::int64_t>(dst))
+     .li(xreg(5), elemBytes)
+     .li(xreg(10), 1024)
+     .label("loop")
+     .vsetvli(xreg(4), xreg(10), 4);
+    switch (pattern) {
+      case 0:
+        a.vle(vreg(1), xreg(2), 4);
+        break;
+      case 1:
+        a.vlse(vreg(1), xreg(2), xreg(5), 4);
+        break;
+      default:
+        a.vid(vreg(3))
+         .vi(Op::vsll, vreg(3), vreg(3), 3)
+         .vluxei(vreg(1), xreg(2), vreg(3), 4);
+        break;
+    }
+    a.vi(Op::vadd, vreg(2), vreg(1), 1);
+    switch (pattern) {
+      case 0: a.vse(vreg(2), xreg(3), 4); break;
+      case 1: a.vsse(vreg(2), xreg(3), xreg(5), 4); break;
+      default: a.vsuxei(vreg(2), xreg(3), vreg(3), 4); break;
+    }
+    a.mul(xreg(6), xreg(4), xreg(5))
+     .add(xreg(2), xreg(2), xreg(6))
+     .add(xreg(3), xreg(3), xreg(6))
+     .sub(xreg(10), xreg(10), xreg(4))
+     .bne(xreg(10), xreg(0), "loop")
+     .halt();
+    auto prog = a.finish();
+    prog->setTextBase(0x40000000);
+    return prog;
+}
+
+/**
+ * Vector-engine simulation speed: the 1b-4VL engine (VCU, VMIU,
+ * per-bank VMSUs, VLU/VSU, four lanes) fed by the big core, in chime
+ * micro-ops broadcast per host second. The argument picks the memory
+ * access pattern (vectorStreamProgram()).
+ */
+void
+BM_VectorEngineSimSpeed(benchmark::State &state)
+{
+    Soc soc(Design::d1b4VL);
+    auto prog = vectorStreamProgram(static_cast<int>(state.range(0)));
+    std::uint64_t uops = 0;
+    for (auto _ : state) {
+        bool done = false;
+        std::uint64_t before = soc.stats.value("vlittle.uopsBroadcast");
+        soc.big->runProgram(prog, {}, [&] { done = true; });
+        while (!done && soc.eq.step()) {}
+        uops += soc.stats.value("vlittle.uopsBroadcast") - before;
+    }
+    state.counters["uops/s"] = benchmark::Counter(
+        static_cast<double>(uops), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_VectorEngineSimSpeed)->Arg(0)->Arg(1)->Arg(2);
 
 /**
  * End-to-end sweep throughput through the parallel runner: a small

@@ -56,7 +56,8 @@ import os
 import sys
 
 GATED = ["BM_CacheHitPath", "BM_TickChurn", "BM_StatIncrement",
-         "BM_FastForwardStep"]
+         "BM_FastForwardStep", "BM_VectorEngineSimSpeed/0",
+         "BM_VectorEngineSimSpeed/1", "BM_VectorEngineSimSpeed/2"]
 
 
 class GateInputError(Exception):
@@ -368,7 +369,10 @@ def compare(baseline, results, tolerance, benches):
 def self_test():
     """Machine-independent check that the gate actually gates."""
     baseline = {"BM_CacheHitPath": 25.0, "BM_TickChurn": 17000.0,
-                "BM_StatIncrement": 0.4, "BM_FastForwardStep": 21000.0}
+                "BM_StatIncrement": 0.4, "BM_FastForwardStep": 21000.0,
+                "BM_VectorEngineSimSpeed/0": 450000.0,
+                "BM_VectorEngineSimSpeed/1": 580000.0,
+                "BM_VectorEngineSimSpeed/2": 1170000.0}
 
     ok = dict(baseline)
     failures, _ = compare(baseline, ok, 0.25, GATED)

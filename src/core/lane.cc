@@ -13,7 +13,8 @@ VectorLane::VectorLane(ClockDomain &cd, StatGroup &sg, LaneEnv &env,
       prefix(std::move(stat_prefix)),
       sCycles(sg.handle(prefix + "cycles")),
       sUops(sg.handle(prefix + "uops")),
-      fu(fu_params), queueDepth(uop_queue_depth)
+      fu(fu_params), queueDepth(uop_queue_depth),
+      uopQueue(uop_queue_depth)
 {
     for (unsigned c = 0; c < numStallCauses; ++c)
         sStall[c] = sg.handle(prefix + "stall." +

@@ -15,13 +15,13 @@
 #define BVL_CORE_LANE_HH
 
 #include <array>
-#include <deque>
 #include <string>
 
 #include "core/vuop.hh"
 #include "cpu/fu_params.hh"
 #include "isa/reg.hh"
 #include "sim/clock_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -97,7 +97,7 @@ class VectorLane
     Tracer *trace = nullptr;
     unsigned traceTid = 0;
 
-    std::deque<VUop> uopQueue;
+    Ring<VUop> uopQueue;
 
     static constexpr unsigned maxChimes = 8;
     std::array<std::array<Tick, maxChimes>, numVRegs> vregReadyAt{};

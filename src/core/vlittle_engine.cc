@@ -1,10 +1,12 @@
 #include "core/vlittle_engine.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "sim/check/check_context.hh"
 #include "sim/fault.hh"
+#include "sim/small_fn.hh"
 #include "sim/trace/tracer.hh"
 #include "sim/watchdog.hh"
 
@@ -60,7 +62,9 @@ VlittleEngine::VlittleEngine(ClockDomain &cd, StatGroup &sg,
       sCycles(sg.handle(sp + "cycles")),
       sUnitLines(sg.handle(sp + "unitLines")),
       sStridedLines(sg.handle(sp + "stridedLines")),
-      sIndexedLines(sg.handle(sp + "indexedLines"))
+      sIndexedLines(sg.handle(sp + "indexedLines")),
+      cmdQueue(p.cmdQueueDepth), uopQueue(p.uopQueueDepth),
+      vmiuQueue(p.vmiuQueueDepth)
 {
     for (unsigned i = 0; i < p.numLanes; ++i) {
         lanes.push_back(std::make_unique<VectorLane>(
@@ -73,6 +77,34 @@ VlittleEngine::VlittleEngine(ClockDomain &cd, StatGroup &sg,
         p.memPath == VEngineParams::MemPath::bankedL1 ? mem.numLittle()
                                                       : p.numLanes;
     vmsus.resize(n_vmsus);
+    for (Vmsu &m : vmsus)
+        m.queue.reserve(p.loadQueueLines + p.storeQueueLines);
+    vluOrder.reserve(n_vmsus * p.loadQueueLines);
+    vsuOrder.reserve(n_vmsus * p.storeQueueLines);
+    // Sized to the VCU's queues; the span of in-flight vseqs rarely
+    // exceeds them, and growWindow() handles it when it does.
+    std::size_t slots = 8;
+    while (slots < p.cmdQueueDepth + p.uopQueueDepth)
+        slots *= 2;
+    window.resize(slots);
+}
+
+VlittleEngine::VInstr *
+VlittleEngine::findInflight(SeqNum vseq)
+{
+    if (vseq < oldestVseq || vseq >= nextVseq)
+        return nullptr;
+    VInstr &vi = slot(vseq);
+    return vi.live ? &vi : nullptr;
+}
+
+void
+VlittleEngine::growWindow()
+{
+    std::vector<VInstr> grown(window.size() * 2);
+    for (SeqNum v = oldestVseq; v < oldestVseq + window.size(); ++v)
+        grown[v & (grown.size() - 1)] = std::move(slot(v));
+    window = std::move(grown);
 }
 
 unsigned
@@ -142,36 +174,44 @@ VlittleEngine::dispatch(const ExecTrace &tr,
         }
     }
 
-    auto vi = std::make_shared<VInstr>();
-    vi->vseq = nextVseq++;
-    vi->trace = tr;
-    vi->onDone = std::move(onDone);
-    vi->needsDataSlot = needsScalarData(*tr.inst);
-    if (vi->needsDataSlot)
+    SeqNum vseq = nextVseq++;
+    if (nextVseq - oldestVseq > window.size())
+        growWindow();
+    VInstr &vi = slot(vseq);
+    static_cast<VInstrState &>(vi) = VInstrState{};
+    vi.vseq = vseq;
+    vi.live = true;
+    vi.trace = tr;
+    vi.onDone = std::move(onDone);
+    vi.plan.clear();
+    vi.planTarget.clear();
+    vi.arrived.assign(p.numLanes * p.chimes, 0);
+    vi.needsDataSlot = needsScalarData(*tr.inst);
+    if (vi.needsDataSlot)
         ++dataSlotsUsed;
 
-    cmdQueue.push_back(vi);
-    inflight[vi->vseq] = vi;
+    cmdQueue.push_back(vseq);
+    ++numInflight;
     sDispatched++;
     if (trace) {
-        vi->dispatchTick = clock().eventQueue().now();
+        vi.dispatchTick = clock().eventQueue().now();
         if (trace->wants(TraceCat::vcu)) {
             Json args = Json::object();
-            args.set("vseq", vi->vseq);
+            args.set("vseq", vseq);
             args.set("op", opName(tr.inst->op));
             trace->instant(TraceCat::vcu, tidVcu, "dispatch",
-                           vi->dispatchTick, std::move(args));
+                           vi.dispatchTick, std::move(args));
         }
     }
     if (check)
-        check->onVecDispatch(vi->vseq);
+        check->onVecDispatch(vseq);
     activate();
 }
 
 bool
 VlittleEngine::idle() const
 {
-    return cmdQueue.empty() && inflight.empty();
+    return cmdQueue.empty() && numInflight == 0;
 }
 
 void
@@ -336,43 +376,41 @@ VlittleEngine::vcuFrontTick()
     if (cmdQueue.empty() || eq.now() < switchReadyAt)
         return;
 
-    VInstrPtr vi = cmdQueue.front();
-    const Instr &in = *vi->trace.inst;
+    VInstr &vi = slot(cmdQueue.front());
+    const Instr &in = *vi.trace.inst;
 
-    if (!vi->cracked) {
-        crack(*vi);
-        vi->broadcastRemaining =
-            static_cast<unsigned>(vi->plan.size());
+    if (!vi.cracked) {
+        crack(vi);
+        vi.broadcastRemaining = static_cast<unsigned>(vi.plan.size());
     }
 
     // vsetvli executes in the VCU (paper Section III-B).
     if (in.op == Op::vsetvli) {
         cmdQueue.pop_front();
-        if (vi->needsDataSlot)
+        if (vi.needsDataSlot)
             --dataSlotsUsed;
-        completeInstr(*vi);
+        completeInstr(vi);
         return;
     }
 
     // vmfence: all older instructions must have fully completed.
     if (in.op == Op::vmfence) {
-        if (inflight.size() == 1 && vmiuQueue.empty() &&
-            uopQueue.empty()) {
+        if (numInflight == 1 && vmiuQueue.empty() && uopQueue.empty()) {
             cmdQueue.pop_front();
-            if (vi->needsDataSlot)
+            if (vi.needsDataSlot)
                 --dataSlotsUsed;
-            completeInstr(*vi);
+            completeInstr(vi);
         }
         return;
     }
 
     // Cross-element instructions: one at a time in the VXU.
-    if (vi->isCross) {
-        if (vxuVseq != 0 && vxuVseq != vi->vseq)
+    if (vi.isCross) {
+        if (vxuVseq != 0 && vxuVseq != vi.vseq)
             return;   // wait for the outstanding cross-element op
         if (vxuVseq == 0) {
-            vxuVseq = vi->vseq;
-            unsigned chimeCount = activeChimes(vi->trace);
+            vxuVseq = vi.vseq;
+            unsigned chimeCount = activeChimes(vi.trace);
             vxReadsExpected = chimeCount * p.numLanes;
             vxReadsDone = 0;
             vxDeliverAt = maxTick;
@@ -381,25 +419,24 @@ VlittleEngine::vcuFrontTick()
 
     // Memory command to the VMIU (decoupling: issued before any of
     // this instruction's micro-ops reach the lanes).
-    if (in.traits().isVecMem && !vi->memCmdSent) {
+    if (in.traits().isVecMem && !vi.memCmdSent) {
         if (vmiuQueue.size() >= p.vmiuQueueDepth)
             return;
-        vmiuQueue.push_back(vi);
-        vi->memCmdSent = true;
-        vmiuNextElem[vi->vseq] = 0;
+        vmiuQueue.push_back(vi.vseq);
+        vi.memCmdSent = true;
         sVmiuCmds++;
     }
 
     // Move the whole micro-op plan into the UopQ.
-    if (uopQueue.size() + vi->plan.size() > p.uopQueueDepth)
+    if (uopQueue.size() + vi.plan.size() > p.uopQueueDepth)
         return;
-    for (unsigned i = 0; i < vi->plan.size(); ++i)
-        uopQueue.push_back(QueuedUop{vi, i});
+    for (unsigned i = 0; i < vi.plan.size(); ++i)
+        uopQueue.push_back(QueuedUop{vi.vseq, i});
     cmdQueue.pop_front();
-    if (vi->needsDataSlot)
+    if (vi.needsDataSlot)
         --dataSlotsUsed;
-    if (vi->plan.empty())
-        checkInstrDone(vi->vseq);
+    if (vi.plan.empty())
+        checkInstrDone(vi.vseq);
 }
 
 void
@@ -428,11 +465,11 @@ VlittleEngine::vcuBroadcastTick()
         return;
     }
 
-    QueuedUop &qu = uopQueue.front();
-    VInstrPtr vi = qu.vi;
-    const Instr &in = *vi->trace.inst;
-    const VUop &uop = vi->plan[qu.idx];
-    int target = vi->planTarget[qu.idx];
+    const QueuedUop &qu = uopQueue.front();
+    VInstr &vi = slot(qu.vseq);
+    const Instr &in = *vi.trace.inst;
+    const VUop &uop = vi.plan[qu.idx];
+    int target = vi.planTarget[qu.idx];
 
     if (target < 0) {
         for (const auto &lane : lanes) {
@@ -442,14 +479,14 @@ VlittleEngine::vcuBroadcastTick()
             }
         }
         unsigned sew = in.traits().isVecMem
-            ? in.ew : std::max<unsigned>(1, vi->trace.sew);
+            ? in.ew : std::max<unsigned>(1, vi.trace.sew);
         unsigned pf = packFactor(sew);
         unsigned epc = elemsPerChime(sew);
         for (unsigned l = 0; l < p.numLanes; ++l) {
             VUop laneUop = uop;
             // Elements this lane handles in this chime.
             unsigned base = uop.chime * epc + l * pf;
-            unsigned vl = vi->trace.vl;
+            unsigned vl = vi.trace.vl;
             laneUop.elems = base >= vl
                 ? 0 : std::min<unsigned>(pf, vl - base);
             lanes[l]->pushUop(laneUop);
@@ -461,7 +498,7 @@ VlittleEngine::vcuBroadcastTick()
         }
         VUop laneUop = uop;
         laneUop.elems = std::min<unsigned>(laneUop.packFactor,
-                                           std::max(1u, vi->trace.vl));
+                                           std::max(1u, vi.trace.vl));
         lanes[target]->pushUop(laneUop);
     }
 
@@ -469,16 +506,16 @@ VlittleEngine::vcuBroadcastTick()
     sUopsBroadcast++;
     if (trace && trace->wants(TraceCat::vcu)) {
         Json args = Json::object();
-        args.set("vseq", vi->vseq);
+        args.set("vseq", vi.vseq);
         args.set("chime", uop.chime);
         args.set("kind", uopKindName(uop.kind));
         args.set("op", opName(in.op));
         trace->instant(TraceCat::vcu, tidVcu, "broadcast", beq.now(),
                        std::move(args));
     }
-    bvl_assert(vi->broadcastRemaining > 0, "broadcast underflow");
-    if (--vi->broadcastRemaining == 0)
-        checkInstrDone(vi->vseq);
+    bvl_assert(vi.broadcastRemaining > 0, "broadcast underflow");
+    if (--vi.broadcastRemaining == 0)
+        checkInstrDone(vi.vseq);
 }
 
 // --------------------------------------------------------------------
@@ -486,31 +523,37 @@ VlittleEngine::vcuBroadcastTick()
 // --------------------------------------------------------------------
 
 void
-VlittleEngine::deliverLine(unsigned vmsu_idx, SeqNum vseq,
-                           std::uint64_t reqSeq, bool isStore)
+VlittleEngine::deliverLine(const LineReq &req)
 {
     if (trace && trace->wants(TraceCat::vmu)) {
-        trace->asyncEnd(TraceCat::vmu, tidVmsu[vmsu_idx],
-                        isStore ? "store" : "load", reqSeq,
+        trace->asyncEnd(TraceCat::vmu, tidVmsu[req.vmsu],
+                        req.isStore ? "store" : "load", req.reqSeq,
                         clock().eventQueue().now());
     }
-    if (isStore) {
-        --vmsus[vmsu_idx].storeSlotsUsed;
-        auto it = inflight.find(vseq);
-        if (it != inflight.end()) {
-            ++it->second->storeLinesDone;
-            checkInstrDone(vseq);
+    if (req.isStore) {
+        --vmsus[req.vmsu].storeSlotsUsed;
+        if (VInstr *vi = findInflight(req.vseq)) {
+            ++vi->storeLinesDone;
+            checkInstrDone(req.vseq);
         }
     } else {
-        vluDataReady.insert(reqSeq);
+        // vluOrder keeps request order and holds at most
+        // numVmsus x loadQueueLines entries.
+        std::size_t i = 0;
+        while (i < vluOrder.size() && vluOrder[i].reqSeq != req.reqSeq)
+            ++i;
+        bvl_assert(i < vluOrder.size(), "%s: VLU order lost load "
+                   "request %llu", p.name.c_str(),
+                   static_cast<unsigned long long>(req.reqSeq));
+        vluOrder[i].ready = true;
     }
     activate();
 }
 
 void
-VlittleEngine::issueToMemory(unsigned vmsu_idx, const LineReq &req,
-                             unsigned attempt)
+VlittleEngine::issueToMemory(const LineReq &req, unsigned attempt)
 {
+    unsigned vmsu_idx = req.vmsu;
     Addr addr = req.lineAddr << lineShift;
     bool isStore = req.isStore;
 
@@ -531,15 +574,15 @@ VlittleEngine::issueToMemory(unsigned vmsu_idx, const LineReq &req,
     // once they are exhausted the queue slot is stuck forever and the
     // progress watchdog reports the hang. The capture (LineReq + this
     // + attempt) fits MemCallback's inline buffer.
-    auto done = [this, vmsu_idx, req, attempt] {
+    auto done = [this, req, attempt] {
         Tick now = clock().eventQueue().now();
         if (injector && injector->dropVmuResponse(now)) {
             if (attempt < injector->vmuMaxRetries()) {
                 sVmuRetries++;
                 clock().scheduleCycles(
                     injector->vmuRetryDelay(),
-                    [this, vmsu_idx, req, attempt] {
-                        issueToMemory(vmsu_idx, req, attempt + 1);
+                    [this, req, attempt] {
+                        issueToMemory(req, attempt + 1);
                     });
             } else {
                 sVmuResponsesLost++;
@@ -547,7 +590,7 @@ VlittleEngine::issueToMemory(unsigned vmsu_idx, const LineReq &req,
                 // deadlock diagnostic can name it (bounded table).
                 if (lostResponses.size() < 16) {
                     lostResponses.push_back({req.vseq, req.lineAddr,
-                                             req.isStore, vmsu_idx,
+                                             req.isStore, req.vmsu,
                                              attempt + 1, now});
                 }
                 warn("%s: VMU %s response for line 0x%llx (vseq %llu, "
@@ -556,12 +599,14 @@ VlittleEngine::issueToMemory(unsigned vmsu_idx, const LineReq &req,
                      p.name.c_str(), req.isStore ? "store" : "load",
                      static_cast<unsigned long long>(req.lineAddr),
                      static_cast<unsigned long long>(req.vseq),
-                     vmsu_idx, attempt + 1);
+                     req.vmsu, attempt + 1);
             }
             return;
         }
-        deliverLine(vmsu_idx, req.vseq, req.reqSeq, req.isStore);
+        deliverLine(req);
     };
+    static_assert(sizeof(done) <= SmallFn::inlineBytes,
+                  "VMU completion must not allocate (DESIGN.md §11)");
 
     switch (p.memPath) {
       case VEngineParams::MemPath::bankedL1:
@@ -581,25 +626,25 @@ VlittleEngine::vmiuTick()
 {
     if (vmiuQueue.empty())
         return;
-    VInstrPtr vi = vmiuQueue.front();
-    const Instr &in = *vi->trace.inst;
-    const auto &addrs = vi->trace.elemAddrs;
+    VInstr &vi = slot(vmiuQueue.front());
+    const Instr &in = *vi.trace.inst;
+    const auto &addrs = vi.trace.elemAddrs;
     bool isStore = in.traits().isVecStore;
     bool indexed = in.op == Op::vluxei || in.op == Op::vsuxei;
-    SeqNum vseq = vi->vseq;
+    SeqNum vseq = vi.vseq;
 
     if (addrs.empty()) {
-        vi->memGenDone = true;
+        vi.memGenDone = true;
         vmiuQueue.pop_front();
         checkInstrDone(vseq);
         return;
     }
 
-    unsigned ne = vmiuNextElem[vseq];
+    unsigned ne = vi.vmiuNextElem;
     unsigned avail = static_cast<unsigned>(addrs.size());
     if (indexed) {
         unsigned epc = elemsPerChime(in.ew);
-        avail = std::min<unsigned>(avail, idxChimesReady[vseq] * epc);
+        avail = std::min<unsigned>(avail, vi.idxChimesReady * epc);
         if (ne >= avail)
             return;   // waiting for index values from the lanes
     }
@@ -647,13 +692,14 @@ VlittleEngine::vmiuTick()
     req.elemCount = count;
     req.vmsu = vmsuIdx;
 
-    m.queue.push_back(req);
     if (isStore) {
+        m.queue.push_back(req);
         ++m.storeSlotsUsed;
         ++m.camUsed;
         vsuOrder.push_back(req);
-        ++vi->storeLinesTotal;
+        ++vi.storeLinesTotal;
     } else {
+        m.queue.push_back(req);
         ++m.loadSlotsUsed;
         vluOrder.push_back(req);
     }
@@ -673,9 +719,9 @@ VlittleEngine::vmiuTick()
                        clock().eventQueue().now(), std::move(args));
     }
 
-    vmiuNextElem[vseq] = ne + count;
+    vi.vmiuNextElem = ne + count;
     if (ne + count == addrs.size()) {
-        vi->memGenDone = true;
+        vi.memGenDone = true;
         vmiuQueue.pop_front();
         checkInstrDone(vseq);
     }
@@ -693,30 +739,29 @@ VlittleEngine::vmsuTick(unsigned idx)
     // VSU, but only if its line does not match any of them (the
     // store-address CAM check, paper Section III-E).
     Vmsu &m = vmsus[idx];
-    std::unordered_set<Addr> olderStoreLines;
-    unsigned scanned = 0;
-    for (auto it = m.queue.begin();
-         it != m.queue.end() && scanned < 8; ++it, ++scanned) {
-        LineReq req = *it;
+    std::array<Addr, camScanWindow> olderStoreLines;
+    unsigned numOlderStores = 0;
+    std::size_t scan = std::min<std::size_t>(m.queue.size(), camScanWindow);
+    for (std::size_t i = 0; i < scan; ++i) {
+        const LineReq &req = m.queue[i];
+        auto olderEnd = olderStoreLines.begin() + numOlderStores;
         if (req.isStore) {
-            if (m.storeDataReady.count(req.reqSeq)) {
-                m.storeDataReady.erase(req.reqSeq);
-                bvl_assert(m.camUsed > 0, "CAM underflow");
-                --m.camUsed;
-                m.queue.erase(it);
-                issueToMemory(idx, req);
-                return;
+            if (!req.ready) {
+                *olderEnd = req.lineAddr;
+                ++numOlderStores;
+                continue;
             }
-            olderStoreLines.insert(req.lineAddr);
-        } else {
-            if (olderStoreLines.count(req.lineAddr)) {
-                sVmsuRawStalls++;
-                continue;   // RAW through memory: wait for the store
-            }
-            m.queue.erase(it);
-            issueToMemory(idx, req);
-            return;
+            bvl_assert(m.camUsed > 0, "CAM underflow");
+            --m.camUsed;
+        } else if (std::find(olderStoreLines.begin(), olderEnd,
+                             req.lineAddr) != olderEnd) {
+            sVmsuRawStalls++;
+            continue;   // RAW through memory: wait for the store
         }
+        LineReq issued = req;
+        m.queue.erase(i);
+        issueToMemory(issued);
+        return;
     }
 }
 
@@ -729,8 +774,8 @@ VlittleEngine::vluTick()
 {
     if (vluOrder.empty())
         return;
-    LineReq &req = vluOrder.front();
-    if (!vluDataReady.count(req.reqSeq))
+    const LineReq &req = vluOrder.front();
+    if (!req.ready)
         return;
 
     // Indexed loads are pulled element by element (paper Section
@@ -741,18 +786,14 @@ VlittleEngine::vluTick()
             return;
     }
 
-    auto it = inflight.find(req.vseq);
-    if (it != inflight.end()) {
-        const Instr &in = *it->second->trace.inst;
-        auto &counts = arrived[req.vseq];
-        if (counts.empty())
-            counts.assign(p.numLanes * p.chimes, 0);
-        unsigned epc = elemsPerChime(in.ew);
+    if (VInstr *vi = findInflight(req.vseq)) {
+        unsigned ew = vi->trace.inst->ew;
+        unsigned epc = elemsPerChime(ew);
         for (unsigned e = req.elemStart; e < req.elemStart + req.elemCount;
              ++e) {
             unsigned chime = std::min(e / epc, p.chimes - 1);
-            unsigned lane = laneOfElem(e, in.ew);
-            ++counts[lane * p.chimes + chime];
+            unsigned lane = laneOfElem(e, ew);
+            ++vi->arrived[lane * p.chimes + chime];
         }
     }
 
@@ -765,7 +806,6 @@ VlittleEngine::vluTick()
                        clock().eventQueue().now(), std::move(args));
     }
     --vmsus[req.vmsu].loadSlotsUsed;
-    vluDataReady.erase(req.reqSeq);
     vluOrder.pop_front();
     vluHeadDelivered = 0;
     sVluDeliveries++;
@@ -780,9 +820,9 @@ VlittleEngine::vsuTick()
 {
     if (vsuOrder.empty())
         return;
-    LineReq &req = vsuOrder.front();
-    auto it = storeElemsReceived.find(req.vseq);
-    unsigned have = it == storeElemsReceived.end() ? 0 : it->second;
+    const LineReq &req = vsuOrder.front();
+    const VInstr *vi = findInflight(req.vseq);
+    unsigned have = vi ? vi->storeElemsReceived : 0;
     if (have < req.elemStart + req.elemCount)
         return;   // lanes have not produced this line's elements yet
     if (trace && trace->wants(TraceCat::vmu)) {
@@ -792,7 +832,16 @@ VlittleEngine::vsuTick()
         trace->instant(TraceCat::vmu, tidVsu, "lineReady",
                        clock().eventQueue().now(), std::move(args));
     }
-    vmsus[req.vmsu].storeDataReady.insert(req.reqSeq);
+    // Hand the data to the request waiting in its VMSU's queue, which
+    // keeps request (reqSeq) order.
+    Ring<LineReq> &q = vmsus[req.vmsu].queue;
+    std::size_t i = 0;
+    while (i < q.size() && q[i].reqSeq != req.reqSeq)
+        ++i;
+    bvl_assert(i < q.size(), "%s: store line %llu left its VMSU queue "
+               "before its data", p.name.c_str(),
+               static_cast<unsigned long long>(req.reqSeq));
+    q[i].ready = true;
     vsuOrder.pop_front();
     sVsuLines++;
 }
@@ -807,18 +856,18 @@ VlittleEngine::loadDataReady(SeqNum vseq, unsigned lane, unsigned chime,
 {
     if (needed == 0)
         return true;
-    auto it = arrived.find(vseq);
-    if (it == arrived.end())
-        return false;
-    return it->second[lane * p.chimes + std::min(chime, p.chimes - 1)] >=
-           needed;
+    const VInstr *vi = findInflight(vseq);
+    return vi &&
+           vi->arrived[lane * p.chimes + std::min(chime, p.chimes - 1)] >=
+               needed;
 }
 
 void
 VlittleEngine::storeDataFromLane(SeqNum vseq, unsigned, unsigned,
                                  unsigned elems)
 {
-    storeElemsReceived[vseq] += elems;
+    if (VInstr *vi = findInflight(vseq))
+        vi->storeElemsReceived += elems;
 }
 
 void
@@ -826,10 +875,9 @@ VlittleEngine::indexFromLane(SeqNum vseq, unsigned, unsigned)
 {
     // A chime's indices are complete once every lane has sent its
     // share; lanes execute chimes in order, so counting is enough.
-    auto &done = idxSendCounts[vseq];
-    ++done;
-    if (done % p.numLanes == 0)
-        ++idxChimesReady[vseq];
+    VInstr *vi = findInflight(vseq);
+    if (vi && ++vi->idxSendCounts % p.numLanes == 0)
+        ++vi->idxChimesReady;
 }
 
 void
@@ -849,9 +897,8 @@ VlittleEngine::vxSourceFromLane(SeqNum vseq, unsigned lane,
                        clock().eventQueue().now(), std::move(args));
     }
     if (vxReadsDone == vxReadsExpected) {
-        auto it = inflight.find(vseq);
-        unsigned totalElems =
-            it != inflight.end() ? std::max(1u, it->second->trace.vl) : 1;
+        VInstr *vi = findInflight(vseq);
+        unsigned totalElems = vi ? std::max(1u, vi->trace.vl) : 1;
         // The ring shifts one hop per cycle for N element slots.
         vxDeliverAt = clock().eventQueue().now() +
                       clock().cyclesToTicks(totalElems);
@@ -863,14 +910,13 @@ VlittleEngine::vxSourceFromLane(SeqNum vseq, unsigned lane,
                         clock().eventQueue().now(), vxDeliverAt,
                         std::move(args));
         }
-        if (it != inflight.end() && it->second->scalarViaRing) {
+        if (vi && vi->scalarViaRing) {
             // Scalar result returns to the big core after the ring
             // traversal plus one response hop.
-            VInstrPtr vi = it->second;
             vi->ringDoneAt = clock().eventQueue().now() +
                              clock().cyclesToTicks(p.numLanes + 1);
             clock().eventQueue().scheduleAt(
-                vi->ringDoneAt, [this, vi] { checkInstrDone(vi->vseq); });
+                vi->ringDoneAt, [this, vseq] { checkInstrDone(vseq); });
         }
     }
 }
@@ -891,12 +937,11 @@ VlittleEngine::vxReadsComplete(SeqNum vseq)
 void
 VlittleEngine::uopRetired(SeqNum vseq, unsigned chime)
 {
-    auto it = inflight.find(vseq);
-    if (it == inflight.end())
+    VInstr *vi = findInflight(vseq);
+    if (!vi)
         return;
-    bvl_assert(it->second->lanePending > 0, "%s: uop underflow",
-               p.name.c_str());
-    --it->second->lanePending;
+    bvl_assert(vi->lanePending > 0, "%s: uop underflow", p.name.c_str());
+    --vi->lanePending;
     if (check)
         check->onUopRetired(vseq, chime, clock().eventQueue().now());
     checkInstrDone(vseq);
@@ -910,11 +955,11 @@ VlittleEngine::uopRetired(SeqNum vseq, unsigned chime)
 void
 VlittleEngine::checkInstrDone(SeqNum vseq)
 {
-    auto it = inflight.find(vseq);
-    if (it == inflight.end())
+    VInstr *found = findInflight(vseq);
+    if (!found)
         return;
-    VInstr &vi = *it->second;
-    if (vi.completed || !vi.cracked || vi.broadcastRemaining > 0)
+    VInstr &vi = *found;
+    if (!vi.cracked || vi.broadcastRemaining > 0)
         return;
 
     if (vi.scalarViaRing) {
@@ -942,9 +987,6 @@ VlittleEngine::checkInstrDone(SeqNum vseq)
 void
 VlittleEngine::completeInstr(VInstr &vi)
 {
-    if (vi.completed)
-        return;
-    vi.completed = true;
     sCompleted++;
     if (trace && trace->wants(TraceCat::vcu)) {
         // Vector instruction lifetimes overlap in the engine, so they
@@ -967,15 +1009,13 @@ VlittleEngine::completeInstr(VInstr &vi)
         vxReadsExpected = vxReadsDone = 0;
         vxDeliverAt = maxTick;
     }
-    arrived.erase(vi.vseq);
-    storeElemsReceived.erase(vi.vseq);
-    vmiuNextElem.erase(vi.vseq);
-    idxChimesReady.erase(vi.vseq);
-    idxSendCounts.erase(vi.vseq);
 
     SeqNum vseq = vi.vseq;
     auto onDone = std::move(vi.onDone);
-    inflight.erase(vi.vseq);
+    vi.live = false;
+    --numInflight;
+    while (oldestVseq < nextVseq && !slot(oldestVseq).live)
+        ++oldestVseq;
     if (check)
         check->onVecComplete(vseq);
     if (onDone)
@@ -1026,12 +1066,32 @@ VlittleEngine::registerInvariants(InvariantRegistry &reg)
         // Every consumed scalar-data slot must belong to an in-flight
         // or still-queued instruction that claimed one.
         unsigned claimed = 0;
-        for (const auto &kv : inflight)
-            claimed += kv.second->needsDataSlot ? 1 : 0;
+        for (SeqNum v = oldestVseq; v < nextVseq; ++v)
+            if (const VInstr *vi = findInflight(v))
+                claimed += vi->needsDataSlot ? 1 : 0;
         if (dataSlotsUsed > claimed)
             return std::to_string(dataSlotsUsed) +
                    " data slots used but only " +
                    std::to_string(claimed) + " in-flight claimants";
+        return "";
+    });
+    reg.add(sp + "vcu.window", [this]() -> std::string {
+        // The in-flight window: one live slot per in-flight
+        // instruction, all inside [oldestVseq, nextVseq), and the
+        // oldest vseq itself still live.
+        unsigned live = 0;
+        for (const VInstr &vi : window)
+            live += vi.live ? 1 : 0;
+        if (live != numInflight)
+            return std::to_string(live) + " live window slots but " +
+                   std::to_string(numInflight) + " in flight";
+        if (nextVseq - oldestVseq > window.size())
+            return "vseqs [" + std::to_string(oldestVseq) + ", " +
+                   std::to_string(nextVseq) + ") overflow a window of " +
+                   std::to_string(window.size());
+        if (numInflight > 0 && !findInflight(oldestVseq))
+            return "oldest vseq " + std::to_string(oldestVseq) +
+                   " is not live";
         return "";
     });
     reg.add(sp + "vmiu.queue", [this]() -> std::string {
@@ -1062,10 +1122,11 @@ VlittleEngine::registerInvariants(InvariantRegistry &reg)
         // Broadcast bookkeeping: an instruction past cracking can
         // never owe more broadcasts than its plan contains, nor more
         // lane retires than a full per-lane fan-out of that plan.
-        for (const auto &kv : inflight) {
-            const VInstr &vi = *kv.second;
-            if (!vi.cracked)
+        for (SeqNum v = oldestVseq; v < nextVseq; ++v) {
+            const VInstr *found = findInflight(v);
+            if (!found || !found->cracked)
                 continue;
+            const VInstr &vi = *found;
             if (vi.broadcastRemaining > vi.plan.size())
                 return "vseq " + std::to_string(vi.vseq) +
                        " broadcastRemaining " +
@@ -1139,8 +1200,11 @@ VlittleEngine::inflightReport()
                std::to_string(m.camUsed);
     }
     unsigned listed = 0;
-    for (const auto &kv : inflight) {
-        const VInstr &vi = *kv.second;
+    for (SeqNum v = oldestVseq; v < nextVseq; ++v) {
+        const VInstr *found = findInflight(v);
+        if (!found)
+            continue;
+        const VInstr &vi = *found;
         out += " | v" + std::to_string(vi.vseq) + " " +
                opName(vi.trace.inst->op) + " lanePend " +
                std::to_string(vi.lanePending) + " bcastRem " +

@@ -24,11 +24,8 @@
 #ifndef BVL_CORE_VLITTLE_ENGINE_HH
 #define BVL_CORE_VLITTLE_ENGINE_HH
 
-#include <deque>
-#include <map>
+#include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/lane.hh"
@@ -36,6 +33,7 @@
 #include "cpu/vec_engine.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -143,16 +141,17 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     bool tick() override;
 
   private:
-    /** One dynamic vector instruction in flight in the engine. */
-    struct VInstr
+    /**
+     * Scalar state of one dynamic vector instruction. Recycling a
+     * window slot resets exactly this part, so VInstr's vectors keep
+     * their capacity from one instruction to the next.
+     */
+    struct VInstrState
     {
         SeqNum vseq = 0;
-        ExecTrace trace;
-        std::function<void()> onDone;
+        bool live = false;            ///< dispatched and not completed
         bool needsDataSlot = false;
 
-        std::vector<VUop> plan;       ///< lane uops, broadcast in order
-        std::vector<int> planTarget;  ///< -1 broadcast, else lane index
         unsigned broadcastRemaining = 0;
         bool cracked = false;
         bool memCmdSent = false;
@@ -164,11 +163,25 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
         unsigned storeLinesDone = 0;
         Tick ringDoneAt = maxTick;    ///< scalar-via-ring return time
         bool memGenDone = false;      ///< VMIU finished generating reqs
-        bool completed = false;
         /** Dispatch timestamp, recorded only while tracing. */
         Tick dispatchTick = 0;
+
+        unsigned vmiuNextElem = 0;    ///< next element the VMIU splits
+        unsigned idxSendCounts = 0;   ///< lane index sends received
+        unsigned idxChimesReady = 0;  ///< chimes whose indices are in
+        unsigned storeElemsReceived = 0;  ///< store data from lanes
     };
-    using VInstrPtr = std::shared_ptr<VInstr>;
+
+    /** One dynamic vector instruction in flight in the engine. */
+    struct VInstr : VInstrState
+    {
+        ExecTrace trace;
+        std::function<void()> onDone;
+        std::vector<VUop> plan;       ///< lane uops, broadcast in order
+        std::vector<int> planTarget;  ///< -1 broadcast, else lane index
+        /** Load elements delivered per (lane, chime). */
+        std::vector<unsigned> arrived;
+    };
 
     /** One cache-line request generated by the VMIU. */
     struct LineReq
@@ -176,11 +189,14 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
         std::uint64_t reqSeq = 0;
         SeqNum vseq = 0;
         Addr lineAddr = 0;
-        bool isStore = false;
-        bool indexed = false;
         unsigned elemStart = 0;
         unsigned elemCount = 0;
         unsigned vmsu = 0;
+        bool isStore = false;
+        bool indexed = false;
+        /** Load in vluOrder: memory responded. Store in a VMSU queue:
+         *  the VSU has its data. */
+        bool ready = false;
     };
 
     /** A VMU response whose injected retry budget was exhausted. */
@@ -194,14 +210,16 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
         Tick tick = 0;
     };
 
+    /** Requests the VMSU's store-address CAM compares a load against. */
+    static constexpr unsigned camScanWindow = 8;
+
     struct Vmsu
     {
-        std::deque<LineReq> queue;
+        Ring<LineReq> queue;
         unsigned loadSlotsUsed = 0;
         unsigned storeSlotsUsed = 0;
         /** Stores buffered in the queue (CAM capacity constraint). */
         unsigned camUsed = 0;
-        std::unordered_set<std::uint64_t> storeDataReady;
     };
 
     // per-cycle unit models
@@ -212,6 +230,12 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     void vluTick();
     void vsuTick();
 
+    /** The live instruction @p vseq, or nullptr once it completed. */
+    VInstr *findInflight(SeqNum vseq);
+    VInstr &slot(SeqNum vseq) { return window[vseq & (window.size() - 1)]; }
+    /** Double the window, keeping every slot at its vseq. */
+    void growWindow();
+
     void crack(VInstr &vi);
     void completeInstr(VInstr &vi);
     void checkInstrDone(SeqNum vseq);
@@ -219,10 +243,8 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     unsigned elemsPerChime(unsigned sewBytes) const;
     unsigned activeChimes(const ExecTrace &trace) const;
     unsigned laneOfElem(unsigned elemIdx, unsigned sewBytes) const;
-    void issueToMemory(unsigned vmsuIdx, const LineReq &req,
-                       unsigned attempt = 0);
-    void deliverLine(unsigned vmsuIdx, SeqNum vseq, std::uint64_t reqSeq,
-                     bool isStore);
+    void issueToMemory(const LineReq &req, unsigned attempt = 0);
+    void deliverLine(const LineReq &req);
 
     StatGroup &stats;
     MemSystem &mem;
@@ -246,44 +268,45 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
 
     std::vector<std::unique_ptr<VectorLane>> lanes;
 
-    // VCU state
-    std::deque<VInstrPtr> cmdQueue;
+    // VCU state; the queues hold vseqs of in-flight instructions
+    Ring<SeqNum> cmdQueue;
     /** Cracked micro-ops awaiting lock-step broadcast (paper's UopQ). */
     struct QueuedUop
     {
-        VInstrPtr vi;
+        SeqNum vseq;
         unsigned idx;
     };
-    std::deque<QueuedUop> uopQueue;
+    Ring<QueuedUop> uopQueue;
     unsigned dataSlotsUsed = 0;
     bool vectorMode = false;
     Tick switchReadyAt = 0;
     bool lockstepBlocked = false;
 
-    // in-flight instruction table
-    std::map<SeqNum, VInstrPtr> inflight;
+    /**
+     * In-flight instructions, age-ordered: vseq v lives in slot
+     * v & (size - 1), and every vseq in [oldestVseq, nextVseq) has its
+     * own slot (growWindow() keeps the span within the size). A slot
+     * is recycled, vectors and all, when its instruction completes.
+     */
+    std::vector<VInstr> window;
+    /** Oldest live vseq (nextVseq when nothing is in flight). */
+    SeqNum oldestVseq = 1;
     SeqNum nextVseq = 1;
+    unsigned numInflight = 0;
 
     // VMIU state
-    std::deque<VInstrPtr> vmiuQueue;
+    Ring<SeqNum> vmiuQueue;
     std::uint64_t nextReqSeq = 1;
-    std::unordered_map<SeqNum, unsigned> vmiuNextElem;
-    std::unordered_map<SeqNum, unsigned> idxChimesReady;
-    std::unordered_map<SeqNum, unsigned> idxSendCounts;
 
     // VMSUs
     std::vector<Vmsu> vmsus;
 
     // VLU state
-    std::deque<LineReq> vluOrder;
-    std::unordered_set<std::uint64_t> vluDataReady;
+    Ring<LineReq> vluOrder;
     unsigned vluHeadDelivered = 0;
-    /** delivered element counts per (vseq, lane, chime) */
-    std::unordered_map<SeqNum, std::vector<unsigned>> arrived;
 
     // VSU state
-    std::deque<LineReq> vsuOrder;
-    std::unordered_map<SeqNum, unsigned> storeElemsReceived;
+    Ring<LineReq> vsuOrder;
 
     // VXU state
     SeqNum vxuVseq = 0;

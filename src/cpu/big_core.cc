@@ -1,6 +1,8 @@
 #include "cpu/big_core.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "sim/check/check_context.hh"
 #include "sim/trace/tracer.hh"
@@ -42,8 +44,18 @@ BigCore::BigCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
       sMispredicts(sg.handle(prefix + "mispredicts")),
       sVecDispatched(sg.handle(prefix + "vecDispatched")),
       arch(vlen_bits), bpred(params.bpredIndexBits),
-      fetchBuf(ms, ms.bigCoreId(), sg, prefix)
+      fetchBuf(ms, ms.bigCoreId(), sg, prefix),
+      vecQueue(p.robEntries)
 {
+    std::size_t slots = 64;
+    while (slots < p.robEntries)
+        slots *= 2;
+    robSlots.resize(slots);
+    robMask = slots - 1;
+    maskWords = static_cast<unsigned>(slots / 64);
+    readyBits.assign(maskWords, 0);
+    consumerBits.assign(slots * maskWords, 0);
+    storeBuckets.assign(slots, 0);
     lastWriter.fill(nullptr);
 }
 
@@ -64,10 +76,11 @@ BigCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
     fetchBuf.reset();
     fetchStallUntil = 0;
     blockingBranch = nullptr;
-    rob.clear();
+    robHeadSeq = nextSeq;
     lastWriter.fill(nullptr);
-    lastStoreToLine.clear();
-    readyQueue.clear();
+    std::fill(readyBits.begin(), readyBits.end(), 0);
+    std::fill(consumerBits.begin(), consumerBits.end(), 0);
+    std::fill(storeBuckets.begin(), storeBuckets.end(), 0);
     fuInUseThisCycle.fill(0);
     unpipedBusyUntil.fill(0);
     loadsInFlight = 0;
@@ -107,12 +120,39 @@ BigCore::runWindow(ProgramPtr program, std::uint64_t maxFetch,
 }
 
 void
+BigCore::addDep(RobInst &inst, RobInst *producer)
+{
+    if (!producer || producer->complete)
+        return;
+    // Two edges from one producer resolve in the same completeInst(),
+    // so one mask bit (and one pendingSrcs count) stands for both.
+    std::uint64_t &word = consumersOf(*producer)[(inst.seq & robMask) >> 6];
+    if (word & slotBit(inst.seq))
+        return;
+    word |= slotBit(inst.seq);
+    ++inst.pendingSrcs;
+}
+
+BigCore::RobInst *
+BigCore::lastStoreTo(Addr line)
+{
+    SeqNum s = storeBuckets[line & robMask];
+    while (s >= robHeadSeq) {
+        RobInst &store = robAt(s);
+        if (lineOf(store.trace.addr) == line)
+            return &store;
+        s = store.prevStoreInBucket;
+    }
+    return nullptr;
+}
+
+void
 BigCore::fetchStage()
 {
     auto &eq = clock().eventQueue();
     for (unsigned n = 0; n < p.fetchWidth; ++n) {
         if (haltSeen || fetchLimitHit() || blockingBranch ||
-            fetchStallUntil > eq.now() || rob.size() >= p.robEntries) {
+            fetchStallUntil > eq.now() || robSize() >= p.robEntries) {
             return;
         }
         if (arch.pc >= prog->size())
@@ -132,44 +172,40 @@ BigCore::fetchStage()
         if (check)
             check->onFetchExecuted(this, arch, tr, backing, eq.now());
 
-        auto owned = std::make_unique<RobInst>();
-        RobInst *inst = owned.get();
-        inst->seq = nextSeq++;
+        SeqNum seq = nextSeq++;
+        RobInst *inst = &robAt(seq);
+        *inst = RobInst{};
+        inst->seq = seq;
+        std::fill_n(consumersOf(*inst), maskWords, 0);
         if (trace)
             inst->fetchTick = eq.now();
         inst->trace = std::move(tr);
         const Instr &in = *inst->trace.inst;
+        const OpTraits &traits = in.traits();
 
         // Register (scalar) source dependences.
-        auto addDep = [&](RegId r) {
-            if (r == regIdInvalid || r >= 64)
-                return;
-            RobInst *producer = lastWriter[r];
-            if (producer && !producer->complete) {
-                ++inst->pendingSrcs;
-                producer->consumers.push_back(inst);
-            }
+        auto addRegDep = [&](RegId r) {
+            if (r != regIdInvalid && r < 64)
+                addDep(*inst, lastWriter[r]);
         };
-        addDep(in.rs1);
+        addRegDep(in.rs1);
         // rs2 is a scalar source for scalar ops and .vx/.vf forms.
-        if (!in.isVector() || in.vsrc == VSrc2::vx || in.vsrc == VSrc2::vf)
-            addDep(in.rs2);
-        addDep(in.rs3 < 64 ? in.rs3 : regIdInvalid);
+        if (!traits.isVector || in.vsrc == VSrc2::vx ||
+            in.vsrc == VSrc2::vf)
+            addRegDep(in.rs2);
+        addRegDep(in.rs3);
 
         // Store -> load ordering through memory (scalar only; the
         // vector engines order their own memory, vmfence orders the
         // scalar/vector boundary).
-        if (!in.isVector() && inst->trace.isMem) {
+        if (!traits.isVector && inst->trace.isMem) {
             Addr lnum = lineOf(inst->trace.addr);
             if (inst->trace.isStore) {
-                lastStoreToLine[lnum] = inst;
+                SeqNum &bucket = storeBuckets[lnum & robMask];
+                inst->prevStoreInBucket = bucket;
+                bucket = seq;
             } else {
-                auto it = lastStoreToLine.find(lnum);
-                if (it != lastStoreToLine.end() &&
-                    !it->second->complete) {
-                    ++inst->pendingSrcs;
-                    it->second->consumers.push_back(inst);
-                }
+                addDep(*inst, lastStoreTo(lnum));
             }
         }
 
@@ -191,24 +227,21 @@ BigCore::fetchStage()
         if (in.op == Op::halt)
             haltSeen = true;
 
-        if (in.isVector()) {
+        if (traits.isVector) {
             vecQueue.push_back(inst);
             if (check)
                 check->onVecQueued(this);
         }
 
-        if (in.traits().fu == FuClass::nop) {
+        if (traits.fu == FuClass::nop) {
             // li/nop/halt: complete at dispatch, no FU needed.
             inst->issued = true;
             inst->complete = true;
             if (trace)
                 inst->issueTick = inst->completeTick = eq.now();
-        } else if (!in.isVector() && inst->pendingSrcs == 0) {
-            readyQueue.emplace(inst->seq, inst);
-            inst->inReadyQueue = true;
+        } else if (!traits.isVector && inst->pendingSrcs == 0) {
+            readyWord(seq) |= slotBit(seq);
         }
-
-        rob.push_back(std::move(owned));
     }
 }
 
@@ -244,55 +277,59 @@ BigCore::issueStage()
         fuCycleTick = now;
     }
 
+    // Oldest-first over the ready bitmap: the words from the head's
+    // slot to the end of the ring, then the wrapped words back to it
+    // (the last pass keeps only the bits below the head).
     unsigned issued = 0;
-    auto it = readyQueue.begin();
-    while (it != readyQueue.end() && issued < p.issueWidth) {
-        RobInst *inst = it->second;
-        const Instr &in = *inst->trace.inst;
-        FuClass fu = in.traits().fu;
+    unsigned headBit = static_cast<unsigned>(robHeadSeq & robMask);
+    unsigned headWord = headBit / 64;
+    for (unsigned k = 0; k <= maskWords && issued < p.issueWidth; ++k) {
+        unsigned w = (headWord + k) % maskWords;
+        std::uint64_t bits = readyBits[w];
+        if (k == 0)
+            bits &= ~0ull << (headBit % 64);
+        else if (k == maskWords)
+            bits &= (1ull << (headBit % 64)) - 1;
+        for (; bits && issued < p.issueWidth; bits &= bits - 1) {
+            RobInst *inst = &robSlots[w * 64 + std::countr_zero(bits)];
+            const Instr &in = *inst->trace.inst;
+            FuClass fu = in.traits().fu;
 
-        if (!fuAvailable(fu, now)) {
-            ++it;
-            continue;
-        }
-        if (in.op == Op::load && loadsInFlight >= p.lsqLoads) {
-            ++it;
-            continue;
-        }
-        if (in.op == Op::store && storesInFlight >= p.lsqStores) {
-            ++it;
-            continue;
-        }
+            if (!fuAvailable(fu, now))
+                continue;
+            if (in.op == Op::load && loadsInFlight >= p.lsqLoads)
+                continue;
+            if (in.op == Op::store && storesInFlight >= p.lsqStores)
+                continue;
 
-        // Issue.
-        consumeFu(fu, now);
-        inst->issued = true;
-        if (trace)
-            inst->issueTick = now;
-        inst->inReadyQueue = false;
-        it = readyQueue.erase(it);
-        ++issued;
+            // Issue.
+            consumeFu(fu, now);
+            inst->issued = true;
+            if (trace)
+                inst->issueTick = now;
+            readyBits[w] &= ~slotBit(inst->seq);
+            ++issued;
 
-        if (in.op == Op::load) {
-            ++loadsInFlight;
-            mem.accessData(mem.bigCoreId(), inst->trace.addr, false,
-                           [this, inst] {
-                --loadsInFlight;
-                inst->producerKind = ProducerKind::memory;
-                completeInst(inst);
-            });
-        } else if (in.op == Op::store) {
-            ++storesInFlight;
-            mem.accessData(mem.bigCoreId(), inst->trace.addr, true,
-                           [this, inst] {
-                --storesInFlight;
-                completeInst(inst);
-            });
-        } else {
-            Cycles lat = p.fu.latency(fu);
-            eq.schedule(clock().cyclesToTicks(lat), [this, inst] {
-                completeInst(inst);
-            });
+            if (in.op == Op::load) {
+                ++loadsInFlight;
+                mem.accessData(mem.bigCoreId(), inst->trace.addr, false,
+                               [this, inst] {
+                    --loadsInFlight;
+                    completeInst(inst);
+                });
+            } else if (in.op == Op::store) {
+                ++storesInFlight;
+                mem.accessData(mem.bigCoreId(), inst->trace.addr, true,
+                               [this, inst] {
+                    --storesInFlight;
+                    completeInst(inst);
+                });
+            } else {
+                Cycles lat = p.fu.latency(fu);
+                eq.schedule(clock().cyclesToTicks(lat), [this, inst] {
+                    completeInst(inst);
+                });
+            }
         }
     }
 }
@@ -312,16 +349,18 @@ BigCore::completeInst(RobInst *inst)
                           clock().cyclesToTicks(p.redirectPenalty);
     }
 
-    for (RobInst *consumer : inst->consumers) {
-        bvl_assert(consumer->pendingSrcs > 0, "wakeup underflow");
-        if (--consumer->pendingSrcs == 0 && !consumer->issued &&
-            !consumer->inReadyQueue &&
-            !consumer->trace.inst->isVector()) {
-            readyQueue.emplace(consumer->seq, consumer);
-            consumer->inReadyQueue = true;
+    std::uint64_t *consumers = consumersOf(*inst);
+    for (unsigned w = 0; w < maskWords; ++w) {
+        for (std::uint64_t bits = std::exchange(consumers[w], 0); bits;
+             bits &= bits - 1) {
+            RobInst &consumer = robSlots[w * 64 + std::countr_zero(bits)];
+            bvl_assert(consumer.pendingSrcs > 0, "wakeup underflow");
+            if (--consumer.pendingSrcs == 0 && !consumer.issued &&
+                !consumer.trace.inst->isVector()) {
+                readyWord(consumer.seq) |= slotBit(consumer.seq);
+            }
         }
     }
-    inst->consumers.clear();
     activate();
 }
 
@@ -340,7 +379,7 @@ BigCore::vecDispatchStage()
             return;
         bool needHead = vengine->dispatchAtHead() ||
                         in.op == Op::vmfence;
-        if (needHead && (rob.empty() || rob.front().get() != inst))
+        if (needHead && inst->seq != robHeadSeq)
             return;
         if (in.op == Op::vmfence &&
             (loadsInFlight != 0 || storesInFlight != 0)) {
@@ -356,8 +395,7 @@ BigCore::vecDispatchStage()
             Json args = Json::object();
             args.set("seq", inst->seq);
             args.set("op", opName(in.op));
-            args.set("robHead",
-                     !rob.empty() && rob.front().get() == inst);
+            args.set("robHead", inst->seq == robHeadSeq);
             trace->instant(TraceCat::big, traceTid, "vecDispatch",
                            clock().eventQueue().now(), std::move(args));
         }
@@ -383,8 +421,8 @@ BigCore::vecDispatchStage()
 void
 BigCore::commitStage()
 {
-    for (unsigned n = 0; n < p.commitWidth && !rob.empty(); ++n) {
-        RobInst *head = rob.front().get();
+    for (unsigned n = 0; n < p.commitWidth && robSize() != 0; ++n) {
+        RobInst *head = &robAt(robHeadSeq);
         const Instr &in = *head->trace.inst;
 
         if (in.isVector()) {
@@ -401,11 +439,6 @@ BigCore::commitStage()
         if (in.rd != regIdInvalid && in.rd < 64 &&
             lastWriter[in.rd] == head) {
             lastWriter[in.rd] = nullptr;
-        }
-        if (head->trace.isMem && head->trace.isStore && !in.isVector()) {
-            auto it = lastStoreToLine.find(lineOf(head->trace.addr));
-            if (it != lastStoreToLine.end() && it->second == head)
-                lastStoreToLine.erase(it);
         }
         if (trace && trace->wants(TraceCat::big)) {
             // Instruction lifetimes overlap (out-of-order core), so
@@ -424,7 +457,7 @@ BigCore::commitStage()
             trace->asyncEnd(TraceCat::big, traceTid, opName(in.op),
                             id, now);
         }
-        rob.pop_front();
+        ++robHeadSeq;
         ++numRetired;
         sRetired++;
         if (check)
@@ -444,10 +477,28 @@ void
 BigCore::registerInvariants(InvariantRegistry &reg)
 {
     reg.add("big.rob.bound", [this]() -> std::string {
-        if (rob.size() <= p.robEntries)
+        if (robSize() <= p.robEntries)
             return "";
-        return "ROB holds " + std::to_string(rob.size()) +
+        return "ROB holds " + std::to_string(robSize()) +
                " entries, capacity " + std::to_string(p.robEntries);
+    });
+    // Every ready bit names an in-flight scalar instruction that has
+    // not issued and waits on nothing.
+    reg.add("big.rob.ready", [this]() -> std::string {
+        for (std::size_t i = 0; i < robSlots.size(); ++i) {
+            if (!(readyBits[i / 64] & (1ull << (i % 64))))
+                continue;
+            const RobInst &inst = robSlots[i];
+            if (robSize() == 0 || inst.seq < robHeadSeq ||
+                inst.seq >= nextSeq)
+                return "ready bit on slot " + std::to_string(i) +
+                       " outside the ROB";
+            if (inst.issued || inst.pendingSrcs != 0 ||
+                inst.trace.inst->isVector())
+                return "seq " + std::to_string(inst.seq) +
+                       " is in the ready set but cannot issue";
+        }
+        return "";
     });
     reg.add("big.lsq.bound", [this]() -> std::string {
         if (loadsInFlight <= p.lsqLoads && storesInFlight <= p.lsqStores)
@@ -463,8 +514,8 @@ BigCore::registerInvariants(InvariantRegistry &reg)
     reg.add("big.vec.dispatchOrder", [this]() -> std::string {
         bool headDispatch = vengine && vengine->dispatchAtHead();
         bool sawUndispatched = false;
-        for (std::size_t i = 0; i < rob.size(); ++i) {
-            const RobInst &inst = *rob[i];
+        for (SeqNum seq = robHeadSeq; seq < nextSeq; ++seq) {
+            const RobInst &inst = robAt(seq);
             if (!inst.trace.inst || !inst.trace.inst->isVector())
                 continue;
             if (!inst.vecDispatched) {
@@ -475,7 +526,7 @@ BigCore::registerInvariants(InvariantRegistry &reg)
                 return "seq " + std::to_string(inst.seq) +
                        " dispatched before an older vector instruction";
             }
-            if (headDispatch && i > 0 && !inst.complete) {
+            if (headDispatch && seq != robHeadSeq && !inst.complete) {
                 return "seq " + std::to_string(inst.seq) +
                        " dispatched while not at the ROB head";
             }
@@ -496,15 +547,18 @@ BigCore::progressDetail() const
 {
     if (!running)
         return "";
-    std::string out = "rob " + std::to_string(rob.size()) + "/" +
+    unsigned ready = 0;
+    for (std::uint64_t word : readyBits)
+        ready += static_cast<unsigned>(std::popcount(word));
+    std::string out = "rob " + std::to_string(robSize()) + "/" +
                       std::to_string(p.robEntries) + " ready " +
-                      std::to_string(readyQueue.size()) + " vecQ " +
+                      std::to_string(ready) + " vecQ " +
                       std::to_string(vecQueue.size()) + " vecOut " +
                       std::to_string(vecOutstanding) + " ld " +
                       std::to_string(loadsInFlight) + " st " +
                       std::to_string(storesInFlight);
-    if (!rob.empty()) {
-        const RobInst &head = *rob.front();
+    if (robSize() != 0) {
+        const RobInst &head = robAt(robHeadSeq);
         out += " | head v" + std::to_string(head.seq) + " " +
                opName(head.trace.inst->op) +
                (head.complete ? " complete" : " pending") +
@@ -520,7 +574,7 @@ BigCore::progressDetail() const
 void
 BigCore::maybeFinish()
 {
-    if (!running || !(haltSeen || fetchLimitHit()) || !rob.empty())
+    if (!running || !(haltSeen || fetchLimitHit()) || robSize() != 0)
         return;
     if (loadsInFlight != 0 || storesInFlight != 0 || vecOutstanding != 0)
         return;
@@ -542,7 +596,6 @@ BigCore::tick()
 {
     if (!running)
         return false;
-    ++numCycles;
     sCycles++;
     vecDispatchStage();
     commitStage();

@@ -19,11 +19,8 @@
 #define BVL_CPU_BIG_CORE_HH
 
 #include <array>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "cpu/bpred.hh"
 #include "cpu/fetch_buffer.hh"
@@ -32,6 +29,7 @@
 #include "isa/arch_state.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -81,8 +79,6 @@ class BigCore : public Clocked
      * fast-forward engine seeds ArchState functionally and then
      * interleaves detailed windows with functional regions
      * (DESIGN.md §15). @p maxFetch == 0 means run to the halt.
-     */
-    /**
      * @p markFetch != 0 records the tick of that fetch
      * (windowMarkTick()): the sampler measures steady-state throughput
      * as the fetch-to-fetch span [markFetch, maxFetch] inside one
@@ -139,14 +135,15 @@ class BigCore : public Clocked
     {
         SeqNum seq = 0;
         ExecTrace trace;
+        /** Distinct in-flight producers this instruction waits on. */
         unsigned pendingSrcs = 0;
-        bool inReadyQueue = false;
         bool issued = false;
         bool complete = false;
         bool vecDispatched = false;
         bool predictedWrong = false;
-        ProducerKind producerKind = ProducerKind::shortOp;
-        std::vector<RobInst *> consumers;
+        /** Scalar store: the next older store in its store-table
+         *  bucket (0 = none). */
+        SeqNum prevStoreInBucket = 0;
         /** Pipeline-stage timestamps, recorded only while tracing. */
         Tick fetchTick = 0;
         Tick issueTick = 0;
@@ -165,6 +162,22 @@ class BigCore : public Clocked
     void vecDispatchStage();
     void commitStage();
     void completeInst(RobInst *inst);
+
+    std::size_t robSize() const { return nextSeq - robHeadSeq; }
+    RobInst &robAt(SeqNum seq) { return robSlots[seq & robMask]; }
+    const RobInst &robAt(SeqNum seq) const
+    { return robSlots[seq & robMask]; }
+    /** Bit of a ROB slot in a slot-indexed bitmap. */
+    static std::uint64_t slotBit(SeqNum seq) { return 1ull << (seq & 63); }
+    std::uint64_t &readyWord(SeqNum seq)
+    { return readyBits[(seq & robMask) >> 6]; }
+    /** The consumer mask of @p producer's slot (maskWords words). */
+    std::uint64_t *consumersOf(const RobInst &producer)
+    { return &consumerBits[(producer.seq & robMask) * maskWords]; }
+    /** Make @p inst wait on @p producer unless it already does. */
+    void addDep(RobInst &inst, RobInst *producer);
+    /** Youngest scalar store to @p line still in the ROB. */
+    RobInst *lastStoreTo(Addr line);
     bool fuAvailable(FuClass fu, Tick now);
     void consumeFu(FuClass fu, Tick now);
     void maybeFinish();
@@ -201,13 +214,32 @@ class BigCore : public Clocked
     RobInst *blockingBranch = nullptr;  ///< unresolved mispredict
 
     // ROB / rename
-    std::deque<std::unique_ptr<RobInst>> rob;
-    std::array<RobInst *, 64> lastWriter{};
-    std::unordered_map<Addr, RobInst *> lastStoreToLine;
-    std::map<SeqNum, RobInst *> readyQueue;
-    /** Vector instructions awaiting dispatch, program order. */
-    std::deque<RobInst *> vecQueue;
+    /**
+     * The ROB: a ring of preallocated slots holding seqs
+     * [robHeadSeq, nextSeq), seq s in slot s & robMask. The slot count
+     * is a power of two (at least 64) covering robEntries.
+     */
+    std::vector<RobInst> robSlots;
+    std::uint64_t robMask = 0;
+    SeqNum robHeadSeq = 1;
     SeqNum nextSeq = 1;
+    std::array<RobInst *, 64> lastWriter{};
+    /** Issue candidates, one bit per ROB slot, scanned oldest-first
+     *  from the head. */
+    std::vector<std::uint64_t> readyBits;
+    /** Per-slot wakeup masks: bit c of slot p's mask means the
+     *  instruction in slot c waits on the one in slot p. */
+    std::vector<std::uint64_t> consumerBits;
+    unsigned maskWords = 0;
+    /**
+     * Store->load table: bucket (line & mask) holds the youngest
+     * scalar store whose line maps there, chained to older ones via
+     * prevStoreInBucket. Retired stores drop out of the chains by
+     * seq, so no entry is ever evicted or lost.
+     */
+    std::vector<SeqNum> storeBuckets;
+    /** Vector instructions awaiting dispatch, program order. */
+    Ring<RobInst *> vecQueue;
 
     // execution resources
     std::array<unsigned, 16> fuInUseThisCycle{};
@@ -218,7 +250,6 @@ class BigCore : public Clocked
     unsigned vecOutstanding = 0;
 
     std::uint64_t numRetired = 0;
-    std::uint64_t numCycles = 0;
 };
 
 } // namespace bvl

@@ -7,16 +7,21 @@
  * the sequential next line, modelling a pipelined front end: straight-
  * line code streams at full fetch width, while taken branches to cold
  * lines pay the L1I (or miss) latency.
+ *
+ * Both sets are a handful of lines, so they are flat arrays searched
+ * linearly: the per-fetch lookups neither hash nor allocate
+ * (DESIGN.md §11).
  */
 
 #ifndef BVL_CPU_FETCH_BUFFER_HH
 #define BVL_CPU_FETCH_BUFFER_HH
 
-#include <deque>
-#include <unordered_set>
+#include <algorithm>
+#include <vector>
 
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -32,8 +37,11 @@ class FetchBuffer
           prefix(std::move(statPrefix)),
           sLineReqs(stats.handle(prefix + "fetchLineReqs")),
           sPrefetches(stats.handle(prefix + "fetchPrefetches")),
-          capacity(capacity), prefetchDepth(prefetchDepth)
-    {}
+          capacity(capacity), prefetchDepth(prefetchDepth),
+          ready(capacity + 1)
+    {
+        pending.reserve(2 * (prefetchDepth + 1));
+    }
 
     /**
      * True if the line containing @p addr is in the buffer. If not,
@@ -47,12 +55,12 @@ class FetchBuffer
     lineReady(Addr addr, Clocked *waker)
     {
         Addr line = lineOf(addr);
-        if (ready.count(line)) {
+        if (isReady(line)) {
             for (unsigned d = 1; d <= prefetchDepth; ++d)
                 prefetch(line + d);
             return true;
         }
-        if (!pending.count(line)) {
+        if (!isPending(line)) {
             sLineReqs++;
             request(line, waker);
             for (unsigned d = 1; d <= prefetchDepth; ++d)
@@ -65,17 +73,32 @@ class FetchBuffer
     reset()
     {
         ready.clear();
-        readyOrder.clear();
         // Pending requests may still complete; their callbacks tolerate
         // a reset because they only insert into the (cleared) sets.
         pending.clear();
     }
 
   private:
+    bool
+    isReady(Addr line) const
+    {
+        for (std::size_t i = 0; i < ready.size(); ++i)
+            if (ready[i] == line)
+                return true;
+        return false;
+    }
+
+    bool
+    isPending(Addr line) const
+    {
+        return std::find(pending.begin(), pending.end(), line) !=
+               pending.end();
+    }
+
     void
     prefetch(Addr line)
     {
-        if (ready.count(line) || pending.count(line))
+        if (isReady(line) || isPending(line))
             return;
         sPrefetches++;
         request(line, nullptr);
@@ -84,9 +107,13 @@ class FetchBuffer
     void
     request(Addr line, Clocked *waker)
     {
-        pending.insert(line);
+        pending.push_back(line);
         mem.fetchInst(coreId, line << lineShift, [this, line, waker] {
-            pending.erase(line);
+            auto it = std::find(pending.begin(), pending.end(), line);
+            if (it != pending.end()) {
+                *it = pending.back();
+                pending.pop_back();
+            }
             insertReady(line);
             if (waker)
                 waker->activate();
@@ -96,12 +123,11 @@ class FetchBuffer
     void
     insertReady(Addr line)
     {
-        if (ready.insert(line).second)
-            readyOrder.push_back(line);
-        while (readyOrder.size() > capacity) {
-            ready.erase(readyOrder.front());
-            readyOrder.pop_front();
-        }
+        if (isReady(line))
+            return;
+        ready.push_back(line);
+        if (ready.size() > capacity)
+            ready.pop_front();
     }
 
     MemSystem &mem;
@@ -112,9 +138,10 @@ class FetchBuffer
     unsigned capacity;
     unsigned prefetchDepth;
 
-    std::unordered_set<Addr> ready;
-    std::deque<Addr> readyOrder;
-    std::unordered_set<Addr> pending;
+    /** Arrived lines, oldest first; the oldest leaves on overflow. */
+    Ring<Addr> ready;
+    /** Lines requested and not yet arrived (no duplicates). */
+    std::vector<Addr> pending;
 };
 
 } // namespace bvl

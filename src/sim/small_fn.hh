@@ -6,7 +6,7 @@
  * callbacks) used to heap-allocate a std::function closure per event.
  * SmallFn stores any capture of up to 64 bytes inline — which covers
  * every steady-state capture shape in the simulator (`[this]`,
- * `[this, rd, gen]`, `[this, lineNum]`, the VMSU's `[this, idx, req,
+ * `[this, rd, gen]`, `[this, lineNum]`, the VMSU's `[this, req,
  * attempt]`) — and falls back to the heap only for oversized or
  * throwing-move captures (cold paths such as the L2 invalidate
  * penalty wrapper). DESIGN.md §11 states the hot-path rules that

@@ -13,6 +13,7 @@
 #include "sim/rng.hh"
 #include "soc/run_driver.hh"
 #include "soc/soc.hh"
+#include "vector/engine_presets.hh"
 
 namespace bvl
 {
@@ -295,6 +296,130 @@ INSTANTIATE_TEST_SUITE_P(
             if (!isalnum(static_cast<unsigned char>(c)))
                 c = '_';
         return s;
+    });
+
+// ------------------------------------------- small and odd geometries
+//
+// Every VCU/VMU queue at depth 1 and the UopQ exactly as deep as the
+// largest plan (an indexed access: 2 micro-ops per chime) keeps each
+// in-flight window slot, queue ring and VMSU entry at the edge of
+// recycling. Random vector programs and an indexed gather/scatter
+// must still finish under the watchdog with every structural
+// invariant holding after every retire, and match functional
+// execution.
+
+constexpr Addr idxBase = dataBase + 2 * dataWords * 4;
+
+/** Gather the first data half through a permutation of byte offsets,
+ *  add 1, scatter into the second half through the same offsets. */
+ProgramPtr
+gatherScatterProgram()
+{
+    Asm a("gather.scatter");
+    a.li(xreg(2), dataBase)
+     .li(xreg(3), idxBase)
+     .li(xreg(7), dataBase + dataWords * 4)
+     .li(xreg(10), dataWords)
+     .label("loop")
+     .vsetvli(xreg(4), xreg(10), 4)
+     .vle(vreg(1), xreg(3), 4)
+     .vluxei(vreg(2), xreg(2), vreg(1), 4)
+     .vi(Op::vadd, vreg(3), vreg(2), 1)
+     .vsuxei(vreg(3), xreg(7), vreg(1), 4)
+     .slli(xreg(6), xreg(4), 2)
+     .add(xreg(3), xreg(3), xreg(6))
+     .sub(xreg(10), xreg(10), xreg(4))
+     .bne(xreg(10), xreg(0), "loop")
+     .halt();
+    auto p = a.finish();
+    p->setTextBase(0x40000000);
+    return p;
+}
+
+void
+initIndices(BackingStore &mem)
+{
+    for (unsigned i = 0; i < dataWords; ++i)
+        mem.writeT<std::uint32_t>(idxBase + 4 * i,
+                                  (i * 37) % dataWords * 4);
+}
+
+class EngineGeometryTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+  protected:
+    SocParams
+    params() const
+    {
+        auto [lanes, chimes] = GetParam();
+        VEngineParams ep = vlittlePreset();
+        ep.numLanes = lanes;
+        ep.chimes = chimes;
+        ep.cmdQueueDepth = 1;
+        ep.vmiuQueueDepth = 1;
+        ep.loadQueueLines = 1;
+        ep.storeQueueLines = 1;
+        ep.storeCamEntries = 1;
+        ep.uopQueueDepth = 2 * chimes;
+        SocParams sp;
+        sp.design = Design::d1b4VL;
+        sp.engineOverride = std::make_unique<VEngineParams>(ep);
+        sp.check.invariants = true;
+        sp.check.invariantPeriod = 1;
+        return sp;
+    }
+
+    /** Run @p prog timed and functionally from the same memory image;
+     *  any hang or invariant violation fails the test. */
+    void
+    expectCompletesAndMatches(const ProgramPtr &prog, int dataSeed)
+    {
+        Soc soc(params());
+        BackingStore funcMem;
+        Rng dataRng(dataSeed);
+        initData(funcMem, dataRng);
+        initIndices(funcMem);
+        ArchState func(soc.vlenBits());
+        runFunctional(func, *prog, funcMem);
+
+        Rng dataRng2(dataSeed);
+        initData(soc.backing, dataRng2);
+        initIndices(soc.backing);
+        soc.watchdog.arm();
+        bool done = false;
+        soc.big->runProgram(prog, {}, [&] { done = true; });
+        try {
+            ASSERT_TRUE(soc.runUntil([&] { return done; },
+                                     soc.eq.now() + 50'000'000ull));
+        } catch (const SimError &e) {
+            FAIL() << e.what();
+        }
+        EXPECT_GT(soc.stats.value("check.sweeps"), 0u);
+        EXPECT_TRUE(soc.engine->idle());
+        expectSameState(soc.big->archState(), func, soc.backing, funcMem,
+                        prog->name().c_str());
+    }
+};
+
+TEST_P(EngineGeometryTest, MinimumDepthsCompleteWithoutViolation)
+{
+    for (int seed = 0; seed < 4; ++seed) {
+        SCOPED_TRACE("random vector program, seed " +
+                     std::to_string(seed));
+        Rng rng(3000 + seed);
+        expectCompletesAndMatches(randomVectorProgram(rng, 6), seed);
+    }
+    SCOPED_TRACE("indexed gather/scatter");
+    expectCompletesAndMatches(gatherScatterProgram(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LanesByChimes, EngineGeometryTest,
+    ::testing::Combine(::testing::Values(1u, 8u),
+                       ::testing::Values(1u, 4u)),
+    [](const auto &info) {
+        return "lanes" + std::to_string(std::get<0>(info.param)) +
+               "_chimes" + std::to_string(std::get<1>(info.param));
     });
 
 } // namespace

@@ -35,6 +35,31 @@ runProg(Soc &soc, ProgramPtr prog,
     return soc.elapsedNs() - t0;
 }
 
+/**
+ * v-load A, store A+100 to B, then v-load @p loadAddr and store that
+ * plus 1 back to A. Both vector stores are one line; on 1b-4VL the
+ * load meets the B store in the VMSU CAM whenever @p loadAddr is in
+ * B's bank.
+ */
+ProgramPtr
+storeThenLoadProgram(Addr loadAddr)
+{
+    Asm a("st_ld_raw");
+    a.li(xreg(2), A)
+     .li(xreg(3), B)
+     .li(xreg(5), static_cast<std::int64_t>(loadAddr))
+     .li(xreg(10), 16)
+     .vsetvli(xreg(4), xreg(10), 4)
+     .vle(vreg(1), xreg(2), 4)
+     .vi(Op::vadd, vreg(2), vreg(1), 100)
+     .vse(vreg(2), xreg(3), 4)        // store 107s to B
+     .vle(vreg(3), xreg(5), 4)        // immediately load loadAddr
+     .vi(Op::vadd, vreg(4), vreg(3), 1)
+     .vse(vreg(4), xreg(2), 4)        // A = loaded + 1
+     .halt();
+    return a.finish();
+}
+
 TEST(EngineOrderingTest, VectorStoreThenLoadSameLineRaw)
 {
     // v-store to a line followed by a v-load of the same line: the
@@ -42,22 +67,35 @@ TEST(EngineOrderingTest, VectorStoreThenLoadSameLineRaw)
     Soc soc(Design::d1b4VL);
     for (unsigned i = 0; i < 16; ++i)
         soc.backing.writeT<std::int32_t>(A + 4 * i, 7);
-    Asm a("st_ld_raw");
-    a.li(xreg(2), A)
-     .li(xreg(3), B)
-     .li(xreg(10), 16)
-     .vsetvli(xreg(4), xreg(10), 4)
-     .vle(vreg(1), xreg(2), 4)
-     .vi(Op::vadd, vreg(2), vreg(1), 100)
-     .vse(vreg(2), xreg(3), 4)        // store 107s to B
-     .vle(vreg(3), xreg(3), 4)        // immediately load B back
-     .vi(Op::vadd, vreg(4), vreg(3), 1)
-     .vse(vreg(4), xreg(2), 4)        // A = 108s
-     .halt();
-    runProg(soc, a.finish());
+    runProg(soc, storeThenLoadProgram(B));
     for (unsigned i = 0; i < 16; ++i)
         EXPECT_EQ(soc.backing.readT<std::int32_t>(A + 4 * i), 108);
     EXPECT_TRUE(soc.engine->idle());
+    // The load waited in the CAM behind the store, not merely after
+    // it by luck of timing.
+    EXPECT_GT(soc.stats.value("vlittle.vmsuRawStalls"), 0u);
+}
+
+TEST(EngineOrderingTest, VectorLoadBypassesWaitingStoreToOtherLine)
+{
+    // Same program, but the load reads another line of the store's
+    // bank: it is scanned behind the same waiting store (the run
+    // above stalls there) and must pass it without a RAW stall.
+    Soc soc(Design::d1b4VL);
+    Addr other = B + lineBytes;
+    while (soc.mem.bankOf(other) != soc.mem.bankOf(B))
+        other += lineBytes;
+    for (unsigned i = 0; i < 16; ++i) {
+        soc.backing.writeT<std::int32_t>(A + 4 * i, 7);
+        soc.backing.writeT<std::int32_t>(other + 4 * i, 40);
+    }
+    runProg(soc, storeThenLoadProgram(other));
+    for (unsigned i = 0; i < 16; ++i) {
+        EXPECT_EQ(soc.backing.readT<std::int32_t>(B + 4 * i), 107);
+        EXPECT_EQ(soc.backing.readT<std::int32_t>(A + 4 * i), 41);
+    }
+    EXPECT_TRUE(soc.engine->idle());
+    EXPECT_EQ(soc.stats.value("vlittle.vmsuRawStalls"), 0u);
 }
 
 TEST(EngineOrderingTest, StridedStoreScattersCorrectly)
