@@ -57,6 +57,11 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
+echo "=== host-time benchmark builds against the library (hostbench/) ==="
+cmake -S hostbench -B build-hostbench >/dev/null
+cmake --build build-hostbench -j "$jobs"
+python3 hostbench/test_metrics.py
+
 echo "=== parallel sweep determinism (BVL_JOBS=1 vs 4) ==="
 # Separate BVL_SWEEP_DIR per run: the point is comparing two *live*
 # sweeps, not a sweep against its own journal replay.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 
 #include "sim/check/json.hh"
-#include "sim/io/sim_io.hh"
 #include "sim/logging.hh"
 #include "sweep/service/digest.hh"
 
@@ -194,11 +192,14 @@ checkpointInputSha256(const Soc &soc, Workload &workload)
     return d.hex();
 }
 
-bool
-saveCheckpoint(const std::string &path, Soc &soc,
-               const std::string &workloadName, std::uint64_t ffInsts,
-               const WarmTrace &trace, const std::string &inputSha,
-               std::string *error)
+const ContentStore::Kind kCheckpointKind = {
+    "checkpoint", ".bvl", "checkpoint.load.read", "checkpoint.save",
+    "checkpoint.quarantine.rename", "ckpt_farm.sweep"};
+
+std::string
+encodeCheckpoint(Soc &soc, const std::string &workloadName,
+                 std::uint64_t ffInsts, const WarmTrace &trace,
+                 const std::string &inputSha)
 {
     std::string payload;
 
@@ -255,39 +256,19 @@ saveCheckpoint(const std::string &path, Soc &soc,
     std::string text = header.dump(0);
     text += '\n';
     text += payload;
-
-    // Atomic publish through the seam: temp file, fsync, rename, with
-    // the temp unlinked on any failure (result-cache idiom).
-    auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty() &&
-        !io::mkdirs("checkpoint.save.mkdir", parent.string(), error))
-        return false;
-    return io::writeFileAtomic("checkpoint.save", path, text, error);
+    return text;
 }
 
 CheckpointStatus
-loadCheckpoint(const std::string &path, Soc &soc,
-               const std::string &workloadName,
-               const std::string &inputSha, std::string *error)
+applyCheckpoint(const std::string &data, Soc &soc,
+                const std::string &workloadName,
+                const std::string &inputSha, std::string *error)
 {
     auto fail = [&](CheckpointStatus st, const std::string &why) {
         if (error)
             *error = why;
         return st;
     };
-
-    std::string data;
-    bool missing = false;
-    std::string rerr;
-    if (!io::readFile("checkpoint.load.read", path, &data, &missing,
-                      &rerr)) {
-        if (missing)
-            return fail(CheckpointStatus::missing,
-                        "no checkpoint at " + path);
-        // Present but unreadable: never trusted, so callers treat it
-        // like any other bad artifact (quarantine + re-produce).
-        return fail(CheckpointStatus::corrupt, rerr);
-    }
 
     auto nl = data.find('\n');
     if (nl == std::string::npos)
@@ -376,19 +357,6 @@ loadCheckpoint(const std::string &path, Soc &soc,
     }
 
     return CheckpointStatus::ok;
-}
-
-bool
-quarantineCheckpoint(const std::string &path)
-{
-    std::string err;
-    if (!io::renameFile("checkpoint.quarantine.rename", path,
-                        path + ".corrupt", &err)) {
-        warn("checkpoint: cannot quarantine %s: %s", path.c_str(),
-             err.c_str());
-        return false;
-    }
-    return true;
 }
 
 } // namespace bvl

@@ -33,7 +33,7 @@
  * register arguments — together they identify the prefix without
  * naming a design, which is what lets different designs share the
  * file. The payload SHA-256 protects against truncation, bit rot and
- * manual edits: any mismatch makes loadCheckpoint() report corrupt,
+ * manual edits: any mismatch makes applyCheckpoint() report corrupt,
  * the caller quarantines the file and re-simulates; a checkpoint is
  * never silently trusted. v1 files fail the schema check and take the
  * same quarantine path.
@@ -44,6 +44,7 @@
 
 #include <string>
 
+#include "sim/io/content_store.hh"
 #include "soc/soc.hh"
 #include "soc/warm_trace.hh"
 #include "workloads/workload.hh"
@@ -54,8 +55,8 @@ namespace bvl
 enum class CheckpointStatus
 {
     ok,        ///< loaded and applied
-    missing,   ///< no file at the path
-    corrupt,   ///< unreadable / bad digest / truncated payload
+    missing,   ///< no readable file at the path
+    corrupt,   ///< bad digest / truncated or malformed payload
     mismatch,  ///< valid file for a different prefix/flavor/geometry
 };
 
@@ -75,42 +76,40 @@ const char *checkpointFlavor(const Soc &soc);
  * backing-store memory image (pages sorted by number) and the
  * workload's full-range register arguments. Workload name + scale +
  * datasets all fold into this one digest, which the checkpoint header
- * records and loadCheckpoint() verifies — a checkpoint can never be
+ * records and applyCheckpoint() verifies — a checkpoint can never be
  * applied to inputs it was not traced from. Must be computed before
  * fast-forward mutates memory.
  */
 std::string checkpointInputSha256(const Soc &soc, Workload &workload);
 
 /**
- * Snapshot @p soc to @p path (atomic: temp file + fsync + rename).
+ * Serialize @p soc into checkpoint bytes (header line + payload).
  * @p trace is the warm line-access stream recorded during the
  * fast-forward that produced this state; @p inputSha is
- * checkpointInputSha256() of the run's initial inputs. Returns false
- * and fills @p error on I/O failure.
+ * checkpointInputSha256() of the run's initial inputs.
  */
-bool saveCheckpoint(const std::string &path, Soc &soc,
-                    const std::string &workloadName,
-                    std::uint64_t ffInsts, const WarmTrace &trace,
-                    const std::string &inputSha,
-                    std::string *error = nullptr);
+std::string encodeCheckpoint(Soc &soc, const std::string &workloadName,
+                             std::uint64_t ffInsts,
+                             const WarmTrace &trace,
+                             const std::string &inputSha);
 
 /**
- * Load a checkpoint and apply it to @p soc, replaying the stored warm
- * stream through the SoC's own cache hierarchy. The file is fully
+ * Apply checkpoint @p data to @p soc, replaying the stored warm
+ * stream through the SoC's own cache hierarchy. The bytes are fully
  * parsed and verified (digest, workload/flavor/vlen/input identity,
  * predictor geometry, stream decode) before anything is applied, so
- * on any non-ok status @p soc is untouched.
+ * on any non-ok status @p soc is untouched. Never returns missing.
  */
-CheckpointStatus loadCheckpoint(const std::string &path, Soc &soc,
-                                const std::string &workloadName,
-                                const std::string &inputSha,
-                                std::string *error = nullptr);
+CheckpointStatus applyCheckpoint(const std::string &data, Soc &soc,
+                                 const std::string &workloadName,
+                                 const std::string &inputSha,
+                                 std::string *error = nullptr);
 
 /**
- * Rename a bad checkpoint to "<path>.corrupt" so a retry never picks
- * it up again. Returns false if the rename failed.
+ * Checkpoint files in a ContentStore: ".bvl" entries at "checkpoint.*"
+ * sites; a farm directory's first-use sweep is "ckpt_farm.sweep".
  */
-bool quarantineCheckpoint(const std::string &path);
+extern const ContentStore::Kind kCheckpointKind;
 
 } // namespace bvl
 

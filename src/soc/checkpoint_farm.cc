@@ -1,45 +1,14 @@
 #include "soc/checkpoint_farm.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <filesystem>
-#include <mutex>
-#include <set>
-#include <vector>
 
 #include "sim/env.hh"
-#include "sim/io/sim_io.hh"
-#include "sim/logging.hh"
+#include "soc/checkpoint.hh"
 #include "sweep/service/digest.hh"
 #include "sweep/service/job_hash.hh"
 
 namespace bvl
 {
-
-namespace
-{
-
-// Process-wide so the sweep summary can report farm effectiveness
-// without threading a farm object through every cell. Thread-mode
-// workers share these; isolate-mode children lose theirs at exit (the
-// inform() lines in each cell's log still tell the story).
-std::atomic<std::uint64_t> g_hits{0};
-std::atomic<std::uint64_t> g_produced{0};
-std::atomic<std::uint64_t> g_corrupt{0};
-std::atomic<std::uint64_t> g_evicted{0};
-
-// Sticky "stop writing to the farm" switch: one failed publish very
-// likely means they all fail (disk full, directory gone), and the
-// farm is a pure accelerator — cells just fast-forward privately.
-std::atomic<bool> g_storesDisabled{false};
-
-// Farm dirs already swept for stale temps this process: the sweep is
-// a startup chore per directory, not a per-cell one.
-std::mutex g_sweptMu;
-std::set<std::string> g_sweptDirs;
-
-} // namespace
 
 std::string
 CheckpointFarm::defaultDir()
@@ -77,167 +46,18 @@ CheckpointFarm::prefixHashHex(const std::string &workloadName,
     return d.hex();
 }
 
-CheckpointFarm::CheckpointFarm(std::string dir) : _dir(std::move(dir))
+ContentStore
+CheckpointFarm::open(const std::string &dir)
 {
+    return ContentStore(dir.empty() ? defaultDir() : dir,
+                        kCheckpointKind, state());
 }
 
-std::string
-CheckpointFarm::entryPath(const std::string &hash) const
+ContentStore::State &
+CheckpointFarm::state()
 {
-    return _dir + "/" + hash.substr(0, 2) + "/" + hash + ".bvl";
-}
-
-CheckpointFarm::Claim::Claim(const std::string &entryPath,
-                             long long timeoutMs)
-{
-    auto parent = std::filesystem::path(entryPath).parent_path();
-    if (!parent.empty())
-        io::mkdirs("ckpt_farm.claim.mkdir", parent.string());
-    std::string lock = entryPath + ".lock";
-    // Each Claim opens its own file description, so LOCK_EX contends
-    // between threads of one process as well as between processes.
-    // The wait is bounded (BVL_CKPT_LOCK_TIMEOUT_MS): the kernel
-    // drops the flock when a holder *dies*, so a timeout means a
-    // live-but-wedged holder — waiting forever behind it would wedge
-    // this cell too, when producing privately is always available.
-    if (timeoutMs < 0)
-        timeoutMs = envInt("BVL_CKPT_LOCK_TIMEOUT_MS", 60000, 1,
-                           24ll * 3600 * 1000);
-    std::string diag;
-    fd = io::lockExclusive("ckpt_farm.lock", lock, timeoutMs, &diag);
-    if (fd < 0) {
-        warn("checkpoint farm: %s; producing without single-flight",
-             diag.c_str());
-    } else {
-        // Anything "<entry>.tmp.*" under a held claim is an orphan of
-        // a dead or failed producer — the claim serializes writers.
-        // If this throws (injected crash) the destructor will never
-        // run, so the flock must be released here or a later claimant
-        // in this process would wait out the whole deadline on it.
-        try {
-            io::sweepTempsFor("ckpt_farm.claim.sweep", entryPath);
-        } catch (...) {
-            io::unlockAndClose(fd);
-            fd = -1;
-            throw;
-        }
-    }
-}
-
-CheckpointFarm::Claim::~Claim()
-{
-    io::unlockAndClose(fd);
-}
-
-void
-CheckpointFarm::touch(const std::string &entryPath)
-{
-    std::error_code ec;
-    std::filesystem::last_write_time(
-        entryPath, std::filesystem::file_time_type::clock::now(), ec);
-}
-
-unsigned
-CheckpointFarm::evictOverBudget(std::uint64_t budgetBytes,
-                                const std::string &keepPath) const
-{
-    if (budgetBytes == 0)
-        return 0;
-
-    namespace fs = std::filesystem;
-    struct Entry
-    {
-        fs::path path;
-        fs::file_time_type mtime;
-        std::uint64_t bytes;
-    };
-    std::error_code ec;
-    fs::path keep = fs::weakly_canonical(keepPath, ec);
-
-    std::vector<Entry> entries;
-    std::uint64_t total = 0;
-    for (auto it = fs::recursive_directory_iterator(
-             _dir, fs::directory_options::skip_permission_denied, ec);
-         !ec && it != fs::recursive_directory_iterator(); ++it) {
-        if (!it->is_regular_file(ec) || it->path().extension() != ".bvl")
-            continue;
-        Entry e;
-        e.path = it->path();
-        e.mtime = fs::last_write_time(e.path, ec);
-        e.bytes = it->file_size(ec);
-        entries.push_back(std::move(e));
-        total += entries.back().bytes;
-    }
-    if (total <= budgetBytes)
-        return 0;
-
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.mtime < b.mtime;
-              });
-
-    unsigned removed = 0;
-    for (const Entry &e : entries) {
-        if (total <= budgetBytes)
-            break;
-        if (fs::weakly_canonical(e.path, ec) == keep)
-            continue;
-        if (fs::remove(e.path, ec) && !ec) {
-            total -= e.bytes;
-            ++removed;
-        }
-    }
-    if (removed)
-        noteEvicted(removed);
-    return removed;
-}
-
-void CheckpointFarm::noteHit() { ++g_hits; }
-void CheckpointFarm::noteProduced() { ++g_produced; }
-void CheckpointFarm::noteCorrupt() { ++g_corrupt; }
-
-void
-CheckpointFarm::noteEvicted(unsigned n)
-{
-    g_evicted += n;
-}
-
-std::uint64_t CheckpointFarm::hits() { return g_hits; }
-std::uint64_t CheckpointFarm::produced() { return g_produced; }
-std::uint64_t CheckpointFarm::corrupt() { return g_corrupt; }
-std::uint64_t CheckpointFarm::evicted() { return g_evicted; }
-
-void CheckpointFarm::disableStores() { g_storesDisabled = true; }
-bool CheckpointFarm::storesDisabled() { return g_storesDisabled; }
-
-void
-CheckpointFarm::resetForTest()
-{
-    g_hits = 0;
-    g_produced = 0;
-    g_corrupt = 0;
-    g_evicted = 0;
-    g_storesDisabled = false;
-    std::lock_guard<std::mutex> lock(g_sweptMu);
-    g_sweptDirs.clear();
-}
-
-unsigned
-CheckpointFarm::sweepStale() const
-{
-    return io::sweepStaleTemps("ckpt_farm.sweep", _dir,
-                               /*selfStale=*/true);
-}
-
-unsigned
-CheckpointFarm::sweepStaleOnce() const
-{
-    {
-        std::lock_guard<std::mutex> lock(g_sweptMu);
-        if (!g_sweptDirs.insert(_dir).second)
-            return 0;
-    }
-    return sweepStale();
+    static ContentStore::State farm;
+    return farm;
 }
 
 } // namespace bvl

@@ -9,29 +9,11 @@
  * SHA-256, and every cell after the first restores instead of
  * re-simulating.
  *
- * Production is single-flight: the first cell to miss takes an
- * exclusive flock(2) on "<entry>.lock", re-checks (another producer
- * may have published while it waited), fast-forwards once and
- * publishes atomically (temp + fsync + rename). Cells blocked on the
- * lock wake to find the entry on disk. flock contends both across
- * threads (each Claim opens its own file description) and across
- * BVL_SWEEP_ISOLATE=1 worker processes, and the kernel drops it if a
- * producer dies — no stale-lock recovery protocol is needed. The wait
- * is nevertheless bounded (BVL_CKPT_LOCK_TIMEOUT_MS, default 60 s): a
- * live-but-wedged holder should cost this cell one diagnostic and a
- * private fast-forward, not a hang.
- *
- * Degradation policy (DESIGN.md §17): the farm is a pure accelerator.
- * A failed publish disables farm stores process-wide with one warning
- * (disableStores()); cells keep fast-forwarding privately and every
- * result stays correct. All filesystem access goes through the sim/io
- * seam, and orphaned "<entry>.tmp.*" publish temps are removed under
- * the claim lock (sweepTempsFor) or by sweepStale() at startup.
- *
- * Entries are never trusted blindly: a failed digest quarantines the
- * file to "*.corrupt" and the prefix is re-produced. A byte budget
- * (BVL_CKPT_BUDGET_MB) is enforced after each publication by evicting
- * the least-recently-used entries (mtime order; hits touch mtime).
+ * The entries live in a ContentStore (sim/io/content_store.hh), which
+ * owns publishing, quarantine, the sticky publish disable, the
+ * stale-temp sweep, the single-flight Claim and LRU eviction. The farm
+ * adds the prefix key, the directory and budget knobs, and the one
+ * store State that every farm cell in the process shares.
  */
 
 #ifndef BVL_SOC_CHECKPOINT_FARM_HH
@@ -39,6 +21,8 @@
 
 #include <cstdint>
 #include <string>
+
+#include "sim/io/content_store.hh"
 
 namespace bvl
 {
@@ -65,85 +49,18 @@ class CheckpointFarm
                                      std::uint64_t vlenBits,
                                      const std::string &inputSha);
 
-    explicit CheckpointFarm(std::string dir);
-
-    const std::string &dir() const { return _dir; }
-
-    /** "<dir>/<hash[0:2]>/<hash>.bvl" (result-cache sharding). */
-    std::string entryPath(const std::string &hash) const;
+    /** The farm store over @p dir ("" = defaultDir()). */
+    static ContentStore open(const std::string &dir);
 
     /**
-     * RAII exclusive flock on "<entry>.lock". The constructor blocks
-     * until the lock is granted or @p timeoutMs elapses (-1 = the
-     * BVL_CKPT_LOCK_TIMEOUT_MS env knob, default 60000); destruction
-     * (or process death) releases it. held() is false when the lock
-     * file could not be created or the wait timed out (one warn()
-     * names the lock path and holder pid) — callers then fall back to
-     * producing without single-flight (correct, just not
-     * deduplicated). Acquiring the claim also removes any orphaned
-     * "<entry>.tmp.*" left by a dead producer.
+     * The store State every farm cell in this process shares, which
+     * the sweep summary reports. Isolate-mode children lose theirs at
+     * exit (each cell's log still tells the story).
      */
-    class Claim
-    {
-      public:
-        explicit Claim(const std::string &entryPath,
-                       long long timeoutMs = -1);
-        ~Claim();
-        Claim(const Claim &) = delete;
-        Claim &operator=(const Claim &) = delete;
+    static ContentStore::State &state();
 
-        bool held() const { return fd >= 0; }
-
-      private:
-        int fd = -1;
-    };
-
-    /** Mark @p entryPath recently used (best effort, for LRU). */
-    static void touch(const std::string &entryPath);
-
-    /**
-     * Delete oldest-mtime "*.bvl" entries until the farm fits
-     * @p budgetBytes (0 = unlimited). @p keepPath, the entry just
-     * produced for the current cell, is never evicted. Returns the
-     * number of entries removed.
-     */
-    unsigned evictOverBudget(std::uint64_t budgetBytes,
-                             const std::string &keepPath) const;
-
-    // --- process-wide telemetry (reported in the sweep summary) -----
-
-    static void noteHit();
-    static void noteProduced();
-    static void noteCorrupt();
-    static void noteEvicted(unsigned n);
-
-    static std::uint64_t hits();
-    static std::uint64_t produced();
-    static std::uint64_t corrupt();
-    static std::uint64_t evicted();
-
-    /**
-     * Stop publishing to the farm for the rest of the process (after
-     * a failed publish — the farm is an accelerator, not a
-     * requirement). Restores keep working.
-     */
-    static void disableStores();
-    static bool storesDisabled();
-
-    /** Zero the process-wide counters and re-enable stores (tests). */
-    static void resetForTest();
-
-    /** Remove stale "*.tmp.*" orphans under the farm dir (startup). */
-    unsigned sweepStale() const;
-
-    /**
-     * sweepStale(), but at most once per directory per process — the
-     * first cell to use a farm dir pays the walk, the rest skip it.
-     */
-    unsigned sweepStaleOnce() const;
-
-  private:
-    std::string _dir;
+    static std::uint64_t hits() { return state().hits; }
+    static std::uint64_t produced() { return state().published; }
 };
 
 } // namespace bvl

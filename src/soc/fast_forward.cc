@@ -176,14 +176,21 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
                       static_cast<unsigned long long>(ff.executed));
         };
 
+        // Explicit checkpoint paths are no farm entries: a State of
+        // their own keeps them out of the farm's counters.
+        ContentStore::State unshared;
+        ContentStore file("", kCheckpointKind, unshared);
+
         if (!ckpt.restorePath.empty()) {
             // Digest the initial inputs before fast-forward (or the
             // checkpoint itself) mutates memory.
             std::string inputSha = checkpointInputSha256(soc, workload);
-            std::string err;
+            std::string bytes, err;
             CheckpointStatus st =
-                loadCheckpoint(ckpt.restorePath, soc, workload.name(),
-                               inputSha, &err);
+                file.read(ckpt.restorePath, &bytes, &err)
+                    ? applyCheckpoint(bytes, soc, workload.name(),
+                                      inputSha, &err)
+                    : CheckpointStatus::missing;
             if (ckpt.strict && st != CheckpointStatus::ok)
                 fatal("strict restore of %s failed (%s): %s",
                       ckpt.restorePath.c_str(),
@@ -195,16 +202,12 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
                 // Never trust a bad checkpoint: quarantine it and
                 // re-simulate the fast-forward region from scratch,
                 // which reproduces the same state by construction.
-                if (st == CheckpointStatus::corrupt) {
-                    quarantineCheckpoint(ckpt.restorePath);
-                    warn("checkpoint %s is corrupt (%s); quarantined "
-                         "as %s.corrupt and re-simulating",
-                         ckpt.restorePath.c_str(), err.c_str(),
-                         ckpt.restorePath.c_str());
-                } else {
-                    warn("checkpoint %s is missing; re-simulating",
-                         ckpt.restorePath.c_str());
-                }
+                if (st == CheckpointStatus::corrupt)
+                    file.quarantine(ckpt.restorePath, err);
+                else
+                    warn("checkpoint %s is missing or unreadable "
+                         "(%s); re-simulating",
+                         ckpt.restorePath.c_str(), err.c_str());
                 if (ckpt.ffInsts == 0)
                     fatal("cannot re-simulate in place of checkpoint "
                           "%s: checkpoint ffInsts is 0",
@@ -213,13 +216,7 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
             }
         } else if (ckpt.farm) {
             std::string inputSha = checkpointInputSha256(soc, workload);
-            CheckpointFarm farm(ckpt.farmDir.empty()
-                                    ? CheckpointFarm::defaultDir()
-                                    : ckpt.farmDir);
-            // Reclaim publish temps orphaned by a dead producer (the
-            // first cell per dir pays this; a crash mid-publish must
-            // not leak disk forever).
-            farm.sweepStaleOnce();
+            ContentStore farm = CheckpointFarm::open(ckpt.farmDir);
             std::string hash = CheckpointFarm::prefixHashHex(
                 workload.name(), ckpt.ffInsts, checkpointFlavor(soc),
                 soc.vlenBits(), inputSha);
@@ -227,13 +224,15 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
 
             // Optimistic fast path: a published entry restores with
             // no lock traffic at all.
-            auto tryRestore = [&]() -> bool {
-                std::string err;
-                CheckpointStatus st = loadCheckpoint(
-                    entry, soc, workload.name(), inputSha, &err);
+            auto tryRestore = [&](bool claimed) -> bool {
+                std::string bytes, err;
+                if (!farm.read(entry, &bytes))
+                    return false;
+                CheckpointStatus st = applyCheckpoint(
+                    bytes, soc, workload.name(), inputSha, &err);
                 if (st == CheckpointStatus::ok) {
-                    CheckpointFarm::touch(entry);
-                    CheckpointFarm::noteHit();
+                    ContentStore::touch(entry);
+                    ++CheckpointFarm::state().hits;
                     inform("checkpoint farm: restored prefix %s from "
                            "%s", hash.substr(0, 12).c_str(),
                            entry.c_str());
@@ -246,42 +245,35 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
                     fatal("farm entry %s exists but describes a "
                           "different prefix: %s", entry.c_str(),
                           err.c_str());
-                if (st == CheckpointStatus::corrupt) {
-                    quarantineCheckpoint(entry);
-                    CheckpointFarm::noteCorrupt();
-                    warn("farm entry %s is corrupt (%s); quarantined "
-                         "and re-producing", entry.c_str(),
-                         err.c_str());
-                }
+                // Only a claimant quarantines: the claim orders it
+                // against the producer's re-publish, so cells that
+                // read the same corrupt bytes cannot count it twice
+                // or rename the fresh entry aside.
+                if (claimed)
+                    farm.quarantine(entry, err);
                 return false;
             };
 
-            if (CheckpointFarm::storesDisabled()) {
+            if (farm.publishDisabled()) {
                 // A previous publish failed: don't contend on claims
                 // or retry the bad disk per cell, just fast-forward
-                // privately (restores above still work).
+                // privately.
                 producePrefix(nullptr);
-            } else if (!tryRestore()) {
+            } else if (!tryRestore(false)) {
                 // Single-flight: first claimant produces, everyone
                 // else blocks here and restores what it published.
-                CheckpointFarm::Claim claim(entry);
-                if (!claim.held() || !tryRestore()) {
+                ContentStore::Claim claim(entry);
+                if (!claim.held() || !tryRestore(true)) {
                     WarmTrace trace;
                     producePrefix(&trace);
-                    std::string err;
-                    if (!saveCheckpoint(entry, soc, workload.name(),
-                                        ckpt.ffInsts, trace, inputSha,
-                                        &err)) {
-                        // The prefix state is already produced in
-                        // this SoC — the run is unharmed. The farm
-                        // just stops accelerating other cells.
-                        CheckpointFarm::disableStores();
-                        warn("cannot publish farm entry %s (%s); farm "
-                             "stores DISABLED — cells fast-forward "
-                             "privately from here on", entry.c_str(),
-                             err.c_str());
-                    } else {
-                        CheckpointFarm::noteProduced();
+                    // On a failed publish the prefix state is already
+                    // produced in this SoC — the run is unharmed; the
+                    // farm just stops accelerating other cells.
+                    if (farm.publish(entry,
+                                     encodeCheckpoint(
+                                         soc, workload.name(),
+                                         ckpt.ffInsts, trace,
+                                         inputSha))) {
                         inform("checkpoint farm: produced prefix %s "
                                "at %s (%llu warm records)",
                                hash.substr(0, 12).c_str(),
@@ -299,8 +291,11 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
             WarmTrace trace;
             producePrefix(&trace);
             std::string err;
-            if (!saveCheckpoint(ckpt.savePath, soc, workload.name(),
-                                ckpt.ffInsts, trace, inputSha, &err))
+            if (!file.publish(ckpt.savePath,
+                              encodeCheckpoint(soc, workload.name(),
+                                               ckpt.ffInsts, trace,
+                                               inputSha),
+                              &err))
                 fatal("cannot write checkpoint %s: %s",
                       ckpt.savePath.c_str(), err.c_str());
             inform("checkpoint written to %s after %llu instructions",

@@ -1,6 +1,6 @@
 #include "sweep/service/result_cache.hh"
 
-#include "sim/io/sim_io.hh"
+#include "sim/io/io_fault.hh"
 #include "sim/logging.hh"
 #include "soc/run_io.hh"
 #include "sweep/service/digest.hh"
@@ -14,33 +14,25 @@ namespace
 
 constexpr const char *kCacheSchema = "bvl-result-cache-v1";
 
-void
-quarantine(const std::string &path)
-{
-    std::string err;
-    if (!io::renameFile("result_cache.quarantine.rename", path,
-                        path + ".corrupt", &err))
-        warn("result cache: cannot quarantine %s: %s", path.c_str(),
-             err.c_str());
-}
+const ContentStore::Kind kCacheKind = {
+    "result cache", ".json", "result_cache.lookup.read",
+    "result_cache.store", "result_cache.quarantine.rename",
+    "result_cache.sweep"};
 
 } // namespace
 
 void
 ResultCache::setDir(std::string dir)
 {
-    _dir = std::move(dir);
-    // Orphaned publish temps (writers that died mid-store) are pure
-    // litter: nothing references them, so clear them out up front.
-    if (!_dir.empty())
-        _tempsSwept = io::sweepStaleTemps("result_cache.sweep", _dir,
-                                          /*selfStale=*/true);
+    _store.reset();
+    if (!dir.empty())
+        _store.emplace(std::move(dir), kCacheKind, _state);
 }
 
 std::string
 ResultCache::entryPath(const std::string &hash) const
 {
-    return _dir + "/" + hash.substr(0, 2) + "/" + hash + ".json";
+    return _store->entryPath(hash);
 }
 
 bool
@@ -50,18 +42,8 @@ ResultCache::lookup(const std::string &hash, RunResult *out)
         return false;
     std::string path = entryPath(hash);
     std::string text;
-    bool missing = false;
-    std::string rerr;
-    if (!io::readFile("result_cache.lookup.read", path, &text,
-                      &missing, &rerr)) {
-        // Unreadable-but-present is a transient I/O problem, not
-        // proof of corruption: miss (the job re-simulates) but leave
-        // the entry for the next run to try again.
-        if (!missing)
-            warn("result cache: cannot read %s (%s); re-simulating",
-                 path.c_str(), rerr.c_str());
+    if (!_store->read(path, &text))
         return false;
-    }
 
     // Any structural problem from here on is an integrity failure:
     // quarantine the entry and miss so the job re-simulates.
@@ -77,10 +59,7 @@ ResultCache::lookup(const std::string &hash, RunResult *out)
     } catch (const io::IoCrashError &) {
         throw;
     } catch (const SimError &e) {
-        ++_corrupt;
-        warn("result cache: corrupt entry %s (%s); quarantined and "
-             "re-simulating", path.c_str(), e.what());
-        quarantine(path);
+        _store->quarantine(path, e.what());
         return false;
     }
     return true;
@@ -89,10 +68,8 @@ ResultCache::lookup(const std::string &hash, RunResult *out)
 void
 ResultCache::store(const std::string &hash, const RunResult &result)
 {
-    if (!enabled() || _storeBroken)
+    if (!enabled() || storeBroken())
         return;
-    std::string path = entryPath(hash);
-
     Json doc = Json::object();
     doc.set("schema", kCacheSchema);
     doc.set("hash", hash);
@@ -103,26 +80,9 @@ ResultCache::store(const std::string &hash, const RunResult &result)
     std::string text = doc.dump(0);
     text += '\n';
 
-    // Atomic publish: unique temp name, fsync, rename (the seam owns
-    // the mechanics and unlinks the temp on failure). Two writers
-    // racing on the same hash both write identical bytes, so either
-    // rename winning is correct.
-    std::string err;
-    std::string parent =
-        std::string(path, 0, path.find_last_of('/'));
-    if (!io::mkdirs("result_cache.store.mkdir", parent, &err) ||
-        !io::writeFileAtomic("result_cache.store", path, text,
-                             &err)) {
-        // One failed store very likely means they all fail (disk
-        // full, directory unwritable): disable the store side for
-        // the rest of the run rather than warn per job. Lookups stay
-        // live — whatever was published before the disk went bad is
-        // still perfectly good.
-        if (!_storeBroken.exchange(true))
-            warn("result cache: cannot store %s (%s); cache stores "
-                 "DISABLED for the rest of this run", path.c_str(),
-                 err.c_str());
-    }
+    // Two writers racing on the same hash both publish identical
+    // bytes, so either rename winning is correct.
+    _store->publish(entryPath(hash), text);
 }
 
 } // namespace bvl

@@ -2,8 +2,8 @@
  * @file
  * Content-addressed result cache with integrity verification.
  *
- * One file per job hash under <dir>/<hh>/<hash>.json (two-hex-char
- * shard directories), holding:
+ * One ContentStore entry (sim/io/content_store.hh) per job hash under
+ * <dir>/<hh>/<hash>.json, holding:
  *
  *   {"schema":"bvl-result-cache-v1","hash":"...","revision":"...",
  *    "digest":"<sha256 of the compact result serialization>",
@@ -14,26 +14,21 @@
  *
  * lookup() re-serializes the embedded result and compares its SHA-256
  * against the stored digest, so a truncated, bit-flipped or
- * hand-edited entry is detected; the bad file is quarantined (renamed
- * to <file>.corrupt) and the lookup misses, which makes the service
- * transparently re-simulate and re-store. Stores are atomic
- * (temp file + fsync + rename), so concurrent sweeps sharing a cache
- * directory never observe a partial entry under its final name.
- *
- * Degradation policy (DESIGN.md §17): the cache is a pure
- * accelerator, so every failure turns into a miss. A failed store
- * additionally disables storing for the rest of the run (one warning)
- * — a full disk should cost one warning, not one per job. All
- * filesystem access goes through the sim/io seam; setDir() sweeps
- * orphaned "*.tmp.*" files left by dead writers.
+ * hand-edited entry is detected; the bad file is quarantined and the
+ * lookup misses, which makes the service transparently re-simulate
+ * and re-store. Layout, atomic publish, the sticky store disable, the
+ * read-failure policy and the stale-temp sweep are the store's
+ * (DESIGN.md §17); each cache carries its own store State, so those
+ * counters and the disable are per sweep service.
  */
 
 #ifndef BVL_SWEEP_SERVICE_RESULT_CACHE_HH
 #define BVL_SWEEP_SERVICE_RESULT_CACHE_HH
 
-#include <atomic>
+#include <optional>
 #include <string>
 
+#include "sim/io/content_store.hh"
 #include "soc/run_driver.hh"
 
 namespace bvl
@@ -50,10 +45,12 @@ class ResultCache
      */
     void setDir(std::string dir);
 
-    bool enabled() const { return !_dir.empty(); }
-    const std::string &dir() const { return _dir; }
+    bool enabled() const { return _store.has_value(); }
 
-    /** Entry file path for @p hash (valid whether or not it exists). */
+    /**
+     * Entry file path for @p hash (valid whether or not it exists);
+     * requires enabled().
+     */
     std::string entryPath(const std::string &hash) const;
 
     /**
@@ -66,19 +63,14 @@ class ResultCache
     void store(const std::string &hash, const RunResult &result);
 
     /** Integrity failures detected by lookup() so far. */
-    std::uint64_t corruptEntries() const { return _corrupt; }
+    std::uint64_t corruptEntries() const { return _state.quarantined; }
 
-    /** True once a failed store disabled further stores this run. */
-    bool storeBroken() const { return _storeBroken; }
-
-    /** Stale temps removed by setDir()'s startup sweep. */
-    unsigned tempsSwept() const { return _tempsSwept; }
+    /** True once a failed store disabled further stores. */
+    bool storeBroken() const { return _state.publishDisabled; }
 
   private:
-    std::string _dir;
-    std::atomic<std::uint64_t> _corrupt{0};
-    std::atomic<bool> _storeBroken{false};
-    unsigned _tempsSwept = 0;
+    ContentStore::State _state;
+    std::optional<ContentStore> _store;
 };
 
 } // namespace bvl

@@ -458,13 +458,13 @@ SweepService::summary() const
     s.interrupted = stopRequested();
     s.farmHits = CheckpointFarm::hits();
     s.farmProduced = CheckpointFarm::produced();
-    s.farmCorrupt = CheckpointFarm::corrupt();
-    s.farmEvicted = CheckpointFarm::evicted();
+    s.farmCorrupt = CheckpointFarm::state().quarantined;
+    s.farmEvicted = CheckpointFarm::state().evicted;
     s.tmpCleaned = io::ioTempsCleaned();
     s.ioFaults = io::ioFaultsFired();
     s.journalDegraded = journal.degraded();
     s.cacheDegraded = cache.storeBroken();
-    s.farmDegraded = CheckpointFarm::storesDisabled();
+    s.farmDegraded = CheckpointFarm::state().publishDisabled;
     return s;
 }
 

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/io/io_fault.hh"
 #include "soc/checkpoint.hh"
 #include "soc/checkpoint_farm.hh"
 #include "soc/run_driver.hh"
@@ -405,13 +406,13 @@ TEST(CheckpointTest, FarmCorruptEntryIsQuarantinedAndReproduced)
         f.put(static_cast<char>(c ^ 0xff));
     }
 
-    std::uint64_t c0 = CheckpointFarm::corrupt();
+    std::uint64_t c0 = CheckpointFarm::state().quarantined;
     RunResult second = runWorkload(Design::d1b4VL, "saxpy",
                                    Scale::tiny, farmOpts(dir, 150));
     ASSERT_TRUE(second.ok()) << second.message;
     EXPECT_NE(second.log.find("quarantined"), std::string::npos)
         << second.log;
-    EXPECT_EQ(CheckpointFarm::corrupt() - c0, 1u);
+    EXPECT_EQ(CheckpointFarm::state().quarantined - c0, 1u);
     EXPECT_TRUE(std::filesystem::exists(entry + ".corrupt"));
     // The prefix was re-produced, republished, and the result is
     // unchanged — a corrupt entry costs time, never correctness.
@@ -429,7 +430,7 @@ TEST(CheckpointTest, FarmCorruptEntryIsQuarantinedAndReproduced)
 TEST(CheckpointTest, FarmEvictsOldestEntriesOverBudget)
 {
     std::string dir = scratchDir("farmlru");
-    CheckpointFarm farm(dir);
+    ContentStore farm = CheckpointFarm::open(dir);
 
     // Three fake 1000-byte entries with strictly increasing mtimes.
     auto plant = [&](const char *name, int ageSec) {
@@ -451,13 +452,21 @@ TEST(CheckpointTest, FarmEvictsOldestEntriesOverBudget)
     EXPECT_EQ(farm.evictOverBudget(0, newest), 0u);
     EXPECT_EQ(farmEntries(dir).size(), 3u);
 
+    // A failing unlink evicts nothing and throws nothing: eviction
+    // is housekeeping, never a reason to fail the cell.
+    io::ioFaultInstall(
+        io::ioFaultPlanFromSpec("eio@ckpt_farm.evict.unlink"));
+    EXPECT_NO_THROW(EXPECT_EQ(farm.evictOverBudget(2000, newest), 0u));
+    EXPECT_EQ(farmEntries(dir).size(), 3u);
+    io::ioFaultReset();
+
     // 2000-byte budget: only the oldest entry goes.
-    std::uint64_t e0 = CheckpointFarm::evicted();
+    std::uint64_t e0 = CheckpointFarm::state().evicted;
     EXPECT_EQ(farm.evictOverBudget(2000, newest), 1u);
     EXPECT_FALSE(std::filesystem::exists(oldest));
     EXPECT_TRUE(std::filesystem::exists(middle));
     EXPECT_TRUE(std::filesystem::exists(newest));
-    EXPECT_EQ(CheckpointFarm::evicted() - e0, 1u);
+    EXPECT_EQ(CheckpointFarm::state().evicted - e0, 1u);
 
     // The just-produced entry is never evicted, even when it is the
     // only way to fit the budget.

@@ -6,8 +6,8 @@
  *
  *  - seam unit tests: plan parsing, writeFileAtomic's fault matrix
  *    (every sub-site × every eligible kind ends with no temp litter),
- *    stale-temp sweeping, and the bounded flock with holder-pid
- *    diagnostics;
+ *    stale-temp sweeping, the bounded flock with holder-pid
+ *    diagnostics, and the content store the cache and farm share;
  *  - degradation policy tests: each persistence component survives
  *    its designated failure the designated way (journal loses
  *    durability not the sweep, cache/farm stores disable themselves,
@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/io/content_store.hh"
 #include "sim/io/io_fault.hh"
 #include "sim/io/sim_io.hh"
 #include "sim/check/forensics.hh"
@@ -85,13 +86,13 @@ struct InjectorReset
     InjectorReset()
     {
         io::ioFaultReset();
-        CheckpointFarm::resetForTest();
+        CheckpointFarm::state().reset();
         SweepService::clearStop();
     }
     ~InjectorReset()
     {
         io::ioFaultReset();
-        CheckpointFarm::resetForTest();
+        CheckpointFarm::state().reset();
         SweepService::clearStop();
     }
 };
@@ -379,17 +380,82 @@ TEST(IoFaultSeamTest, FarmClaimFallsBackAfterLockTimeout)
     int holder = io::lockExclusive("t.flock", entry + ".lock", 1000);
     ASSERT_GE(holder, 0);
     {
-        CheckpointFarm::Claim claim(entry, 60);
+        ContentStore::Claim claim(entry, 60);
         EXPECT_FALSE(claim.held());
     }
     io::unlockAndClose(holder);
     {
         // Holder gone: the claim acquires and reclaims entry temps.
         std::ofstream(entry + ".tmp.999999999") << "orphan";
-        CheckpointFarm::Claim claim(entry, 1000);
+        ContentStore::Claim claim(entry, 1000);
         EXPECT_TRUE(claim.held());
         EXPECT_FALSE(
             std::filesystem::exists(entry + ".tmp.999999999"));
+    }
+}
+
+// --- the content-addressed store under the cache and the farm ---------
+
+TEST(ContentStoreTest, ShardsQuarantinesDisablesAndSweeps)
+{
+    for (const char *ext : {".json", ".bvl"}) {
+        SCOPED_TRACE(ext);
+        InjectorReset reset;
+        std::string dir = scratchDir("store");
+        const ContentStore::Kind kind = {"test store", ext, "t.read",
+                                         "t.publish", "t.quarantine",
+                                         "t.sweep"};
+
+        // The first store over a directory sweeps a dead writer's
+        // orphan; later stores sharing the State do not walk it again.
+        std::filesystem::create_directories(dir + "/ab");
+        std::string orphan =
+            dir + "/ab/x" + ext + ".tmp.999999999.beef";
+        std::ofstream(orphan) << "partial";
+        ContentStore::State state;
+        ContentStore store(dir, kind, state);
+        EXPECT_FALSE(std::filesystem::exists(orphan));
+        std::ofstream(orphan) << "partial";
+        ContentStore second(dir, kind, state);
+        EXPECT_TRUE(std::filesystem::exists(orphan));
+        std::filesystem::remove(orphan);
+
+        std::string hash = "ab" + std::string(62, '7');
+        std::string path = store.entryPath(hash);
+        EXPECT_EQ(path, dir + "/ab/" + hash + ext);
+
+        std::string bytes;
+        EXPECT_FALSE(store.read(path, &bytes));
+        ASSERT_TRUE(store.publish(path, "payload"));
+        EXPECT_EQ(state.published, 1u);
+
+        // Unreadable is a miss, but the entry is kept.
+        io::ioFaultInstall(io::ioFaultPlanFromSpec("eio@t.read"));
+        EXPECT_FALSE(store.read(path, &bytes));
+        ASSERT_TRUE(store.read(path, &bytes));
+        EXPECT_EQ(bytes, "payload");
+        EXPECT_EQ(state.quarantined, 0u);
+
+        store.quarantine(path, "bad digest");
+        EXPECT_EQ(state.quarantined, 1u);
+        EXPECT_FALSE(std::filesystem::exists(path));
+        EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+
+        // Two failed publishes cost one warning: the first disables
+        // publishing, the second never touches the disk.
+        io::ioFaultReset();
+        io::ioFaultInstall(
+            io::ioFaultPlanFromSpec("enospc@t.publish.write"));
+        LogCapture log;
+        EXPECT_FALSE(store.publish(path, "payload"));
+        EXPECT_FALSE(store.publish(path, "payload"));
+        EXPECT_TRUE(store.publishDisabled());
+        EXPECT_EQ(io::ioFaultsFired(), 1u);
+        std::string text = log.text();
+        EXPECT_NE(text.find("DISABLED"), std::string::npos) << text;
+        EXPECT_EQ(text.find("DISABLED"), text.rfind("DISABLED")) << text;
+        EXPECT_FALSE(std::filesystem::exists(path));
+        EXPECT_TRUE(tempsUnder(dir).empty());
     }
 }
 
@@ -485,6 +551,53 @@ TEST(IoFaultDegradationTest, CacheLookupFailureJustResimulates)
     }
 }
 
+SweepJob
+farmJob(const std::string &farmDir, double ghz)
+{
+    SweepJob j = vvaddJob();
+    j.opts.bigGhz = ghz;
+    j.opts.checkpoint.farm = true;
+    j.opts.checkpoint.farmDir = farmDir;
+    j.opts.checkpoint.ffInsts = 150;
+    return j;
+}
+
+TEST(IoFaultDegradationTest, FarmReadFailureKeepsEntry)
+{
+    InjectorReset reset;
+    std::string dir = scratchDir("farmread");
+    SweepServiceOptions o;
+    o.jobs = 1;
+
+    RunResult first;
+    {
+        SweepService svc(o);
+        first = svc.submit(farmJob(dir + "/farm", 1.0)).get();
+        ASSERT_TRUE(first.ok()) << first.message;
+        ASSERT_EQ(svc.summary().farmProduced, 1u);
+    }
+    io::ioFaultInstall(
+        io::ioFaultPlanFromSpec("eio@checkpoint.load.read"));
+    {
+        SweepService svc(o);
+        RunResult again = svc.submit(farmJob(dir + "/farm", 1.0)).get();
+        ASSERT_TRUE(again.ok()) << again.message;
+        EXPECT_EQ(io::ioFaultsFired(), 1u);
+        // An unreadable entry is a transient I/O problem, not proof of
+        // corruption: it is kept, and the claim's re-check restores it.
+        auto s = svc.summary();
+        EXPECT_EQ(s.farmCorrupt, 0u);
+        EXPECT_EQ(s.farmHits, 1u);
+        first.log.clear();
+        again.log.clear();
+        EXPECT_EQ(runResultToJson(first).dump(0),
+                  runResultToJson(again).dump(0));
+    }
+    for (const auto &e :
+         std::filesystem::recursive_directory_iterator(dir))
+        EXPECT_NE(e.path().extension(), ".corrupt") << e.path();
+}
+
 TEST(IoFaultDegradationTest, ForensicsWriteFailureKeepsRunStatus)
 {
     InjectorReset reset;
@@ -538,22 +651,13 @@ TEST(IoFaultDegradationTest, FarmPublishFailureFallsBackPrivately)
     InjectorReset reset;
     std::string dir = scratchDir("farmdeg");
 
-    auto farmJob = [&](double ghz) {
-        SweepJob j = vvaddJob();
-        j.opts.bigGhz = ghz;
-        j.opts.checkpoint.farm = true;
-        j.opts.checkpoint.farmDir = dir + "/farm";
-        j.opts.checkpoint.ffInsts = 150;
-        return j;
-    };
-
     RunResult refA, refB;
     {
         SweepServiceOptions o;
         o.jobs = 1;
         SweepService svc(o);
-        refA = svc.submit(farmJob(1.0)).get();
-        refB = svc.submit(farmJob(1.25)).get();
+        refA = svc.submit(farmJob(dir + "/farm", 1.0)).get();
+        refB = svc.submit(farmJob(dir + "/farm", 1.25)).get();
         ASSERT_TRUE(refA.ok());
         ASSERT_TRUE(refB.ok());
         auto s = svc.summary();
@@ -563,15 +667,15 @@ TEST(IoFaultDegradationTest, FarmPublishFailureFallsBackPrivately)
 
     std::filesystem::remove_all(dir + "/farm");
     io::ioFaultReset();
-    CheckpointFarm::resetForTest();
+    CheckpointFarm::state().reset();
     io::ioFaultInstall(
         io::ioFaultPlanFromSpec("enospc@checkpoint.save.write"));
     {
         SweepServiceOptions o;
         o.jobs = 1;
         SweepService svc(o);
-        RunResult a = svc.submit(farmJob(1.0)).get();
-        RunResult b = svc.submit(farmJob(1.25)).get();
+        RunResult a = svc.submit(farmJob(dir + "/farm", 1.0)).get();
+        RunResult b = svc.submit(farmJob(dir + "/farm", 1.25)).get();
         EXPECT_TRUE(a.ok()) << a.message;
         EXPECT_TRUE(b.ok()) << b.message;
         auto s = svc.summary();
@@ -610,14 +714,8 @@ chaosJobs(const ChaosDirs &d)
     std::vector<SweepJob> jobs;
 
     // Farm producer + farm restorer sharing one prefix.
-    for (double ghz : {1.0, 1.25}) {
-        SweepJob j = vvaddJob();
-        j.opts.bigGhz = ghz;
-        j.opts.checkpoint.farm = true;
-        j.opts.checkpoint.farmDir = d.farm();
-        j.opts.checkpoint.ffInsts = 150;
-        jobs.push_back(std::move(j));
-    }
+    for (double ghz : {1.0, 1.25})
+        jobs.push_back(farmJob(d.farm(), ghz));
 
     // Plain cacheable job.
     jobs.push_back(vvaddJob(Design::d1b));
@@ -653,7 +751,7 @@ ChaosRun
 runChaosSweep(const ChaosDirs &d)
 {
     SweepService::clearStop();
-    CheckpointFarm::resetForTest();
+    CheckpointFarm::state().reset();
     ChaosRun out;
     try {
         SweepServiceOptions o;

@@ -698,6 +698,17 @@ TEST(SweepServiceConcurrencyTest, RequestStopDrainsAndThrows)
 // --- checkpoint-prefix farm under the thread pool (TSan via the
 // --- concurrency label) ------------------------------------------------
 
+/** A 1b-4VL saxpy cell at VMU queue depth @p depth, 150-inst prefix. */
+SweepJob
+farmCellJob(unsigned depth)
+{
+    SweepJob job{Design::d1b4VL, "saxpy", Scale::tiny, {}};
+    job.opts.engineOverride = vlittlePreset();
+    job.opts.engineOverride->loadQueueLines = depth;
+    job.opts.checkpoint.ffInsts = 150;
+    return job;
+}
+
 TEST(SweepServiceFarmConcurrencyTest, RacingCellsProduceOnePrefix)
 {
     // Eight cells, one shared prefix, eight workers: every cell misses
@@ -709,17 +720,9 @@ TEST(SweepServiceFarmConcurrencyTest, RacingCellsProduceOnePrefix)
     const unsigned depths[] = {2, 3, 4, 6, 8, 12, 16, 32};
     constexpr unsigned cells = 8;
 
-    auto cellJob = [&](unsigned depth) {
-        SweepJob job{Design::d1b4VL, "saxpy", Scale::tiny, {}};
-        job.opts.engineOverride = vlittlePreset();
-        job.opts.engineOverride->loadQueueLines = depth;
-        job.opts.checkpoint.ffInsts = 150;
-        return job;
-    };
-
     std::vector<std::string> cold;
     for (unsigned d : depths) {
-        SweepJob job = cellJob(d);
+        SweepJob job = farmCellJob(d);
         RunResult r = runWorkload(job.design, job.workload, job.scale,
                                   job.opts);
         ASSERT_TRUE(r.ok()) << r.message;
@@ -735,7 +738,7 @@ TEST(SweepServiceFarmConcurrencyTest, RacingCellsProduceOnePrefix)
     SweepService svc(o);
     std::vector<std::future<RunResult>> futs;
     for (unsigned d : depths) {
-        SweepJob job = cellJob(d);
+        SweepJob job = farmCellJob(d);
         job.opts.checkpoint.farm = true;
         job.opts.checkpoint.farmDir = dir;
         futs.push_back(svc.submit(job));
@@ -766,6 +769,58 @@ TEST(SweepServiceFarmConcurrencyTest, RacingCellsProduceOnePrefix)
     std::string line = svc.summaryLine();
     EXPECT_NE(line.find("farm_hits="), std::string::npos) << line;
     EXPECT_NE(line.find("farm_produced="), std::string::npos) << line;
+}
+
+TEST(SweepServiceFarmConcurrencyTest, RacingCellsQuarantineCorruptEntryOnce)
+{
+    // Eight cells read the same corrupt entry at once. Exactly one
+    // quarantine and one re-production may follow, and the fresh
+    // entry must survive the other readers.
+    std::string dir = scratchDir("farmcorruptrace");
+    const unsigned depths[] = {2, 3, 4, 6, 8, 12, 16, 32};
+    SweepJob seed = farmCellJob(depths[0]);
+    seed.opts.checkpoint.farm = true;
+    seed.opts.checkpoint.farmDir = dir;
+    RunResult first = runWorkload(seed.design, seed.workload,
+                                  seed.scale, seed.opts);
+    ASSERT_TRUE(first.ok()) << first.message;
+
+    std::string entry;
+    for (const auto &e :
+         std::filesystem::recursive_directory_iterator(dir))
+        if (e.path().extension() == ".bvl")
+            entry = e.path().string();
+    ASSERT_FALSE(entry.empty());
+    {
+        std::fstream f(entry, std::ios::in | std::ios::out |
+                                  std::ios::binary);
+        f.seekg(-50, std::ios::end);
+        char b = 0;
+        f.get(b);
+        f.seekp(-50, std::ios::end);
+        f.put(static_cast<char>(b ^ 0xff));
+    }
+
+    std::uint64_t c0 = CheckpointFarm::state().quarantined;
+    std::uint64_t p0 = CheckpointFarm::produced();
+    SweepServiceOptions o;
+    o.jobs = 8;
+    SweepService svc(o);
+    std::vector<std::future<RunResult>> futs;
+    for (unsigned d : depths) {
+        SweepJob job = farmCellJob(d);
+        job.opts.checkpoint.farm = true;
+        job.opts.checkpoint.farmDir = dir;
+        futs.push_back(svc.submit(job));
+    }
+    for (auto &f : futs) {
+        RunResult r = f.get();
+        EXPECT_TRUE(r.ok()) << r.message;
+    }
+    EXPECT_EQ(CheckpointFarm::state().quarantined - c0, 1u);
+    EXPECT_EQ(CheckpointFarm::produced() - p0, 1u);
+    EXPECT_TRUE(std::filesystem::exists(entry));
+    EXPECT_TRUE(std::filesystem::exists(entry + ".corrupt"));
 }
 
 // --- subprocess isolation (forks; stays out of the TSan label) ---------
