@@ -56,7 +56,8 @@ import os
 import sys
 
 GATED = ["BM_CacheHitPath", "BM_TickChurn", "BM_StatIncrement",
-         "BM_FastForwardStep", "BM_VectorEngineSimSpeed/0",
+         "BM_FastForwardStep", "BM_LittleCoreSimSpeed",
+         "BM_BigCoreSimSpeed", "BM_VectorEngineSimSpeed/0",
          "BM_VectorEngineSimSpeed/1", "BM_VectorEngineSimSpeed/2"]
 
 
@@ -370,6 +371,8 @@ def self_test():
     """Machine-independent check that the gate actually gates."""
     baseline = {"BM_CacheHitPath": 25.0, "BM_TickChurn": 17000.0,
                 "BM_StatIncrement": 0.4, "BM_FastForwardStep": 21000.0,
+                "BM_LittleCoreSimSpeed": 260000.0,
+                "BM_BigCoreSimSpeed": 400000.0,
                 "BM_VectorEngineSimSpeed/0": 450000.0,
                 "BM_VectorEngineSimSpeed/1": 580000.0,
                 "BM_VectorEngineSimSpeed/2": 1170000.0}

@@ -130,7 +130,7 @@ cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-bench -j "$jobs" --target microbench_sim >/dev/null
 python3 scripts/check_bench.py --self-test
 ./build-bench/bench/microbench_sim \
-    --benchmark_filter='BM_EventQueue|BM_TickChurn|BM_Stat|BM_CacheHitPath|BM_FastForwardStep|BM_VectorEngineSimSpeed' \
+    --benchmark_filter='BM_EventQueue|BM_TickChurn|BM_Stat|BM_CacheHitPath|BM_FastForwardStep|BM_LittleCoreSimSpeed|BM_BigCoreSimSpeed|BM_VectorEngineSimSpeed' \
     --benchmark_min_time=0.1 \
     --benchmark_out=build-bench/microbench_ci.json \
     --benchmark_out_format=json

@@ -199,9 +199,7 @@ VectorLane::tick()
     }
 
     // Completion (write-back) notification to the engine.
-    clock.eventQueue().scheduleAt(readyTick, [this, vseq, chime] {
-        env.uopRetired(vseq, chime);
-    });
+    env.retireUopAt(readyTick, vseq, chime);
 
     uopQueue.pop_front();
     ++numUops;

@@ -51,8 +51,13 @@ class LaneEnv
     virtual bool vxDeliveryReady(SeqNum vseq) = 0;
     /** Have all vxRead micro-ops of this instruction completed? */
     virtual bool vxReadsComplete(SeqNum vseq) = 0;
-    /** A lane micro-op of chime group @p chime finished (write-back). */
-    virtual void uopRetired(SeqNum vseq, unsigned chime) = 0;
+    /**
+     * A lane micro-op of chime group @p chime writes back at
+     * @p readyTick; the engine retires it at the start of its tick at
+     * that time (DESIGN.md §11).
+     */
+    virtual void retireUopAt(Tick readyTick, SeqNum vseq,
+                             unsigned chime) = 0;
     /** Is the VCU currently blocked broadcasting by a busy peer? */
     virtual bool vcuBlockedLockstep() const = 0;
 };

@@ -66,6 +66,10 @@ VlittleEngine::VlittleEngine(ClockDomain &cd, StatGroup &sg,
       cmdQueue(p.cmdQueueDepth), uopQueue(p.uopQueueDepth),
       vmiuQueue(p.vmiuQueueDepth)
 {
+    // A lane write-back lands on a later cycle than its issue, where
+    // drainRetires() finds it.
+    if (p.fu.latencyRange().first == 0)
+        fatal("%s: FU latencies must be at least one cycle", p.name.c_str());
     for (unsigned i = 0; i < p.numLanes; ++i) {
         lanes.push_back(std::make_unique<VectorLane>(
             cd, stats, *this, i,
@@ -935,7 +939,34 @@ VlittleEngine::vxReadsComplete(SeqNum vseq)
 }
 
 void
-VlittleEngine::uopRetired(SeqNum vseq, unsigned chime)
+VlittleEngine::retireUopAt(Tick readyTick, SeqNum vseq, unsigned chime)
+{
+    pendingRetires.push_back(PendingRetire{readyTick, vseq, chime});
+}
+
+void
+VlittleEngine::drainRetires()
+{
+    Tick now = clock().eventQueue().now();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pendingRetires.size(); ++i) {
+        PendingRetire r = pendingRetires[i];
+        if (r.readyTick != now) {
+            bvl_assert(r.readyTick > now, "%s: vseq %llu write-back due "
+                       "at tick %llu drained at %llu (missed tick)",
+                       p.name.c_str(), (unsigned long long)r.vseq,
+                       (unsigned long long)r.readyTick,
+                       (unsigned long long)now);
+            pendingRetires[kept++] = r;
+            continue;
+        }
+        retireUop(r.vseq, r.chime);
+    }
+    pendingRetires.resize(kept);
+}
+
+void
+VlittleEngine::retireUop(SeqNum vseq, unsigned chime)
 {
     VInstr *vi = findInflight(vseq);
     if (!vi)
@@ -945,7 +976,6 @@ VlittleEngine::uopRetired(SeqNum vseq, unsigned chime)
     if (check)
         check->onUopRetired(vseq, chime, clock().eventQueue().now());
     checkInstrDone(vseq);
-    activate();
 }
 
 // --------------------------------------------------------------------
@@ -1118,6 +1148,34 @@ VlittleEngine::registerInvariants(InvariantRegistry &reg)
         }
         return "";
     });
+    reg.add(sp + "retire", [this]() -> std::string {
+        // Every pending write-back belongs to a live instruction that
+        // still owes at least that many lane retires, and is not past.
+        Tick now = clock().eventQueue().now();
+        std::vector<SeqNum> seqs;
+        seqs.reserve(pendingRetires.size());
+        for (const PendingRetire &r : pendingRetires) {
+            if (r.readyTick < now)
+                return "vseq " + std::to_string(r.vseq) +
+                       " write-back due at " + std::to_string(r.readyTick) +
+                       " is past (now " + std::to_string(now) + ")";
+            seqs.push_back(r.vseq);
+        }
+        std::sort(seqs.begin(), seqs.end());
+        for (std::size_t i = 0, j = 0; i < seqs.size(); i = j) {
+            while (j < seqs.size() && seqs[j] == seqs[i])
+                ++j;
+            const VInstr *vi = findInflight(seqs[i]);
+            if (!vi)
+                return "write-back pending for vseq " +
+                       std::to_string(seqs[i]) + ", which is not live";
+            if (j - i > vi->lanePending)
+                return "vseq " + std::to_string(seqs[i]) + " has " +
+                       std::to_string(j - i) + " write-backs pending but " +
+                       "lanePending " + std::to_string(vi->lanePending);
+        }
+        return "";
+    });
     reg.add(sp + "uop.accounting", [this]() -> std::string {
         // Broadcast bookkeeping: an instruction past cracking can
         // never owe more broadcasts than its plan contains, nor more
@@ -1229,6 +1287,8 @@ VlittleEngine::inflightReport()
 bool
 VlittleEngine::tick()
 {
+    // Write-backs first: the last one may leave the engine idle.
+    drainRetires();
     if (idle())
         return false;
     sCycles++;

@@ -112,7 +112,8 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
                           unsigned chime) override;
     bool vxDeliveryReady(SeqNum vseq) override;
     bool vxReadsComplete(SeqNum vseq) override;
-    void uopRetired(SeqNum vseq, unsigned chime) override;
+    void retireUopAt(Tick readyTick, SeqNum vseq,
+                     unsigned chime) override;
     bool vcuBlockedLockstep() const override { return lockstepBlocked; }
 
     const VEngineParams &params() const { return p; }
@@ -236,6 +237,12 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     /** Double the window, keeping every slot at its vseq. */
     void growWindow();
 
+    /** Retire the lane micro-ops whose write-back is due now. */
+    void drainRetires();
+    /** One lane micro-op wrote back. Does not arm the tick event, so
+     *  drainRetires() may call it mid-tick (DESIGN.md §11). */
+    void retireUop(SeqNum vseq, unsigned chime);
+
     void crack(VInstr &vi);
     void completeInstr(VInstr &vi);
     void checkInstrDone(SeqNum vseq);
@@ -281,6 +288,22 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     bool vectorMode = false;
     Tick switchReadyAt = 0;
     bool lockstepBlocked = false;
+
+    /** One lane micro-op's pending write-back. */
+    struct PendingRetire
+    {
+        Tick readyTick;
+        SeqNum vseq;
+        unsigned chime;
+    };
+    /**
+     * Lane write-backs of every lane, in issue order (DESIGN.md §11).
+     * tick() retires the ones due now before any unit runs, in the
+     * order the lanes issued them. Latency is unbounded (a serialized
+     * divide takes elems x latency cycles), so this is a short list
+     * scanned each cycle, not a ring of cycles.
+     */
+    std::vector<PendingRetire> pendingRetires;
 
     /**
      * In-flight instructions, age-ordered: vseq v lives in slot

@@ -57,6 +57,17 @@ BigCore::BigCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
     consumerBits.assign(slots * maskWords, 0);
     storeBuckets.assign(slots, 0);
     lastWriter.fill(nullptr);
+
+    // A completion lands on a later cycle than its issue, so a zero
+    // latency has no ring set to go to.
+    auto [minLat, maxLat] = p.fu.latencyRange();
+    if (minLat == 0)
+        fatal("big core: FU latencies must be at least one cycle");
+    std::size_t sets = 1;
+    while (sets <= maxLat)
+        sets *= 2;
+    doneRing.assign(sets * maskWords, 0);
+    doneMask = sets - 1;
 }
 
 void
@@ -80,6 +91,7 @@ BigCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
     lastWriter.fill(nullptr);
     std::fill(readyBits.begin(), readyBits.end(), 0);
     std::fill(consumerBits.begin(), consumerBits.end(), 0);
+    std::fill(doneRing.begin(), doneRing.end(), 0);
     std::fill(storeBuckets.begin(), storeBuckets.end(), 0);
     fuInUseThisCycle.fill(0);
     unpipedBusyUntil.fill(0);
@@ -326,16 +338,41 @@ BigCore::issueStage()
                 });
             } else {
                 Cycles lat = p.fu.latency(fu);
-                eq.schedule(clock().cyclesToTicks(lat), [this, inst] {
-                    completeInst(inst);
-                });
+                inst->doneAt = now + clock().cyclesToTicks(lat);
+                doneSet(clock().curCycle() + lat)[w] |= slotBit(inst->seq);
             }
         }
     }
 }
 
 void
+BigCore::drainDone()
+{
+    Tick now = clock().eventQueue().now();
+    std::uint64_t *set = doneSet(clock().curCycle());
+    for (unsigned w = 0; w < maskWords; ++w) {
+        for (std::uint64_t bits = std::exchange(set[w], 0); bits;
+             bits &= bits - 1) {
+            RobInst *inst = &robSlots[w * 64 + std::countr_zero(bits)];
+            bvl_assert(inst->doneAt == now, "big core: seq %llu due at "
+                       "tick %llu drained at %llu (missed tick)",
+                       (unsigned long long)inst->seq,
+                       (unsigned long long)inst->doneAt,
+                       (unsigned long long)now);
+            resolveInst(inst);
+        }
+    }
+}
+
+void
 BigCore::completeInst(RobInst *inst)
+{
+    resolveInst(inst);
+    activate();
+}
+
+void
+BigCore::resolveInst(RobInst *inst)
 {
     if (inst->complete)
         return;
@@ -361,7 +398,6 @@ BigCore::completeInst(RobInst *inst)
             }
         }
     }
-    activate();
 }
 
 void
@@ -500,6 +536,37 @@ BigCore::registerInvariants(InvariantRegistry &reg)
         }
         return "";
     });
+    // Every completion-ring bit names an in-flight, issued, incomplete
+    // scalar op, filed under the cycle it is due and not yet past.
+    reg.add("big.rob.doneRing", [this]() -> std::string {
+        Tick now = clock().eventQueue().now();
+        for (std::size_t k = 0; k < doneRing.size(); ++k) {
+            std::size_t set = k / maskWords;
+            for (std::uint64_t bits = doneRing[k]; bits; bits &= bits - 1) {
+                std::size_t i = (k % maskWords) * 64 + std::countr_zero(bits);
+                if (i >= robSlots.size())
+                    return "completion bit " + std::to_string(i) +
+                           " past the last ROB slot";
+                const RobInst &inst = robSlots[i];
+                if (robSize() == 0 || inst.seq < robHeadSeq ||
+                    inst.seq >= nextSeq)
+                    return "completion bit on slot " + std::to_string(i) +
+                           " outside the ROB";
+                if (!inst.issued || inst.complete ||
+                    inst.trace.inst->isVector())
+                    return "seq " + std::to_string(inst.seq) +
+                           " is in the completion ring but is not an "
+                           "issued, incomplete scalar op";
+                if (inst.doneAt < now ||
+                    (clock().ticksToCycles(inst.doneAt) & doneMask) != set)
+                    return "seq " + std::to_string(inst.seq) + " due at " +
+                           std::to_string(inst.doneAt) + " sits in set " +
+                           std::to_string(set) + " at tick " +
+                           std::to_string(now);
+            }
+        }
+        return "";
+    });
     reg.add("big.lsq.bound", [this]() -> std::string {
         if (loadsInFlight <= p.lsqLoads && storesInFlight <= p.lsqStores)
             return "";
@@ -597,6 +664,7 @@ BigCore::tick()
     if (!running)
         return false;
     sCycles++;
+    drainDone();
     vecDispatchStage();
     commitStage();
     issueStage();

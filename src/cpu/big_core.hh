@@ -144,6 +144,8 @@ class BigCore : public Clocked
         /** Scalar store: the next older store in its store-table
          *  bucket (0 = none). */
         SeqNum prevStoreInBucket = 0;
+        /** Fixed-latency FU op: the tick it completes at. */
+        Tick doneAt = 0;
         /** Pipeline-stage timestamps, recorded only while tracing. */
         Tick fetchTick = 0;
         Tick issueTick = 0;
@@ -161,7 +163,17 @@ class BigCore : public Clocked
     void issueStage();
     void vecDispatchStage();
     void commitStage();
+    /**
+     * Mark @p inst complete and wake its consumers. Does not arm the
+     * tick event, so the completion drain may call it mid-tick
+     * (DESIGN.md §11).
+     */
+    void resolveInst(RobInst *inst);
+    /** resolveInst() for a completion delivered by another component
+     *  (memory, vector engine), then make sure the core ticks. */
     void completeInst(RobInst *inst);
+    /** Resolve the fixed-latency FU ops due this cycle. */
+    void drainDone();
 
     std::size_t robSize() const { return nextSeq - robHeadSeq; }
     RobInst &robAt(SeqNum seq) { return robSlots[seq & robMask]; }
@@ -171,6 +183,9 @@ class BigCore : public Clocked
     static std::uint64_t slotBit(SeqNum seq) { return 1ull << (seq & 63); }
     std::uint64_t &readyWord(SeqNum seq)
     { return readyBits[(seq & robMask) >> 6]; }
+    /** The completion-ring set of cycle @p c (maskWords words). */
+    std::uint64_t *doneSet(Cycles c)
+    { return &doneRing[(c & doneMask) * maskWords]; }
     /** The consumer mask of @p producer's slot (maskWords words). */
     std::uint64_t *consumersOf(const RobInst &producer)
     { return &consumerBits[(producer.seq & robMask) * maskWords]; }
@@ -231,6 +246,15 @@ class BigCore : public Clocked
      *  instruction in slot c waits on the one in slot p. */
     std::vector<std::uint64_t> consumerBits;
     unsigned maskWords = 0;
+    /**
+     * Fixed-latency FU completions (DESIGN.md §11): the set of cycle c
+     * holds one bit per ROB slot whose op completes at c, and tick()
+     * resolves the current cycle's set before any stage runs. There
+     * are more sets than the longest FU latency, so a set always
+     * drains before an issue reuses it.
+     */
+    std::vector<std::uint64_t> doneRing;
+    std::uint64_t doneMask = 0;
     /**
      * Store->load table: bucket (line & mask) holds the youngest
      * scalar store whose line maps there, chained to older ones via

@@ -8,6 +8,9 @@
 #ifndef BVL_CPU_FU_PARAMS_HH
 #define BVL_CPU_FU_PARAMS_HH
 
+#include <algorithm>
+#include <utility>
+
 #include "isa/opcode.hh"
 #include "sim/types.hh"
 
@@ -39,6 +42,14 @@ struct FuLatencies
           case FuClass::branch: return branch;
           default: return 1;
         }
+    }
+
+    /** Shortest and longest latency over every timed unit. */
+    std::pair<Cycles, Cycles>
+    latencyRange() const
+    {
+        return std::minmax({intAlu, intMul, intDiv, fpAdd, fpMul, fpDiv,
+                            mem, branch});
     }
 
     /** Unpipelined units block their FU for the full latency. */

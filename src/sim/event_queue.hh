@@ -102,7 +102,7 @@ class EventQueue
         ev._stamp = nextSeq;
         ev._scheduled = true;
         heap.push_back(HeapEntry{when, nextSeq++, &ev});
-        std::push_heap(heap.begin(), heap.end(), laterThan);
+        std::push_heap(heap.begin(), heap.end(), LaterThan{});
         ++numLive;
     }
 
@@ -258,15 +258,22 @@ class EventQueue
         }
     };
 
-    /** Min-heap comparator: the standard heap algorithms build a
-     *  max-heap, so "greater" puts the earliest event at the front. */
-    static bool
-    laterThan(const HeapEntry &a, const HeapEntry &b)
+    /**
+     * Min-heap comparator: the standard heap algorithms build a
+     * max-heap, so "greater" puts the earliest event at the front. A
+     * stateless functor rather than a function pointer, so
+     * push_heap/pop_heap inline the comparison.
+     */
+    struct LaterThan
     {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
+        bool
+        operator()(const HeapEntry &a, const HeapEntry &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
 
     ClosureEvent *
     acquireClosure()
@@ -297,7 +304,7 @@ class EventQueue
     void
     popFront()
     {
-        std::pop_heap(heap.begin(), heap.end(), laterThan);
+        std::pop_heap(heap.begin(), heap.end(), LaterThan{});
         heap.pop_back();
     }
 

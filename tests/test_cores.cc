@@ -11,6 +11,7 @@
 #include "cpu/big_core.hh"
 #include "cpu/little_core.hh"
 #include "mem/mem_system.hh"
+#include "sim/check/invariants.hh"
 #include "sim/clock_domain.hh"
 
 namespace bvl
@@ -20,11 +21,11 @@ namespace
 
 struct CoreHarness
 {
-    CoreHarness()
+    explicit CoreHarness(BigCoreParams bigParams = {})
         : uncore(eq, "uncore", 1.0), cores(eq, "cores", 1.0),
           sys(uncore, stats),
           little(cores, stats, sys, backing, 0, 512),
-          big(cores, stats, sys, backing, 512)
+          big(cores, stats, sys, backing, 512, bigParams)
     {}
 
     /** Run @p prog on the little core to completion, return cycles. */
@@ -164,6 +165,39 @@ TEST(CoreTest, BigProducesCorrectArchState)
     CoreHarness h;
     h.runBig(sumLoopProgram(80));
     EXPECT_EQ(h.big.archState().getX(xreg(2)), 80u * 79u / 2u);
+}
+
+TEST(CoreTest, BigLongLatencyDivChainCompletesOnTime)
+{
+    // Dividers slower than the default latencies: the completion ring
+    // must be sized from the configured units, or a divide lands in a
+    // set that drains before it is due.
+    BigCoreParams params;
+    params.fu.intDiv = params.fu.fpDiv = 40;
+    CoreHarness h(params);
+    InvariantRegistry reg;
+    h.big.registerInvariants(reg);
+
+    constexpr unsigned n = 6;
+    Asm a("divchain");
+    a.li(xreg(1), 1 << 20).li(xreg(2), 2);
+    a.fcvt_f_x(freg(1), xreg(1), 8).fcvt_f_x(freg(2), xreg(2), 8);
+    for (unsigned i = 0; i < n; ++i) {
+        a.div_(xreg(1), xreg(1), xreg(2));
+        a.fdiv(freg(1), freg(1), freg(2), 8);
+    }
+    a.fcvt_x_f(xreg(4), freg(1), 8).halt();
+
+    bool done = false;
+    Tick start = h.eq.now();
+    h.big.runProgram(a.finish(), {}, [&] { done = true; });
+    while (!done && h.eq.step())
+        ASSERT_EQ(reg.sweep(), "") << "at tick " << h.eq.now();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(h.big.archState().getX(xreg(1)), (1u << 20) >> n);
+    EXPECT_EQ(h.big.archState().getX(xreg(4)), (1u << 20) >> n);
+    // Each chain is serially dependent: n divides of 40 cycles.
+    EXPECT_GE(h.cores.ticksToCycles(h.eq.now() - start), n * 40u);
 }
 
 TEST(CoreTest, BigStoreLoadDependencyOrdersCorrectly)

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <set>
+#include <tuple>
+
 #include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -162,6 +167,77 @@ TEST(EventQueueTest, DescheduleAndRescheduleIntrusiveEvent)
     EXPECT_EQ(order, (std::vector<int>{7}));
     EXPECT_EQ(eq.now(), 25u);
     EXPECT_EQ(eq.executed(), 1u);
+}
+
+TEST(EventQueueTest, RandomScheduleMatchesReferenceOrder)
+{
+    // Random schedule / deschedule / reschedule of intrusive events
+    // mixed with closures and steps, checked against a reference model
+    // that fires the smallest (when, seq) armed entry, where seq counts
+    // schedule calls (deschedule consumes none).
+    constexpr int numProbes = 12;
+    EventQueue eq;
+    std::vector<int> fired;
+    std::vector<std::unique_ptr<TagEvent>> probes;
+    for (int i = 0; i < numProbes; ++i)
+        probes.push_back(std::make_unique<TagEvent>(fired, i));
+    std::set<std::tuple<Tick, std::uint64_t, int>> ref;
+    std::vector<std::optional<std::pair<Tick, std::uint64_t>>> armed(
+        numProbes);
+    std::uint64_t seq = 0;
+    int nextClosure = numProbes;
+    Rng rng(2024);
+
+    auto stepOnce = [&] {
+        auto [when, s, id] = *ref.begin();
+        ref.erase(ref.begin());
+        if (id < numProbes)
+            armed[id].reset();
+        std::size_t before = fired.size();
+        ASSERT_TRUE(eq.step());
+        ASSERT_EQ(fired.size(), before + 1);
+        EXPECT_EQ(fired.back(), id);
+        EXPECT_EQ(eq.now(), when);
+    };
+
+    for (int round = 0; round < 5000; ++round) {
+        Tick when = eq.now() + rng.below(6) * 10;
+        int i = static_cast<int>(rng.below(numProbes));
+        switch (rng.below(4)) {
+          case 0: {
+            int id = nextClosure++;
+            eq.scheduleAt(when, [&fired, id] { fired.push_back(id); });
+            ref.insert({when, seq++, id});
+            break;
+          }
+          case 1:
+            if (armed[i])
+                ref.erase({armed[i]->first, armed[i]->second, i});
+            eq.reschedule(*probes[i], when);
+            armed[i] = {{when, seq}};
+            ref.insert({when, seq++, i});
+            break;
+          case 2:
+            if (armed[i]) {
+                eq.deschedule(*probes[i]);
+                ref.erase({armed[i]->first, armed[i]->second, i});
+                armed[i].reset();
+            }
+            break;
+          default:
+            if (ref.empty())
+                EXPECT_FALSE(eq.step());
+            else
+                stepOnce();
+            break;
+        }
+        ASSERT_EQ(eq.size(), ref.size());
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    while (!ref.empty() && !::testing::Test::HasFailure())
+        stepOnce();
+    EXPECT_FALSE(eq.step());
 }
 
 TEST(ClockDomainTest, CycleTickConversions)
