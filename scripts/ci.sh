@@ -5,6 +5,7 @@
 # ThreadSanitizer to check the parallel sweep runner and the library's
 # re-entrancy guarantees, smoke the failure-forensics pipeline
 # (deliberately fatal fault plan -> JSON report -> plan minimizer),
+# fail on any library function no binary keeps (scripts/dead_symbols.sh),
 # smoke the sweep service's crash safety (kill -9/resume, cache
 # poisoning, isolation, SIGINT; scripts/sweep_smoke.sh), smoke
 # checkpoint save/restore determinism, corrupt-checkpoint quarantine,
@@ -61,6 +62,9 @@ echo "=== host-time benchmark builds against the library (hostbench/) ==="
 cmake -S hostbench -B build-hostbench >/dev/null
 cmake --build build-hostbench -j "$jobs"
 python3 hostbench/test_metrics.py
+
+echo "=== dead-code gate (no library function without a caller) ==="
+BVL_CI_JOBS="$jobs" scripts/dead_symbols.sh build-deadsym
 
 echo "=== parallel sweep determinism (BVL_JOBS=1 vs 4) ==="
 # Separate BVL_SWEEP_DIR per run: the point is comparing two *live*

@@ -12,7 +12,7 @@ namespace bvl
 
 Cache::Cache(ClockDomain &cd, StatGroup &sg, CacheParams params,
              MemLevel *next_level, int l1_id)
-    : clock(cd), stats(sg), p(std::move(params)), next(next_level),
+    : clock(cd), p(std::move(params)), next(next_level),
       l1Id(l1_id),
       sAccesses(sg.handle(p.name + ".accesses")),
       sHits(sg.handle(p.name + ".hits")),
@@ -32,20 +32,11 @@ Cache::Cache(ClockDomain &cd, StatGroup &sg, CacheParams params,
 }
 
 unsigned
-Cache::setIndex(Addr lineNum) const
+Cache::setIndex(Addr lineNum, IndexMode mode) const
 {
-    if (indexMode == IndexMode::vectorBanked)
+    if (mode == IndexMode::vectorBanked)
         return static_cast<unsigned>((lineNum / p.numBanks) % numSets);
     return static_cast<unsigned>(lineNum % numSets);
-}
-
-Cache::Way *
-Cache::findWay(Addr lineNum, unsigned set)
-{
-    for (auto &way : sets[set])
-        if (way.valid && way.line == lineNum)
-            return &way;
-    return nullptr;
 }
 
 const Cache::Way *
@@ -57,40 +48,35 @@ Cache::findWay(Addr lineNum, unsigned set) const
     return nullptr;
 }
 
+const Cache::Way *
+Cache::findAnywhere(Addr lineNum) const
+{
+    // installLine() drops a stale copy before it fills, so at most one
+    // of the two sets holds the line.
+    unsigned scalarSet = setIndex(lineNum, IndexMode::scalarPrivate);
+    if (const Way *way = findWay(lineNum, scalarSet))
+        return way;
+    unsigned bankedSet = setIndex(lineNum, IndexMode::vectorBanked);
+    return bankedSet == scalarSet ? nullptr : findWay(lineNum, bankedSet);
+}
+
 bool
 Cache::probe(Addr addr) const
 {
     Addr lineNum = lineOf(lineAlign(addr));
-    return findWay(lineNum, setIndex(lineNum)) != nullptr;
+    return findWay(lineNum, setIndex(lineNum, indexMode)) != nullptr;
 }
 
 void
-Cache::invalidate(Addr lineAddr)
+Cache::invalidate(Addr lineAddr, bool warm)
 {
-    Addr lineNum = lineOf(lineAlign(lineAddr));
-    auto it = lineMap.find(lineNum);
-    if (it == lineMap.end())
+    Way *way = findAnywhere(lineOf(lineAlign(lineAddr)));
+    if (!way)
         return;
-    if (Way *way = findWay(lineNum, it->second)) {
-        way->valid = false;
-        way->dirty = false;
-    }
-    lineMap.erase(it);
-    sInvalidations++;
-}
-
-void
-Cache::warmInvalidate(Addr lineAddr)
-{
-    Addr lineNum = lineOf(lineAlign(lineAddr));
-    auto it = lineMap.find(lineNum);
-    if (it == lineMap.end())
-        return;
-    if (Way *way = findWay(lineNum, it->second)) {
-        way->valid = false;
-        way->dirty = false;
-    }
-    lineMap.erase(it);
+    way->valid = false;
+    way->dirty = false;
+    if (!warm)
+        sInvalidations++;
 }
 
 void
@@ -104,14 +90,6 @@ Cache::registerInvariants(InvariantRegistry &reg)
         return std::to_string(mshrs.size()) +
                " MSHRs allocated, capacity " +
                std::to_string(p.numMshrs);
-    });
-    reg.add(p.name + ".lineMap.bound", [this]() -> std::string {
-        std::size_t capacity =
-            static_cast<std::size_t>(numSets) * p.assoc;
-        if (lineMap.size() <= capacity)
-            return "";
-        return "line map tracks " + std::to_string(lineMap.size()) +
-               " lines, capacity " + std::to_string(capacity);
     });
     reg.add(p.name + ".mshr.stall", [this]() -> std::string {
         // A request may only stall in pendingQueue while the MSHR
@@ -178,8 +156,7 @@ Cache::access(Addr addr, bool isWrite, MemCallback done)
     Tick tagDone = start + clock.cyclesToTicks(p.hitLatency);
     sAccesses++;
 
-    unsigned set = setIndex(lineNum);
-    if (Way *way = findWay(lineNum, set)) {
+    if (Way *way = findWay(lineNum, setIndex(lineNum, indexMode))) {
         way->lastUse = eq.now();
         way->dirty |= isWrite;
         sHits++;
@@ -253,7 +230,7 @@ Cache::handleMiss(Addr lineNum, bool isWrite, MemCallback done,
                                 id, eq2.now());
             }
             mshrs.erase(mit2);
-            fill(lineNum, isWrite);
+            installLine(lineNum, isWrite, /*warm=*/false);
             // One-cycle fill-forward latency to the waiting requests.
             Tick respond = eq2.now() + clock.cyclesToTicks(1);
             for (auto &w : waiters)
@@ -264,29 +241,18 @@ Cache::handleMiss(Addr lineNum, bool isWrite, MemCallback done,
 }
 
 void
-Cache::fill(Addr lineNum, bool isWrite)
-{
-    installLine(lineNum, isWrite, /*warm=*/false);
-}
-
-void
 Cache::installLine(Addr lineNum, bool isWrite, bool warm)
 {
     // If this cache already holds the line under the *other* indexing
     // mode (mode switched while it was resident), drop the stale copy:
     // the coherence protocol migrates the line to its new home set.
-    auto stale = lineMap.find(lineNum);
-    if (stale != lineMap.end()) {
-        if (Way *old = findWay(lineNum, stale->second)) {
-            old->valid = false;
-            old->dirty = false;
-        }
-        lineMap.erase(stale);
+    if (Way *old = findAnywhere(lineNum)) {
+        old->valid = false;
+        old->dirty = false;
     }
 
-    unsigned set = setIndex(lineNum);
     Way *victim = nullptr;
-    for (auto &way : sets[set]) {
+    for (auto &way : sets[setIndex(lineNum, indexMode)]) {
         if (!way.valid) {
             victim = &way;
             break;
@@ -297,7 +263,6 @@ Cache::installLine(Addr lineNum, bool isWrite, bool warm)
     bvl_assert(victim, "%s: no victim way", p.name.c_str());
 
     if (victim->valid) {
-        lineMap.erase(victim->line);
         next->evicted(l1Id, victim->line << lineShift);
         if (!warm)
             sEvictions++;
@@ -317,7 +282,6 @@ Cache::installLine(Addr lineNum, bool isWrite, bool warm)
     victim->line = lineNum;
     victim->dirty = isWrite;
     victim->lastUse = clock.eventQueue().now();
-    lineMap[lineNum] = set;
     if (!warm)
         sFills++;
 }
@@ -326,8 +290,7 @@ void
 Cache::warmAccess(Addr addr, bool isWrite)
 {
     Addr lineNum = lineOf(lineAlign(addr));
-    unsigned set = setIndex(lineNum);
-    if (Way *way = findWay(lineNum, set)) {
+    if (Way *way = findWay(lineNum, setIndex(lineNum, indexMode))) {
         way->lastUse = clock.eventQueue().now();
         way->dirty |= isWrite;
         return;
@@ -338,41 +301,6 @@ Cache::warmAccess(Addr addr, bool isWrite)
     installLine(lineNum, isWrite, /*warm=*/true);
 }
 
-std::vector<Cache::WayState>
-Cache::dumpWays() const
-{
-    std::vector<WayState> out;
-    out.reserve(static_cast<std::size_t>(numSets) * p.assoc);
-    for (const auto &set : sets)
-        for (const auto &way : set)
-            out.push_back({way.valid, way.dirty, way.line,
-                           way.lastUse});
-    return out;
-}
-
-bool
-Cache::loadWays(const std::vector<WayState> &ways)
-{
-    if (ways.size() != static_cast<std::size_t>(numSets) * p.assoc)
-        return false;
-    bvl_assert(mshrs.empty() && pendingQueue.empty(),
-               "%s: loadWays on a busy cache", p.name.c_str());
-    lineMap.clear();
-    std::size_t i = 0;
-    for (unsigned s = 0; s < numSets; ++s) {
-        for (auto &way : sets[s]) {
-            const WayState &ws = ways[i++];
-            way.valid = ws.valid;
-            way.dirty = ws.dirty;
-            way.line = ws.line;
-            way.lastUse = ws.lastUse;
-            if (way.valid)
-                lineMap[way.line] = s;
-        }
-    }
-    return true;
-}
-
 void
 Cache::issuePending()
 {
@@ -380,8 +308,7 @@ Cache::issuePending()
         auto [lineNum, isWrite, done] = std::move(pendingQueue.front());
         pendingQueue.pop_front();
         // Re-check the tags: the line may have been filled meanwhile.
-        unsigned set = setIndex(lineNum);
-        if (Way *way = findWay(lineNum, set)) {
+        if (Way *way = findWay(lineNum, setIndex(lineNum, indexMode))) {
             way->dirty |= isWrite;
             way->lastUse = clock.eventQueue().now();
             if (done)

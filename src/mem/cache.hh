@@ -18,6 +18,7 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/mem_types.hh"
@@ -109,33 +110,12 @@ class Cache
      */
     void warmAccess(Addr addr, bool isWrite);
 
-    /** Flat snapshot of one way (checkpoint payload, DESIGN.md §15). */
-    struct WayState
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr line = 0;
-        Tick lastUse = 0;
-    };
-
-    /** Set-major (sets x assoc) dump of every way's tag state. */
-    std::vector<WayState> dumpWays() const;
-
     /**
-     * Restore tag state saved by dumpWays() from an identical
-     * geometry; rebuilds the line map. Only valid on an idle cache
-     * (no MSHRs, no pending requests). Returns false — leaving the
-     * cache untouched — on a geometry mismatch.
+     * Drop a line from whichever set holds it (directory
+     * invalidation); no timing charged here. @p warm (fast-forward
+     * warming) skips the stat.
      */
-    bool loadWays(const std::vector<WayState> &ways);
-
-    unsigned setCount() const { return numSets; }
-
-    /** Drop a line (directory invalidation); no timing charged here. */
-    void invalidate(Addr lineAddr);
-
-    /** invalidate() for the warm path: same tag effect, no stats. */
-    void warmInvalidate(Addr lineAddr);
+    void invalidate(Addr lineAddr, bool warm);
 
     /** Tag-only presence check under the current mode (tests). */
     bool probe(Addr addr) const;
@@ -156,20 +136,9 @@ class Cache
     /** One-line MSHR occupancy description for diagnostics. */
     std::string mshrReport() const;
 
-    /** True if the line is resident in any set (tests). */
+    /** True if the line is resident under either index mode (tests). */
     bool residentAnywhere(Addr addr) const
-    { return lineMap.count(lineOf(lineAlign(addr))) != 0; }
-
-    const CacheParams &params() const { return p; }
-    const std::string &name() const { return p.name; }
-
-    /** Fraction of accesses that missed (tests / reporting). */
-    double
-    missRate() const
-    {
-        auto a = sAccesses.value();
-        return a == 0 ? 0.0 : double(sMisses.value()) / a;
-    }
+    { return findAnywhere(lineOf(lineAlign(addr))) != nullptr; }
 
   private:
     struct Way
@@ -188,18 +157,27 @@ class Cache
         Tick allocTick = 0;
     };
 
-    unsigned setIndex(Addr lineNum) const;
-    Way *findWay(Addr lineNum, unsigned set);
+    unsigned setIndex(Addr lineNum, IndexMode mode) const;
     const Way *findWay(Addr lineNum, unsigned set) const;
-    void fill(Addr lineNum, bool isWrite);
-    /** Shared line-install path of fill() and warmAccess(). */
+    Way *
+    findWay(Addr lineNum, unsigned set)
+    {
+        return const_cast<Way *>(std::as_const(*this).findWay(lineNum, set));
+    }
+    /** The way holding @p lineNum in its set under either index mode. */
+    const Way *findAnywhere(Addr lineNum) const;
+    Way *
+    findAnywhere(Addr lineNum)
+    {
+        return const_cast<Way *>(std::as_const(*this).findAnywhere(lineNum));
+    }
+    /** Line-install path of the timed fill and of warmAccess(). */
     void installLine(Addr lineNum, bool isWrite, bool warm);
     void handleMiss(Addr lineNum, bool isWrite, MemCallback done,
                     Tick readyTick);
     void issuePending();
 
     ClockDomain &clock;
-    StatGroup &stats;
     CacheParams p;
     MemLevel *next;
     int l1Id;
@@ -215,9 +193,9 @@ class Cache
     unsigned numSets;
     IndexMode indexMode = IndexMode::scalarPrivate;
 
+    /** A line lives in its set under one index mode or the other,
+     *  never both: there is no side index (DESIGN.md §7). */
     std::vector<std::vector<Way>> sets;
-    /** lineNum -> set holding it (unique per cache). */
-    std::unordered_map<Addr, unsigned> lineMap;
     std::unordered_map<Addr, Mshr> mshrs;
     /** Requests stalled on a full MSHR file. */
     std::deque<std::tuple<Addr, bool, MemCallback>> pendingQueue;

@@ -32,7 +32,7 @@ class Dram : public MemLevel
 {
   public:
     Dram(ClockDomain &cd, StatGroup &sg, DramParams params)
-        : clock(cd), stats(sg), p(std::move(params)),
+        : clock(cd), p(std::move(params)),
           sReads(sg.handle(p.name + ".reads")),
           sWrites(sg.handle(p.name + ".writes"))
     {
@@ -90,7 +90,6 @@ class Dram : public MemLevel
 
   private:
     ClockDomain &clock;
-    StatGroup &stats;
     DramParams p;
     StatHandle sReads, sWrites;
     FaultInjector *injector = nullptr;

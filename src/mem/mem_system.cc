@@ -5,14 +5,14 @@ namespace bvl
 
 MemSystem::MemSystem(ClockDomain &uncore, StatGroup &sg,
                      MemSystemParams params)
-    : stats(sg), p(std::move(params)),
+    : p(std::move(params)),
       sIfetchReqs(sg.handle("sys.ifetchReqs")),
       sDataReqs(sg.handle("sys.dataReqs"))
 {
     bankMap.numBanks = p.numLittle;
 
-    dram = std::make_unique<Dram>(uncore, stats, p.dram);
-    l2front = std::make_unique<L2Front>(uncore, stats, p.l2,
+    dram = std::make_unique<Dram>(uncore, sg, p.dram);
+    l2front = std::make_unique<L2Front>(uncore, sg, p.l2,
                                         p.invalPenalty, dram.get());
 
     for (unsigned i = 0; i < p.numLittle; ++i) {
@@ -20,24 +20,24 @@ MemSystem::MemSystem(ClockDomain &uncore, StatGroup &sg,
         dp.name = "little" + std::to_string(i) + ".l1d";
         dp.numBanks = p.numLittle;
         littleL1Ds.push_back(std::make_unique<Cache>(
-            uncore, stats, dp, l2front.get(), static_cast<int>(i)));
+            uncore, sg, dp, l2front.get(), static_cast<int>(i)));
         l2front->addL1(littleL1Ds.back().get());
 
         CacheParams ip = p.littleL1I;
         ip.name = "little" + std::to_string(i) + ".l1i";
         littleL1Is.push_back(std::make_unique<Cache>(
-            uncore, stats, ip, l2front.get(), -1));
+            uncore, sg, ip, l2front.get(), -1));
     }
 
     CacheParams bdp = p.bigL1D;
     bdp.name = "big.l1d";
-    bigL1Dc = std::make_unique<Cache>(uncore, stats, bdp, l2front.get(),
+    bigL1Dc = std::make_unique<Cache>(uncore, sg, bdp, l2front.get(),
                                       static_cast<int>(p.numLittle));
     l2front->addL1(bigL1Dc.get());
 
     CacheParams bip = p.bigL1I;
     bip.name = "big.l1i";
-    bigL1Ic = std::make_unique<Cache>(uncore, stats, bip, l2front.get(),
+    bigL1Ic = std::make_unique<Cache>(uncore, sg, bip, l2front.get(),
                                       -1);
 }
 
@@ -95,10 +95,7 @@ void
 MemSystem::fetchInst(unsigned coreId, Addr addr, MemCallback done)
 {
     sIfetchReqs++;
-    if (coreId == bigCoreId())
-        bigL1Ic->access(addr, false, std::move(done));
-    else
-        littleL1Is[coreId]->access(addr, false, std::move(done));
+    l1i(coreId).access(addr, false, std::move(done));
 }
 
 void
@@ -106,10 +103,7 @@ MemSystem::accessData(unsigned coreId, Addr addr, bool isWrite,
                       MemCallback done)
 {
     sDataReqs++;
-    if (coreId == bigCoreId())
-        bigL1Dc->access(addr, isWrite, std::move(done));
-    else
-        littleL1Ds[coreId]->access(addr, isWrite, std::move(done));
+    l1d(coreId).access(addr, isWrite, std::move(done));
 }
 
 void

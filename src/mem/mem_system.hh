@@ -55,7 +55,7 @@ class L2Front : public MemLevel
   public:
     L2Front(ClockDomain &cd, StatGroup &sg, const CacheParams &l2p,
             Cycles inval_penalty, MemLevel *dram)
-        : clock(cd), stats(sg), invalPenalty(inval_penalty),
+        : clock(cd), invalPenalty(inval_penalty),
           sDirInvalidates(sg.handle("l2.dir.invalidates")),
           cache(cd, sg, l2p, dram)
     {}
@@ -71,31 +71,10 @@ class L2Front : public MemLevel
     request(int requesterId, Addr lineAddr, bool isWrite,
             MemCallback done) override
     {
-        Addr lineNum = lineOf(lineAddr);
-        Cycles extra = 0;
-
-        if (isWrite) {
-            auto it = sharers.find(lineNum);
-            if (it != sharers.end()) {
-                std::uint32_t others = it->second;
-                if (requesterId >= 0)
-                    others &= ~(1u << requesterId);
-                if (others != 0) {
-                    for (unsigned i = 0; i < l1ds.size(); ++i)
-                        if (others & (1u << i))
-                            l1ds[i]->invalidate(lineAddr);
-                    it->second &= ~others;
-                    extra = invalPenalty;
-                    sDirInvalidates++;
-                }
-            }
-        }
-
-        if (requesterId >= 0)
-            sharers[lineNum] |= (1u << requesterId);
-
-        if (extra > 0 && done) {
-            Tick d = clock.cyclesToTicks(extra);
+        bool invalidated =
+            updateDirectory(requesterId, lineAddr, isWrite, false);
+        if (invalidated && invalPenalty > 0 && done) {
+            Tick d = clock.cyclesToTicks(invalPenalty);
             auto &eq = clock.eventQueue();
             cache.access(lineAddr, isWrite,
                          [&eq, d, cb = std::move(done)]() mutable {
@@ -122,11 +101,31 @@ class L2Front : public MemLevel
     void
     warmRequest(int requesterId, Addr lineAddr, bool isWrite) override
     {
-        // Functional mirror of request(): same directory bookkeeping
-        // (invalidate other sharers on a write, record the requester),
-        // then a warm tag/LRU update of the L2 itself — but no events,
-        // penalties or stats (DESIGN.md §15).
+        // The same directory step as request(), then a warm tag/LRU
+        // update of the L2 itself: no events, penalties or stats
+        // (DESIGN.md §15).
+        updateDirectory(requesterId, lineAddr, isWrite, true);
+        cache.warmAccess(lineAddr, isWrite);
+    }
+
+    Cache &l2cache() { return cache; }
+
+  private:
+    /**
+     * The directory step of request() and warmRequest(): a write drops
+     * every other sharer's copy, then the requester (an L1D, id >= 0)
+     * is recorded as a sharer. Returns true if copies were dropped;
+     * @p warm skips the stats. A dirty L1D eviction's writeback also
+     * lands here and records the evicting L1 again, so a later writer
+     * pays for invalidating a copy that is gone. Fixing that changes
+     * simulated results, so it is left for a change that re-pins them.
+     */
+    bool
+    updateDirectory(int requesterId, Addr lineAddr, bool isWrite,
+                    bool warm)
+    {
         Addr lineNum = lineOf(lineAddr);
+        bool invalidated = false;
         if (isWrite) {
             auto it = sharers.find(lineNum);
             if (it != sharers.end()) {
@@ -136,40 +135,20 @@ class L2Front : public MemLevel
                 if (others != 0) {
                     for (unsigned i = 0; i < l1ds.size(); ++i)
                         if (others & (1u << i))
-                            l1ds[i]->warmInvalidate(lineAddr);
+                            l1ds[i]->invalidate(lineAddr, warm);
                     it->second &= ~others;
+                    invalidated = true;
+                    if (!warm)
+                        sDirInvalidates++;
                 }
             }
         }
         if (requesterId >= 0)
             sharers[lineNum] |= (1u << requesterId);
-        cache.warmAccess(lineAddr, isWrite);
+        return invalidated;
     }
 
-    Cache &l2cache() { return cache; }
-
-    /** Sharer bitmask of a line (tests). */
-    std::uint32_t
-    sharerMask(Addr lineAddr) const
-    {
-        auto it = sharers.find(lineOf(lineAddr));
-        return it == sharers.end() ? 0 : it->second;
-    }
-
-    /** Full directory state (checkpointing, DESIGN.md §15). */
-    const std::unordered_map<Addr, std::uint32_t> &
-    sharerMap() const { return sharers; }
-
-    /** Replace the directory state (checkpoint restore). */
-    void
-    loadSharers(std::unordered_map<Addr, std::uint32_t> s)
-    {
-        sharers = std::move(s);
-    }
-
-  private:
     ClockDomain &clock;
-    StatGroup &stats;
     Cycles invalPenalty;
     StatHandle sDirInvalidates;
     Cache cache;
@@ -216,20 +195,14 @@ class MemSystem
     void
     warmFetch(unsigned coreId, Addr addr)
     {
-        if (coreId == bigCoreId())
-            bigL1Ic->warmAccess(addr, false);
-        else
-            littleL1Is[coreId]->warmAccess(addr, false);
+        l1i(coreId).warmAccess(addr, false);
     }
 
     /** Warm the scalar data path of core @p coreId. */
     void
     warmData(unsigned coreId, Addr addr, bool isWrite)
     {
-        if (coreId == bigCoreId())
-            bigL1Dc->warmAccess(addr, isWrite);
-        else
-            littleL1Ds[coreId]->warmAccess(addr, isWrite);
+        l1d(coreId).warmAccess(addr, isWrite);
     }
 
     /** Warm the L2 + directory directly (vector element traffic). */
@@ -254,14 +227,19 @@ class MemSystem
     unsigned numLittle() const { return p.numLittle; }
     unsigned bigCoreId() const { return p.numLittle; }
 
-    Cache &littleL1D(unsigned i) { return *littleL1Ds[i]; }
-    Cache &littleL1I(unsigned i) { return *littleL1Is[i]; }
-    Cache &bigL1D() { return *bigL1Dc; }
-    Cache &bigL1I() { return *bigL1Ic; }
-    L2Front &l2() { return *l2front; }
+    /** Private L1 instruction/data cache of core @p coreId. */
+    Cache &
+    l1i(unsigned coreId)
+    {
+        return coreId == bigCoreId() ? *bigL1Ic : *littleL1Is[coreId];
+    }
+    Cache &
+    l1d(unsigned coreId)
+    {
+        return coreId == bigCoreId() ? *bigL1Dc : *littleL1Ds[coreId];
+    }
 
   private:
-    StatGroup &stats;
     MemSystemParams p;
     StatHandle sIfetchReqs, sDataReqs;
     BankMap bankMap;

@@ -13,10 +13,11 @@ namespace
 
 std::atomic<bool> verboseEnabled{true};
 
-std::atomic<bool> abortOnErrorEnabled{[] {
+/** Read once at start-up; nothing changes it afterwards. */
+const bool abortOnErrorEnabled = [] {
     const char *env = std::getenv("BVL_ABORT_ON_ERROR");
     return env && *env && std::strcmp(env, "0") != 0;
-}()};
+}();
 
 /** Innermost capture installed on this thread (nullptr = stderr). */
 thread_local LogCapture *activeCapture = nullptr;
@@ -74,7 +75,7 @@ panic(const char *fmt, ...)
     std::string msg = vformat(fmt, args);
     va_end(args);
     report("panic", msg);
-    if (abortOnErrorEnabled.load(std::memory_order_relaxed))
+    if (abortOnErrorEnabled)
         std::abort();
     throw SimPanicError(msg);
 }
@@ -87,7 +88,7 @@ fatal(const char *fmt, ...)
     std::string msg = vformat(fmt, args);
     va_end(args);
     report("fatal", msg);
-    if (abortOnErrorEnabled.load(std::memory_order_relaxed))
+    if (abortOnErrorEnabled)
         std::exit(1);
     throw SimFatalError(msg);
 }
@@ -118,16 +119,10 @@ setVerbose(bool verbose)
     verboseEnabled.store(verbose, std::memory_order_relaxed);
 }
 
-void
-setAbortOnError(bool abort)
-{
-    abortOnErrorEnabled.store(abort, std::memory_order_relaxed);
-}
-
 bool
 abortOnError()
 {
-    return abortOnErrorEnabled.load(std::memory_order_relaxed);
+    return abortOnErrorEnabled;
 }
 
 } // namespace bvl

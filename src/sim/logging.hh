@@ -8,13 +8,13 @@
  * subclass so that sweep drivers can catch the failure, record it as a
  * structured per-run outcome and keep going. The pre-exception abort
  * behavior (useful for debugging with core dumps, and for death tests)
- * is restored with setAbortOnError(true) or BVL_ABORT_ON_ERROR=1 in
- * the environment. warn()/inform() report conditions without stopping
- * the simulation.
+ * is restored with BVL_ABORT_ON_ERROR=1 in the environment.
+ * warn()/inform() report conditions without stopping the simulation.
  *
  * Everything here is safe to use from concurrent simulation contexts:
- * the verbose/abort flags are atomics, and a LogCapture installed on a
- * thread redirects that thread's diagnostics into a private buffer so
+ * the verbose flag is an atomic, the abort flag is read once from the
+ * environment at start-up, and a LogCapture installed on a thread
+ * redirects that thread's diagnostics into a private buffer so
  * parallel runs never interleave on stderr (DESIGN.md §10).
  */
 
@@ -67,10 +67,9 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 void setVerbose(bool verbose);
 
 /**
- * Opt out of recoverable errors: panic() aborts and fatal() exits
- * instead of throwing. Also enabled by BVL_ABORT_ON_ERROR=1.
+ * True when BVL_ABORT_ON_ERROR=1 opted out of recoverable errors:
+ * panic() aborts and fatal() exits instead of throwing.
  */
-void setAbortOnError(bool abort);
 bool abortOnError();
 
 /**

@@ -28,13 +28,6 @@ designHasVector(Design d)
            d == Design::d1bDV || d == Design::d1b4VL;
 }
 
-bool
-designUsesLittles(Design d)
-{
-    return d == Design::d1L || d == Design::d1b4L ||
-           d == Design::d1bIV4L || d == Design::d1b4VL;
-}
-
 namespace
 {
 

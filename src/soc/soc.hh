@@ -41,9 +41,8 @@ enum class Design
 
 const char *designName(Design d);
 
-/** Does the design include an engine, and which lanes does it use? */
+/** Does the design include a vector engine? */
 bool designHasVector(Design d);
-bool designUsesLittles(Design d);
 
 struct SocParams
 {

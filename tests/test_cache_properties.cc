@@ -129,12 +129,13 @@ TEST(CachePropertyTest, HotLineSurvivesLru)
         touch(0x10000 + Addr(i) * 16 * 1024);   // conflicts
         touch(0x10000);                          // keep it hot
     }
-    EXPECT_TRUE(h.sys.littleL1D(0).probe(0x10000));
+    EXPECT_TRUE(h.sys.l1d(0).probe(0x10000));
 }
 
 TEST(CachePropertyTest, ModeSwitchKeepsSingleCopyPerCache)
 {
     CacheHarness h;
+    Cache &l1d = h.sys.l1d(0);
     auto touch = [&](bool banked, Addr a) {
         bool done = false;
         if (banked)
@@ -144,18 +145,39 @@ TEST(CachePropertyTest, ModeSwitchKeepsSingleCopyPerCache)
             h.sys.accessData(0, a, false, [&] { done = true; });
         while (!done && h.eq.step()) {}
     };
-    // Alternate modes over the same addresses; residentAnywhere must
-    // never observe duplicates (fills drop the stale-mode copy), which
-    // would otherwise corrupt capacity accounting.
+    // probe() under each index mode, restoring the current one.
+    auto probeIn = [&](IndexMode mode, Addr a) {
+        IndexMode saved = l1d.getIndexMode();
+        l1d.setIndexMode(mode);
+        bool found = l1d.probe(a);
+        l1d.setIndexMode(saved);
+        return found;
+    };
+    // 32 KB 2-way: 256 sets, scalar set = line % 256, banked set =
+    // (line / 4) % 256. Where the two coincide one copy answers both
+    // probes, so those lines cannot show a duplicate.
+    auto setsCoincide = [](Addr a) {
+        Addr line = a / 64;
+        return line % 256 == (line / 4) % 256;
+    };
+    // Alternate modes over a small pool of bank-0 lines, so little0's
+    // L1D keeps meeting lines it filled under the other mode. After
+    // every access the line sits under exactly one index mode (fills
+    // drop the stale-mode copy), so residentAnywhere never sees
+    // duplicates.
     Rng rng(5);
-    for (int i = 0; i < 100; ++i) {
-        Addr a = (rng.below(512) * 64) & ~Addr(63);
+    for (int i = 0; i < 200; ++i) {
+        Addr a = rng.below(32) * 4 * 64;
+        ASSERT_EQ(h.sys.bankOf(a), 0u);
         bool banked = rng.below(2) == 0;
         h.sys.setVectorMode(banked);
-        if (banked && h.sys.bankOf(a) != 0)
-            continue;
         touch(banked, a);
-        EXPECT_TRUE(h.sys.littleL1D(0).residentAnywhere(a));
+        EXPECT_TRUE(l1d.residentAnywhere(a));
+        if (setsCoincide(a))
+            continue;
+        bool scalar = probeIn(IndexMode::scalarPrivate, a);
+        bool bankedCopy = probeIn(IndexMode::vectorBanked, a);
+        EXPECT_NE(scalar, bankedCopy) << "line 0x" << std::hex << a;
     }
     h.sys.setVectorMode(false);
 }

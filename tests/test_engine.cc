@@ -133,13 +133,13 @@ TEST(EngineTestDetail, LittleL1dSwitchesToBankedMode)
 {
     Soc soc(Design::d1b4VL);
     initSaxpyData(soc.backing, 64);
-    EXPECT_EQ(soc.mem.littleL1D(0).getIndexMode(),
+    EXPECT_EQ(soc.mem.l1d(0).getIndexMode(),
               IndexMode::scalarPrivate);
     runOnBig(soc, saxpyProgram(), {{xreg(10), 64}});
-    EXPECT_EQ(soc.mem.littleL1D(0).getIndexMode(),
+    EXPECT_EQ(soc.mem.l1d(0).getIndexMode(),
               IndexMode::vectorBanked);
     soc.engine->exitVectorMode();
-    EXPECT_EQ(soc.mem.littleL1D(0).getIndexMode(),
+    EXPECT_EQ(soc.mem.l1d(0).getIndexMode(),
               IndexMode::scalarPrivate);
 }
 

@@ -115,17 +115,17 @@ TEST_F(MemTest, DirectoryInvalidatesOtherSharersOnWrite)
     runUntilDone(a);
     sys.accessData(1, 0x4000, false, [&] { b = true; });
     runUntilDone(b);
-    EXPECT_TRUE(sys.littleL1D(0).residentAnywhere(0x4000));
-    EXPECT_TRUE(sys.littleL1D(1).residentAnywhere(0x4000));
+    EXPECT_TRUE(sys.l1d(0).residentAnywhere(0x4000));
+    EXPECT_TRUE(sys.l1d(1).residentAnywhere(0x4000));
 
     // Core 2 writes: both copies must be invalidated. The write misses
     // core 2's L1D, so the directory sees it.
     bool c = false;
     sys.accessData(2, 0x4000, true, [&] { c = true; });
     runUntilDone(c);
-    EXPECT_FALSE(sys.littleL1D(0).residentAnywhere(0x4000));
-    EXPECT_FALSE(sys.littleL1D(1).residentAnywhere(0x4000));
-    EXPECT_TRUE(sys.littleL1D(2).residentAnywhere(0x4000));
+    EXPECT_FALSE(sys.l1d(0).residentAnywhere(0x4000));
+    EXPECT_FALSE(sys.l1d(1).residentAnywhere(0x4000));
+    EXPECT_TRUE(sys.l1d(2).residentAnywhere(0x4000));
     EXPECT_GE(stats.value("l2.dir.invalidates"), 1u);
 }
 
@@ -138,20 +138,49 @@ TEST_F(MemTest, BankedIndexingFindsLinesAfterModeSwitch)
     bool a = false;
     sys.accessData(0, 0x8000, false, [&] { a = true; });
     runUntilDone(a);
-    EXPECT_TRUE(sys.littleL1D(0).probe(0x8000));
+    EXPECT_TRUE(sys.l1d(0).probe(0x8000));
 
     sys.setVectorMode(true);
     unsigned bank = sys.bankOf(0x8000);
     if (bank == 0) {
-        EXPECT_TRUE(sys.littleL1D(0).residentAnywhere(0x8000));
+        EXPECT_TRUE(sys.l1d(0).residentAnywhere(0x8000));
         bool b = false;
         sys.accessBank(0, 0x8000, false, [&] { b = true; });
         runUntilDone(b);
-        EXPECT_TRUE(sys.littleL1D(0).probe(0x8000));
+        EXPECT_TRUE(sys.l1d(0).probe(0x8000));
         // exactly one copy resident
-        EXPECT_TRUE(sys.littleL1D(0).residentAnywhere(0x8000));
+        EXPECT_TRUE(sys.l1d(0).residentAnywhere(0x8000));
     }
     sys.setVectorMode(false);
+}
+
+TEST_F(MemTest, WriteInvalidatesCopyStrandedByModeSwitch)
+{
+    // 0x8000 is line 512: scalar set 0, banked set 128, so after the
+    // switch little0's copy sits outside its banked-mode set.
+    bool a = false;
+    sys.accessData(0, 0x8000, false, [&] { a = true; });
+    runUntilDone(a);
+    sys.setVectorMode(true);
+    EXPECT_FALSE(sys.l1d(0).probe(0x8000));
+    EXPECT_TRUE(sys.l1d(0).residentAnywhere(0x8000));
+
+    // A big-core write: the directory must find and drop the copy in
+    // the scalar-mode set even though the L1D now indexes banked.
+    bool b = false;
+    sys.accessData(sys.bigCoreId(), 0x8000, true, [&] { b = true; });
+    runUntilDone(b);
+    EXPECT_EQ(stats.value("l2.dir.invalidates"), 1u);
+    EXPECT_EQ(stats.value("little0.l1d.invalidations"), 1u);
+    EXPECT_FALSE(sys.l1d(0).residentAnywhere(0x8000));
+
+    sys.setVectorMode(false);
+    EXPECT_FALSE(sys.l1d(0).probe(0x8000));
+    auto misses = stats.value("little0.l1d.misses");
+    bool c = false;
+    sys.accessData(0, 0x8000, false, [&] { c = true; });
+    runUntilDone(c);
+    EXPECT_EQ(stats.value("little0.l1d.misses"), misses + 1);
 }
 
 TEST_F(MemTest, BankInterleavingIsLineGranular)
