@@ -87,8 +87,7 @@ runSuite(const char *label, const std::vector<std::string> &names,
 void
 printRequests(const char *title, Scale scale,
               const std::vector<std::string> &names,
-              const std::vector<Row> &rows,
-              std::uint64_t RunResult::*count)
+              const std::vector<Row> &rows, const char *stat)
 {
     const Design designs[] = {Design::d1bIV4L, Design::d1bDV,
                               Design::d1b4VL};
@@ -99,7 +98,8 @@ printRequests(const char *title, Scale scale,
     for (std::size_t w = 0; w < names.size(); ++w) {
         double vals[3];
         for (int i = 0; i < 3; ++i)
-            vals[i] = static_cast<double>(rows[w].at(designs[i]).*count);
+            vals[i] = static_cast<double>(
+                rows[w].at(designs[i]).stat(stat));
         double base = vals[1] > 0 ? vals[1] : 1.0;
         std::printf("%-14s %10.2f %10.2f %10.2f\n", names[w].c_str(),
                     vals[0] / base, vals[1] / base, vals[2] / base);
@@ -124,9 +124,9 @@ main()
                              scale, pool);
         printRequests("Figure 5: instruction fetch requests to memory "
                       "(normalized to 1bDV)",
-                      scale, names, rows, &RunResult::ifetchReqs);
+                      scale, names, rows, "sys.ifetchReqs");
         printRequests("Figure 6: data requests to memory "
                       "(normalized to 1bDV)",
-                      scale, names, rows, &RunResult::dataReqs);
+                      scale, names, rows, "sys.dataReqs");
     });
 }

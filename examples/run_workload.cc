@@ -210,9 +210,9 @@ main(int argc, char **argv)
     if (opts.verifyResult)
         std::printf("verified  %s\n", r.verified ? "yes" : "NO");
     std::printf("ifetch    %llu requests\n",
-                (unsigned long long)r.ifetchReqs);
+                (unsigned long long)r.stat("sys.ifetchReqs"));
     std::printf("data reqs %llu requests\n",
-                (unsigned long long)r.dataReqs);
+                (unsigned long long)r.stat("sys.dataReqs"));
 
     if (dumpStats) {
         std::printf("\n-- statistics --\n");

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build and run the full test suite normally and
-# under AddressSanitizer + UBSan, run the checker-enabled suite under
-# plain UBSan, run the concurrency/determinism tests under
-# ThreadSanitizer to check the parallel sweep runner and the library's
-# re-entrancy guarantees, smoke the failure-forensics pipeline
-# (deliberately fatal fault plan -> JSON report -> plan minimizer),
+# under AddressSanitizer + UBSan, check that the library revision is
+# derived from the src/ tree (scripts/revision_check.sh), run the
+# checker-enabled suite under plain UBSan, run the
+# concurrency/determinism tests under ThreadSanitizer to check the
+# parallel sweep runner and the library's re-entrancy guarantees,
+# smoke the failure-forensics pipeline (deliberately fatal fault plan
+# -> JSON report -> plan minimizer),
 # fail on any library function no binary keeps (scripts/dead_symbols.sh),
 # smoke the sweep service's crash safety (kill -9/resume, cache
 # poisoning, isolation, SIGINT; scripts/sweep_smoke.sh), smoke
@@ -57,6 +59,9 @@ echo "=== normal build (jobs=$jobs) ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "=== library revision is a digest of src/ ==="
+scripts/revision_check.sh build
 
 echo "=== host-time benchmark builds against the library (hostbench/) ==="
 cmake -S hostbench -B build-hostbench >/dev/null

@@ -169,7 +169,7 @@ VlittleEngine::dispatch(const ExecTrace &tr,
         vectorMode = true;
         switchReadyAt = clock().eventQueue().now() +
                         clock().cyclesToTicks(p.switchPenalty);
-        if (p.controlsL1Mode)
+        if (controlsL1Mode())
             mem.setVectorMode(true);
         sModeSwitches++;
         if (trace && trace->wants(TraceCat::vcu)) {
@@ -225,7 +225,7 @@ VlittleEngine::exitVectorMode()
     if (!vectorMode)
         return;
     vectorMode = false;
-    if (p.controlsL1Mode)
+    if (controlsL1Mode())
         mem.setVectorMode(false);
     for (auto &lane : lanes)
         lane->reset();

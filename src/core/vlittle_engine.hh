@@ -69,12 +69,15 @@ struct VEngineParams
     Cycles switchPenalty = 500;    ///< vector-region entry cost
     FuLatencies fu{};
 
+    /**
+     * Where vector memory goes. It also fixes how the engine couples
+     * to the rest of the SoC: on bankedL1 the engine toggles the
+     * little L1Ds into banked mode on a mode switch; on bigL1D it
+     * executes inside the big core's pipeline (in-pipeline dispatch),
+     * while the other paths dispatch from the head of the ROB.
+     */
     enum class MemPath { bankedL1, bigL1D, directL2 };
     MemPath memPath = MemPath::bankedL1;
-    /** Engine toggles the little L1Ds into banked mode on switch. */
-    bool controlsL1Mode = true;
-    /** Head-of-ROB dispatch (decoupled) vs in-pipeline (integrated). */
-    bool headDispatch = true;
 
     /** Hardware vector length presented to vsetvli (32-bit data). */
     unsigned
@@ -96,7 +99,8 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
                   std::function<void()> onDone) override;
     bool idle() const override;
     const char *engineName() const override { return p.name.c_str(); }
-    bool dispatchAtHead() const override { return p.headDispatch; }
+    bool dispatchAtHead() const override
+    { return p.memPath != VEngineParams::MemPath::bigL1D; }
 
     /** Leave vector mode (driver calls when a vector region ends). */
     void exitVectorMode();
@@ -142,6 +146,10 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     bool tick() override;
 
   private:
+    /** The engine switches the little L1Ds into banked mode. */
+    bool controlsL1Mode() const
+    { return p.memPath == VEngineParams::MemPath::bankedL1; }
+
     /**
      * Scalar state of one dynamic vector instruction. Recycling a
      * window slot resets exactly this part, so VInstr's vectors keep

@@ -36,15 +36,14 @@ poolSize(const BigCoreParams &p, FuClass fu)
 BigCore::BigCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
                  BackingStore &bs, unsigned vlen_bits,
                  BigCoreParams params)
-    : Clocked(cd, "big"), stats(sg), mem(ms), backing(bs),
-      p(params),
+    : ProgramCore(cd, "big", ms.bigCoreId(), vlen_bits), stats(sg),
+      mem(ms), backing(bs), p(params),
       sFetched(sg.handle(prefix + "fetched")),
       sRetired(sg.handle(prefix + "retired")),
       sCycles(sg.handle(prefix + "cycles")),
       sMispredicts(sg.handle(prefix + "mispredicts")),
       sVecDispatched(sg.handle(prefix + "vecDispatched")),
-      arch(vlen_bits), bpred(params.bpredIndexBits),
-      fetchBuf(ms, ms.bigCoreId(), sg, prefix),
+      bpred(params.bpredIndexBits), fetchBuf(ms, id, sg, prefix),
       vecQueue(p.robEntries)
 {
     std::size_t slots = 64;
@@ -71,19 +70,8 @@ BigCore::BigCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
 }
 
 void
-BigCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
-                     std::function<void()> done)
+BigCore::beginWindow()
 {
-    bvl_assert(!running, "big core: window start while busy");
-    prog = std::move(program);
-    onDone = std::move(done);
-    running = true;
-    haltSeen = false;
-    fetchStopAt = maxFetch;
-    windowFetched_ = 0;
-    markFetchAt = 0;
-    windowLastFetch_ = clock().eventQueue().now();
-    windowMark_ = 0;
     fetchBuf.reset();
     fetchStallUntil = 0;
     blockingBranch = nullptr;
@@ -99,36 +87,6 @@ BigCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
     storesInFlight = 0;
     vecOutstanding = 0;
     vecQueue.clear();
-    activate();
-}
-
-void
-BigCore::runProgram(ProgramPtr program,
-                    const std::vector<std::pair<RegId, std::uint64_t>>
-                        &args,
-                    std::function<void()> done)
-{
-    arch.reset();
-    for (const auto &[reg, value] : args) {
-        if (isFReg(reg))
-            arch.setF(reg, value);
-        else
-            arch.setX(reg, value);
-    }
-    bpred.reset();
-    beginWindow(std::move(program), 0, std::move(done));
-    if (check)
-        check->onProgramStart(this, prog.get(), arch);
-}
-
-void
-BigCore::runWindow(ProgramPtr program, std::uint64_t maxFetch,
-                   std::function<void()> done, std::uint64_t markFetch)
-{
-    // Architectural state and the predictor are left exactly as the
-    // caller seeded them (fast-forward / checkpoint restore).
-    beginWindow(std::move(program), maxFetch, std::move(done));
-    markFetchAt = markFetch;
 }
 
 void
@@ -177,10 +135,7 @@ BigCore::fetchStage()
         std::uint64_t fetchPc = arch.pc;
         ExecTrace tr = stepOne(arch, *prog, backing);
         sFetched++;
-        ++windowFetched_;
-        windowLastFetch_ = eq.now();
-        if (windowFetched_ == markFetchAt)
-            windowMark_ = eq.now();
+        countFetch(eq.now());
         if (check)
             check->onFetchExecuted(this, arch, tr, backing, eq.now());
 
@@ -324,14 +279,14 @@ BigCore::issueStage()
 
             if (in.op == Op::load) {
                 ++loadsInFlight;
-                mem.accessData(mem.bigCoreId(), inst->trace.addr, false,
+                mem.accessData(id, inst->trace.addr, false,
                                [this, inst] {
                     --loadsInFlight;
                     completeInst(inst);
                 });
             } else if (in.op == Op::store) {
                 ++storesInFlight;
-                mem.accessData(mem.bigCoreId(), inst->trace.addr, true,
+                mem.accessData(id, inst->trace.addr, true,
                                [this, inst] {
                     --storesInFlight;
                     completeInst(inst);
@@ -602,13 +557,6 @@ BigCore::registerInvariants(InvariantRegistry &reg)
     });
 }
 
-void
-BigCore::registerProgress(Watchdog &wd)
-{
-    wd.addSource(prefix + "retire", [this] { return numRetired; },
-                 [this] { return progressDetail(); });
-}
-
 std::string
 BigCore::progressDetail() const
 {
@@ -647,15 +595,7 @@ BigCore::maybeFinish()
         return;
     if (vengine && !vengine->idle())
         return;
-    running = false;
-    if (check)
-        check->onDrain(this, clock().eventQueue().now());
-    if (onDone) {
-        auto done = std::move(onDone);
-        onDone = nullptr;
-        clock().eventQueue().schedule(clock().cyclesToTicks(1),
-                                      std::move(done));
-    }
+    finishWindow();
 }
 
 bool

@@ -19,24 +19,20 @@
 #define BVL_CPU_BIG_CORE_HH
 
 #include <array>
-#include <functional>
 #include <vector>
 
 #include "cpu/bpred.hh"
 #include "cpu/fetch_buffer.hh"
 #include "cpu/fu_params.hh"
+#include "cpu/program_core.hh"
 #include "cpu/vec_engine.hh"
-#include "isa/arch_state.hh"
 #include "mem/mem_system.hh"
-#include "sim/clock_domain.hh"
 #include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
 {
 
-class Watchdog;
-class CheckContext;
 class InvariantRegistry;
 class Tracer;
 
@@ -58,7 +54,7 @@ struct BigCoreParams
     unsigned bpredIndexBits = 12;
 };
 
-class BigCore : public Clocked
+class BigCore : public ProgramCore
 {
   public:
     BigCore(ClockDomain &cd, StatGroup &stats, MemSystem &mem,
@@ -68,51 +64,8 @@ class BigCore : public Clocked
     /** Attach the vector engine vector instructions dispatch to. */
     void setVectorEngine(VectorEngine *engine) { vengine = engine; }
 
-    void runProgram(ProgramPtr prog,
-                    const std::vector<std::pair<RegId, std::uint64_t>>
-                        &args,
-                    std::function<void()> done);
-
-    /**
-     * Run a detailed-timing window over at most @p maxFetch dynamic
-     * instructions without resetting architectural state — the
-     * fast-forward engine seeds ArchState functionally and then
-     * interleaves detailed windows with functional regions
-     * (DESIGN.md §15). @p maxFetch == 0 means run to the halt.
-     * @p markFetch != 0 records the tick of that fetch
-     * (windowMarkTick()): the sampler measures steady-state throughput
-     * as the fetch-to-fetch span [markFetch, maxFetch] inside one
-     * window, where fetch is retire-coupled once the ROB has filled.
-     */
-    void runWindow(ProgramPtr prog, std::uint64_t maxFetch,
-                   std::function<void()> done,
-                   std::uint64_t markFetch = 0);
-
-    bool busy() const { return running; }
-    ArchState &archState() { return arch; }
-    std::uint64_t retired() const { return numRetired; }
-    /** Instructions fetched by the current/last window. */
-    std::uint64_t windowFetched() const { return windowFetched_; }
-    /**
-     * Tick of the window's last fetch. Sampled measurement spans
-     * window start to here, so the end-of-window pipeline/engine
-     * drain — simulated only to leave consistent state behind — is
-     * not attributed to the measured instructions.
-     */
-    Tick windowLastFetchTick() const { return windowLastFetch_; }
-    /** Tick of the runWindow() markFetch'th fetch (0 = never hit). */
-    Tick windowMarkTick() const { return windowMark_; }
     /** Branch predictor (checkpoint save/restore, DESIGN.md §15). */
-    GsharePredictor &predictor() { return bpred; }
-
-    /** Register the retire stage's heartbeat with a watchdog. */
-    void registerProgress(Watchdog &wd);
-
-    /**
-     * Attach the checker front end (nullptr = disarmed; the hot paths
-     * then cost exactly one null-pointer branch, DESIGN.md §12).
-     */
-    void setCheckContext(CheckContext *cc) { check = cc; }
+    GsharePredictor *predictor() override { return &bpred; }
 
     /** Register ROB/LSQ structural invariants with the checker. */
     void registerInvariants(InvariantRegistry &reg);
@@ -124,8 +77,7 @@ class BigCore : public Clocked
      */
     void setTracer(Tracer *t);
 
-    /** Pipeline occupancy snapshot for deadlock diagnostics. */
-    std::string progressDetail() const;
+    std::string progressDetail() const override;
 
   protected:
     bool tick() override;
@@ -152,12 +104,7 @@ class BigCore : public Clocked
         Tick completeTick = 0;
     };
 
-    /** Shared pipeline reset + start of runProgram()/runWindow(). */
-    void beginWindow(ProgramPtr prog, std::uint64_t maxFetch,
-                     std::function<void()> done);
-    /** True once the window's fetch budget is spent. */
-    bool fetchLimitHit() const
-    { return fetchStopAt != 0 && windowFetched_ >= fetchStopAt; }
+    void beginWindow() override;
 
     void fetchStage();
     void issueStage();
@@ -205,22 +152,9 @@ class BigCore : public Clocked
     /** Interned counters (DESIGN.md §11). */
     StatHandle sFetched, sRetired, sCycles, sMispredicts, sVecDispatched;
 
-    ProgramPtr prog;
-    ArchState arch;
-    std::function<void()> onDone;
     VectorEngine *vengine = nullptr;
-    CheckContext *check = nullptr;
     Tracer *trace = nullptr;
     unsigned traceTid = 0;
-
-    bool running = false;
-    bool haltSeen = false;
-    /** Window fetch budget (0 = unlimited) and fetches so far. */
-    std::uint64_t fetchStopAt = 0;
-    std::uint64_t windowFetched_ = 0;
-    std::uint64_t markFetchAt = 0;
-    Tick windowLastFetch_ = 0;
-    Tick windowMark_ = 0;
 
     // front end
     GsharePredictor bpred;
@@ -272,8 +206,6 @@ class BigCore : public Clocked
     unsigned loadsInFlight = 0;
     unsigned storesInFlight = 0;
     unsigned vecOutstanding = 0;
-
-    std::uint64_t numRetired = 0;
 };
 
 } // namespace bvl

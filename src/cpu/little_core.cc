@@ -10,13 +10,13 @@ namespace bvl
 LittleCore::LittleCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
                        BackingStore &bs, unsigned core_id,
                        unsigned vlen_bits, LittleCoreParams params)
-    : Clocked(cd, "little" + std::to_string(core_id)),
-      stats(sg), mem(ms), backing(bs), id(core_id), p(params),
+    : ProgramCore(cd, "little" + std::to_string(core_id), core_id,
+                  vlen_bits),
+      stats(sg), mem(ms), backing(bs), p(params),
       prefix("little" + std::to_string(core_id) + "."),
       sFetched(sg.handle(prefix + "fetched")),
       sRetired(sg.handle(prefix + "retired")),
       sCycles(sg.handle(prefix + "cycles")),
-      arch(vlen_bits),
       fetchBuf(ms, core_id, sg, prefix)
 {
     for (unsigned c = 0; c < numStallCauses; ++c)
@@ -28,20 +28,9 @@ LittleCore::LittleCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
 }
 
 void
-LittleCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
-                        std::function<void()> done)
+LittleCore::beginWindow()
 {
-    bvl_assert(!running, "little%u: window start while busy", id);
-    prog = std::move(program);
-    onDone = std::move(done);
-    running = true;
-    haltSeen = false;
     haltIssued = false;
-    fetchStopAt = maxFetch;
-    windowFetched_ = 0;
-    markFetchAt = 0;
-    windowLastFetch_ = clock().eventQueue().now();
-    windowMark_ = 0;
     fetchQueue.clear();
     fetchBuf.reset();
     fetchStallUntil = 0;
@@ -50,36 +39,6 @@ LittleCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
     fuBusyUntil.fill(0);
     outstandingLoads = 0;
     outstandingStores = 0;
-    activate();
-}
-
-void
-LittleCore::runProgram(ProgramPtr program,
-                       const std::vector<std::pair<RegId, std::uint64_t>>
-                           &args,
-                       std::function<void()> done)
-{
-    arch.reset();
-    for (const auto &[reg, value] : args) {
-        if (isFReg(reg))
-            arch.setF(reg, value);
-        else
-            arch.setX(reg, value);
-    }
-    beginWindow(std::move(program), 0, std::move(done));
-    if (check)
-        check->onProgramStart(this, prog.get(), arch);
-}
-
-void
-LittleCore::runWindow(ProgramPtr program, std::uint64_t maxFetch,
-                      std::function<void()> done,
-                      std::uint64_t markFetch)
-{
-    // Architectural state is left exactly as the caller seeded it
-    // (fast-forward / checkpoint restore).
-    beginWindow(std::move(program), maxFetch, std::move(done));
-    markFetchAt = markFetch;
 }
 
 void
@@ -111,10 +70,7 @@ LittleCore::fetchStage()
     if (trace)
         fetchQueue.back().fetchTick = eq.now();
     sFetched++;
-    ++windowFetched_;
-    windowLastFetch_ = eq.now();
-    if (windowFetched_ == markFetchAt)
-        windowMark_ = eq.now();
+    countFetch(eq.now());
 
     const ExecTrace &t = fetchQueue.back().trace;
     if (t.inst->op == Op::halt)
@@ -244,16 +200,7 @@ LittleCore::maybeFinish()
         return;
     if (outstandingLoads != 0 || outstandingStores != 0)
         return;
-    running = false;
-    if (check)
-        check->onDrain(this, clock().eventQueue().now());
-    if (onDone) {
-        // Defer: the callback may immediately start another program.
-        auto done = std::move(onDone);
-        onDone = nullptr;
-        clock().eventQueue().schedule(clock().cyclesToTicks(1),
-                                      std::move(done));
-    }
+    finishWindow();
 }
 
 bool
@@ -261,7 +208,6 @@ LittleCore::tick()
 {
     if (!running)
         return false;
-    ++numCycles;
     sCycles++;
     fetchStage();
     if (!haltIssued)
@@ -292,13 +238,6 @@ LittleCore::registerInvariants(InvariantRegistry &reg)
                std::to_string(outstandingStores) + " stores, " +
                std::to_string(p.lsqEntries) + " entries each";
     });
-}
-
-void
-LittleCore::registerProgress(Watchdog &wd)
-{
-    wd.addSource(prefix + "retire", [this] { return numRetired; },
-                 [this] { return progressDetail(); });
 }
 
 std::string

@@ -19,20 +19,16 @@
 
 #include <array>
 #include <deque>
-#include <functional>
 
 #include "cpu/fetch_buffer.hh"
 #include "cpu/fu_params.hh"
-#include "isa/arch_state.hh"
+#include "cpu/program_core.hh"
 #include "mem/mem_system.hh"
-#include "sim/clock_domain.hh"
 #include "sim/stats.hh"
 
 namespace bvl
 {
 
-class Watchdog;
-class CheckContext;
 class InvariantRegistry;
 class Tracer;
 
@@ -44,59 +40,12 @@ struct LittleCoreParams
     unsigned fetchQueueDepth = 4;
 };
 
-class LittleCore : public Clocked
+class LittleCore : public ProgramCore
 {
   public:
     LittleCore(ClockDomain &cd, StatGroup &stats, MemSystem &mem,
                BackingStore &backing, unsigned coreId, unsigned vlenBits,
                LittleCoreParams params = {});
-
-    /**
-     * Start executing @p prog with argument registers @p args; @p done
-     * fires when the program halts and all memory has drained.
-     */
-    void runProgram(ProgramPtr prog,
-                    const std::vector<std::pair<RegId, std::uint64_t>>
-                        &args,
-                    std::function<void()> done);
-
-    /**
-     * Run a detailed window over at most @p maxFetch dynamic
-     * instructions without resetting architectural state; the
-     * fast-forward engine seeds ArchState functionally first
-     * (DESIGN.md §15). @p maxFetch == 0 means run to the halt.
-     */
-    void runWindow(ProgramPtr prog, std::uint64_t maxFetch,
-                   std::function<void()> done,
-                   std::uint64_t markFetch = 0);
-
-    bool busy() const { return running; }
-    unsigned coreId() const { return id; }
-    ArchState &archState() { return arch; }
-
-    /** Instructions fetched by the current/last window. */
-    std::uint64_t windowFetched() const { return windowFetched_; }
-    /**
-     * Tick of the window's last fetch. Sampled measurement spans
-     * window start to here, so the end-of-window drain — simulated
-     * only to leave consistent state behind — is not attributed to
-     * the measured instructions.
-     */
-    Tick windowLastFetchTick() const { return windowLastFetch_; }
-    /** Tick of the runWindow() markFetch'th fetch (0 = never hit). */
-    Tick windowMarkTick() const { return windowMark_; }
-
-    /** Dynamic instructions retired by this core. */
-    std::uint64_t retired() const { return numRetired; }
-
-    /** Total cycles this core was running a program. */
-    std::uint64_t activeCycles() const { return numCycles; }
-
-    /** Register the retire stage's heartbeat with a watchdog. */
-    void registerProgress(Watchdog &wd);
-
-    /** Attach the checker front end (nullptr = disarmed). */
-    void setCheckContext(CheckContext *cc) { check = cc; }
 
     /** Register fetch-queue/LSQ structural invariants. */
     void registerInvariants(InvariantRegistry &reg);
@@ -105,8 +54,7 @@ class LittleCore : public Clocked
      *  "little<id>" track. */
     void setTracer(Tracer *t);
 
-    /** Pipeline occupancy snapshot for deadlock diagnostics. */
-    std::string progressDetail() const;
+    std::string progressDetail() const override;
 
   protected:
     bool tick() override;
@@ -119,12 +67,7 @@ class LittleCore : public Clocked
         Tick fetchTick = 0;
     };
 
-    /** Shared pipeline reset + start of runProgram()/runWindow(). */
-    void beginWindow(ProgramPtr prog, std::uint64_t maxFetch,
-                     std::function<void()> done);
-    /** True once the window's fetch budget is spent. */
-    bool fetchLimitHit() const
-    { return fetchStopAt != 0 && windowFetched_ >= fetchStopAt; }
+    void beginWindow() override;
 
     void fetchStage();
     bool issueStage();
@@ -134,7 +77,6 @@ class LittleCore : public Clocked
     StatGroup &stats;
     MemSystem &mem;
     BackingStore &backing;
-    unsigned id;
     LittleCoreParams p;
     std::string prefix;
     /** Interned counters (DESIGN.md §11); sStall is indexed by
@@ -142,21 +84,9 @@ class LittleCore : public Clocked
     StatHandle sFetched, sRetired, sCycles;
     std::array<StatHandle, numStallCauses> sStall;
 
-    ProgramPtr prog;
-    ArchState arch;
-    std::function<void()> onDone;
-    CheckContext *check = nullptr;
     Tracer *trace = nullptr;
     unsigned traceTid = 0;
-    bool running = false;
-    bool haltSeen = false;     ///< halt fetched; stop fetching
     bool haltIssued = false;
-    /** Window fetch budget (0 = unlimited) and fetches so far. */
-    std::uint64_t fetchStopAt = 0;
-    std::uint64_t windowFetched_ = 0;
-    std::uint64_t markFetchAt = 0;
-    Tick windowLastFetch_ = 0;
-    Tick windowMark_ = 0;
 
     // fetch state
     std::deque<PendingInst> fetchQueue;
@@ -172,9 +102,6 @@ class LittleCore : public Clocked
     std::array<Tick, 16> fuBusyUntil{};          // per FuClass
     unsigned outstandingLoads = 0;
     unsigned outstandingStores = 0;
-
-    std::uint64_t numRetired = 0;
-    std::uint64_t numCycles = 0;
 };
 
 } // namespace bvl

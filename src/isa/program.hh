@@ -65,6 +65,9 @@ class Program
 
 using ProgramPtr = std::shared_ptr<Program>;
 
+/** Argument registers a program starts with (e.g. range bounds). */
+using ProgArgs = std::vector<std::pair<RegId, std::uint64_t>>;
+
 /** Fluent assembler for building a Program. */
 class Asm
 {

@@ -16,12 +16,9 @@
 #include <vector>
 
 #include "isa/program.hh"
-#include "isa/reg.hh"
 
 namespace bvl
 {
-
-using ProgArgs = std::vector<std::pair<RegId, std::uint64_t>>;
 
 struct Task
 {

@@ -13,12 +13,6 @@ WsRuntime::WsRuntime(Soc &soc, RuntimeParams params)
       sOverheadCycles(soc.stats.handle("runtime.overheadCycles"))
 {}
 
-ClockDomain &
-WsRuntime::workerClock(const Worker &worker)
-{
-    return worker.isBig ? soc.bigClk : soc.littleClk;
-}
-
 void
 WsRuntime::registerProgress(Watchdog &wd)
 {
@@ -41,7 +35,7 @@ WsRuntime::progressDetail() const
                       " pending " + std::to_string(pendingTasks) +
                       " workers";
     for (const auto &w : workers)
-        out += " " + std::string(w.isBig ? "b" : "l") +
+        out += " " + std::string(w.core == soc.big.get() ? "b" : "l") +
                (w.idle ? "i" : "r") + std::to_string(w.deque.size());
     return out;
 }
@@ -56,24 +50,21 @@ WsRuntime::run(TaskGraph g, bool useBig,
     graph = std::move(g);
     onDone = std::move(done);
     running = true;
-    bigVector = bigRunsVector;
     phaseIdx = 0;
 
     workers.clear();
     if (useBig) {
         Worker w;
-        w.isBig = true;
+        w.core = soc.big.get();
+        w.vector = bigRunsVector;
         workers.push_back(w);
     }
-    {
-        unsigned count = std::min<std::size_t>(numLittleWorkers,
-                                               soc.littles.size());
-        for (unsigned i = 0; i < count; ++i) {
-            Worker w;
-            w.isBig = false;
-            w.littleIdx = i;
-            workers.push_back(w);
-        }
+    unsigned count = std::min<std::size_t>(numLittleWorkers,
+                                           soc.littles.size());
+    for (unsigned i = 0; i < count; ++i) {
+        Worker w;
+        w.core = soc.littles[i].get();
+        workers.push_back(w);
     }
     startPhase();
 }
@@ -142,12 +133,10 @@ WsRuntime::schedule(unsigned w)
         const Task *task = worker.deque.front();
         worker.deque.pop_front();
         worker.idle = false;
-        ClockDomain &clk = workerClock(worker);
         sPops++;
         sOverheadCycles += p.popCost;
-        clk.scheduleCycles(p.popCost, [this, w, task] {
-            runTask(w, task);
-        });
+        worker.core->clock().scheduleCycles(
+            p.popCost, [this, w, task] { runTask(w, task); });
         return;
     }
 
@@ -156,11 +145,10 @@ WsRuntime::schedule(unsigned w)
     const Task *stolen = trySteal(w, attempts);
     if (stolen) {
         worker.idle = false;
-        ClockDomain &clk = workerClock(worker);
         sOverheadCycles += p.stealCost * attempts;
-        clk.scheduleCycles(p.stealCost * attempts, [this, w, stolen] {
-            runTask(w, stolen);
-        });
+        worker.core->clock().scheduleCycles(
+            p.stealCost * attempts,
+            [this, w, stolen] { runTask(w, stolen); });
         return;
     }
 
@@ -182,14 +170,9 @@ WsRuntime::runTask(unsigned w, const Task *task)
         maybePhaseDone();
     };
 
-    if (worker.isBig) {
-        ProgramPtr prog = (bigVector && task->vector) ? task->vector
-                                                      : task->scalar;
-        soc.big->runProgram(prog, task->args, finished);
-    } else {
-        soc.littles[worker.littleIdx]->runProgram(task->scalar,
-                                                  task->args, finished);
-    }
+    ProgramPtr prog =
+        worker.vector && task->vector ? task->vector : task->scalar;
+    worker.core->runProgram(prog, task->args, finished);
 }
 
 void

@@ -40,15 +40,14 @@ class WsRuntime
 
     /**
      * Execute @p graph and invoke @p done when the last phase drains.
+     * The arguments are a RunShape's (soc/soc.hh).
      * @param useBig       big core participates as a worker
-     * @param useLittles   little cores participate as workers
+     * @param numLittleWorkers littles[0..n) participate as workers
      * @param bigRunsVector big-core worker prefers task.vector
      */
     void run(TaskGraph graph, bool useBig,
              unsigned numLittleWorkers, bool bigRunsVector,
              std::function<void()> done);
-
-    bool busy() const { return running; }
 
     /**
      * Register the scheduler's heartbeat with a watchdog. The runtime
@@ -62,8 +61,9 @@ class WsRuntime
   private:
     struct Worker
     {
-        bool isBig = false;
-        unsigned littleIdx = 0;
+        ProgramCore *core = nullptr;
+        /** Runs each task's vectorized version when it has one. */
+        bool vector = false;
         std::deque<const Task *> deque;
         bool idle = true;
     };
@@ -73,7 +73,6 @@ class WsRuntime
     void runTask(unsigned w, const Task *task);
     const Task *trySteal(unsigned thief, unsigned &attempts);
     void maybePhaseDone();
-    ClockDomain &workerClock(const Worker &worker);
 
     Soc &soc;
     RuntimeParams p;
@@ -84,7 +83,6 @@ class WsRuntime
     TaskGraph graph;   ///< owned copy; tasks point into this
     std::function<void()> onDone;
     bool running = false;
-    bool bigVector = false;
 
     std::vector<Worker> workers;
     std::size_t phaseIdx = 0;

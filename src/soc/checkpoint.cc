@@ -16,21 +16,6 @@ namespace
 constexpr const char *kSchema = "bvl-checkpoint-v2";
 constexpr unsigned kVersion = 2;
 
-/** Executing core of a single-stream run: littles[0] for 1L, else big. */
-ArchState &
-execArch(Soc &soc)
-{
-    return soc.design() == Design::d1L ? soc.littles[0]->archState()
-                                       : soc.big->archState();
-}
-
-GsharePredictor *
-execBpred(Soc &soc)
-{
-    return soc.design() == Design::d1L ? nullptr
-                                       : &soc.big->predictor();
-}
-
 // --- little-endian payload writer/reader --------------------------------
 
 void put8(std::string &out, std::uint8_t v) { out.push_back(char(v)); }
@@ -161,9 +146,10 @@ checkpointStatusName(CheckpointStatus s)
 const char *
 checkpointFlavor(const Soc &soc)
 {
-    if (soc.design() == Design::d1L)
+    RunShape shape = soc.shape(true);
+    if (!shape.useBig)
         return "little-scalar";
-    return designHasVector(soc.design()) ? "big-vector" : "big-scalar";
+    return shape.vector ? "big-vector" : "big-scalar";
 }
 
 std::string
@@ -204,13 +190,14 @@ encodeCheckpoint(Soc &soc, const std::string &workloadName,
     std::string payload;
 
     // 1. Architectural state of the executing core.
+    ProgramCore &core = *soc.streamCore();
     std::string archBytes;
-    execArch(soc).dumpState(archBytes);
+    core.archState().dumpState(archBytes);
     put64(payload, archBytes.size());
     payload += archBytes;
 
     // 2. Branch predictor (big-core flavors only).
-    GsharePredictor *bp = execBpred(soc);
+    GsharePredictor *bp = core.predictor();
     put8(payload, bp ? 1 : 0);
     if (bp) {
         put32(payload, bp->tableIndexBits());
@@ -314,7 +301,8 @@ applyCheckpoint(const std::string &data, Soc &soc,
         return fail(CheckpointStatus::corrupt, "malformed payload");
 
     // Predictor-geometry verification before anything is applied.
-    GsharePredictor *bp = execBpred(soc);
+    ProgramCore &core = *soc.streamCore();
+    GsharePredictor *bp = core.predictor();
     if (img.hasBpred != (bp != nullptr) ||
         (bp && (img.bpredBits != bp->tableIndexBits() ||
                 img.bpredTable.size() != bp->rawTable().size()))) {
@@ -324,8 +312,8 @@ applyCheckpoint(const std::string &data, Soc &soc,
 
     // --- apply (cannot fail from here on) ---------------------------
 
-    bool archOk = execArch(soc).loadState(img.arch.data(),
-                                          img.arch.size());
+    bool archOk = core.archState().loadState(img.arch.data(),
+                                             img.arch.size());
     bvl_assert(archOk, "arch image size verified but load failed");
     if (bp)
         bp->restore(img.bpredTable, img.bpredHistory);
@@ -339,8 +327,7 @@ applyCheckpoint(const std::string &data, Soc &soc,
     // hierarchy. Warm accesses at tick 0 are deterministic functions
     // of the access sequence alone, so this leaves exactly the state
     // a live fast-forward would have — whatever the cache geometry.
-    unsigned coreId = soc.design() == Design::d1L
-                          ? 0u : soc.mem.bigCoreId();
+    unsigned coreId = core.coreId();
     for (const WarmRecord &w : img.warm) {
         Addr addr = w.lineNum << lineShift;
         switch (w.kind) {

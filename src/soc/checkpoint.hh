@@ -63,11 +63,12 @@ enum class CheckpointStatus
 const char *checkpointStatusName(CheckpointStatus s);
 
 /**
- * The functional-trajectory flavor of @p soc's single program stream:
- * "little-scalar" (1L), "big-scalar" (1b) or "big-vector" (the vector
- * designs). Together with vlenBits() this determines which program
- * runs, which core's ArchState holds it, and whether a branch
- * predictor is trained — everything design-specific about a prefix.
+ * The functional-trajectory flavor of @p soc's single program stream,
+ * read off its data-parallel RunShape (soc/soc.hh): "little-scalar"
+ * (1L), "big-scalar" (1b) or "big-vector" (the vector designs).
+ * Together with vlenBits() this determines which program runs, which
+ * core's ArchState holds it, and whether a branch predictor is
+ * trained — everything design-specific about a prefix.
  */
 const char *checkpointFlavor(const Soc &soc);
 

@@ -8,10 +8,12 @@ namespace bvl
 {
 
 FastForwardResult
-fastForward(Soc &soc, ArchState &arch, const Program &prog,
-            std::uint64_t maxInsts, unsigned coreId,
-            GsharePredictor *bpred, bool warm, WarmTrace *traceOut)
+fastForward(Soc &soc, ProgramCore &core, const Program &prog,
+            std::uint64_t maxInsts, bool warm, WarmTrace *traceOut)
 {
+    ArchState &arch = core.archState();
+    unsigned coreId = core.coreId();
+    GsharePredictor *bpred = core.predictor();
     FastForwardResult res;
     Addr lastFetchLine = ~Addr(0);
     while (res.executed < maxInsts) {
@@ -71,8 +73,7 @@ fastForward(Soc &soc, ArchState &arch, const Program &prog,
 }
 
 FfRunOutcome
-runFastForwarded(Soc &soc, Design design, Workload &workload,
-                 const RunOptions &opts)
+runFastForwarded(Soc &soc, Workload &workload, const RunOptions &opts)
 {
     const SamplingOptions &sam = opts.sampling;
     const CheckpointOptions &ckpt = opts.checkpoint;
@@ -84,60 +85,27 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
     if (opts.check.lockstep)
         fatal("lockstep checking cannot be combined with fast-forward: "
               "the checker must observe every fetch");
-    bool singleStream = workload.isDataParallel() &&
-                        design != Design::d1b4L &&
-                        design != Design::d1bIV4L;
-    if (!singleStream)
+    RunShape shape = soc.shape(workload.isDataParallel());
+    if (shape.taskGraph)
         fatal("fast-forward requires a single program stream: a "
               "data-parallel workload on a design other than "
               "1b-4L/1bIV-4L (got %s on %s)",
-              workload.name().c_str(), designName(design));
+              workload.name().c_str(), designName(soc.design()));
 
-    bool useVector = designHasVector(design);
-    ProgramPtr prog = useVector ? workload.vectorProgram()
-                                : workload.scalarProgram();
+    ProgramPtr prog = shape.vector ? workload.vectorProgram()
+                                   : workload.scalarProgram();
     if (!prog)
         fatal("%s has no vector program", workload.name().c_str());
 
-    bool onLittle = design == Design::d1L;
-    ArchState &arch = onLittle ? soc.littles[0]->archState()
-                               : soc.big->archState();
-    unsigned coreId = onLittle ? 0u : soc.mem.bigCoreId();
-    GsharePredictor *bp = onLittle ? nullptr : &soc.big->predictor();
-
-    // Seed architectural state exactly as runProgram() would.
-    arch.reset();
-    for (const auto &[reg, value] : workload.fullRangeArgs()) {
-        if (isFReg(reg))
-            arch.setF(reg, value);
-        else
-            arch.setX(reg, value);
-    }
-    if (bp)
-        bp->reset();
+    ProgramCore &core = *soc.streamCore();
+    core.seed(workload.fullRangeArgs());
 
     Tick limit = static_cast<Tick>(opts.limitNs * ticksPerNs);
-    std::uint64_t lastWindowFetched = 0;
-    Tick lastWindowFetchTick = 0;
-    Tick lastWindowMarkTick = 0;
     auto runWindowBlocking = [&](std::uint64_t maxFetch,
                                  std::uint64_t markFetch = 0) -> bool {
         bool done = false;
-        if (onLittle)
-            soc.littles[0]->runWindow(prog, maxFetch,
-                                      [&] { done = true; }, markFetch);
-        else
-            soc.big->runWindow(prog, maxFetch, [&] { done = true; },
-                               markFetch);
+        core.runWindow(prog, maxFetch, [&] { done = true; }, markFetch);
         bool fin = soc.runUntil([&] { return done; }, limit);
-        lastWindowFetched = onLittle ? soc.littles[0]->windowFetched()
-                                     : soc.big->windowFetched();
-        lastWindowFetchTick =
-            onLittle ? soc.littles[0]->windowLastFetchTick()
-                     : soc.big->windowLastFetchTick();
-        lastWindowMarkTick =
-            onLittle ? soc.littles[0]->windowMarkTick()
-                     : soc.big->windowMarkTick();
         if (!fin) {
             out.finished = false;
             out.queueDrained = soc.eq.empty();
@@ -168,8 +136,8 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
         // recording the warm stream; fatal()s if the program halts
         // inside the prefix (a checkpoint there would be useless).
         auto producePrefix = [&](WarmTrace *trace) {
-            auto ff = fastForward(soc, arch, *prog, ckpt.ffInsts,
-                                  coreId, bp, true, trace);
+            auto ff = fastForward(soc, core, *prog, ckpt.ffInsts, true,
+                                  trace);
             if (ff.halted)
                 fatal("workload halted after %llu instructions during "
                       "fast-forward; reduce ffInsts",
@@ -320,8 +288,7 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
 
     for (unsigned per = 0; per < sam.periods && !halted; ++per) {
         if (sam.ffInsts > 0) {
-            auto ff = fastForward(soc, arch, *prog, sam.ffInsts,
-                                  coreId, bp, true);
+            auto ff = fastForward(soc, core, *prog, sam.ffInsts, true);
             totalInsts += ff.executed;
             if (ff.halted) {
                 halted = true;
@@ -343,13 +310,15 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
         if (!runWindowBlocking(sam.warmupInsts + sam.detailInsts,
                                sam.warmupInsts))
             return out;
-        totalInsts += lastWindowFetched;
-        halted = arch.halted;
-        Tick tMark = sam.warmupInsts == 0 ? t0 : lastWindowMarkTick;
-        if (lastWindowFetched > sam.warmupInsts &&
+        std::uint64_t fetched = core.windowFetched();
+        totalInsts += fetched;
+        halted = core.archState().halted;
+        Tick tMark = sam.warmupInsts == 0 ? t0 : core.windowMarkTick();
+        if (fetched > sam.warmupInsts &&
             (sam.warmupInsts == 0 || tMark != 0)) {
-            measuredInsts += lastWindowFetched - sam.warmupInsts;
-            Tick tEnd = halted ? soc.eq.now() : lastWindowFetchTick;
+            measuredInsts += fetched - sam.warmupInsts;
+            Tick tEnd = halted ? soc.eq.now()
+                               : core.windowLastFetchTick();
             measuredTicks += tEnd - tMark;
             ++periodsMeasured;
         }
@@ -359,8 +328,7 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
         // Final functional region: completes the workload so result
         // verification still applies, but warms nothing (nothing runs
         // after it). Capped like runFunctional() as a runaway guard.
-        auto ff = fastForward(soc, arch, *prog, 1ull << 32, coreId, bp,
-                              false);
+        auto ff = fastForward(soc, core, *prog, 1ull << 32, false);
         totalInsts += ff.executed;
         if (!ff.halted)
             fatal("sampled run exceeded %llu instructions without "

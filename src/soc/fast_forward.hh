@@ -15,9 +15,10 @@
  *    extrapolated from the measured windows and the run finishes with
  *    a final functional region so result verification still applies.
  *
- * Only single-stream runs can be fast-forwarded: data-parallel
- * workloads on designs other than 1b-4L/1bIV-4L, where exactly one
- * core fetches one program.
+ * Only single-stream runs can be fast-forwarded (runShape(),
+ * soc/soc.hh): data-parallel workloads on designs other than
+ * 1b-4L/1bIV-4L, where exactly one core, Soc::streamCore(), fetches
+ * one program.
  */
 
 #ifndef BVL_SOC_FAST_FORWARD_HH
@@ -42,19 +43,19 @@ struct FastForwardResult
 
 /**
  * Functionally execute up to @p maxInsts instructions of @p prog
- * against @p arch and the SoC's backing store. With @p warm set, the
- * instruction-fetch path, scalar data path (of core @p coreId) and —
- * for vector element traffic — the L2 + directory are warmed
- * tag/LRU-only, and @p bpred (may be null) is trained on every
- * conditional branch, all without touching a single stat counter.
+ * against @p core's architectural state and the SoC's backing store.
+ * With @p warm set, @p core's instruction-fetch and scalar data paths
+ * and — for vector element traffic — the L2 + directory are warmed
+ * tag/LRU-only, and @p core's branch predictor (if any) is trained on
+ * every conditional branch, all without touching a single stat
+ * counter.
  * A non-null @p traceOut additionally records every warm call as a
  * compact line-access stream (soc/warm_trace.hh), the tier-B half of
  * a v2 checkpoint-farm entry.
  */
-FastForwardResult fastForward(Soc &soc, ArchState &arch,
+FastForwardResult fastForward(Soc &soc, ProgramCore &core,
                               const Program &prog,
-                              std::uint64_t maxInsts, unsigned coreId,
-                              GsharePredictor *bpred, bool warm,
+                              std::uint64_t maxInsts, bool warm,
                               WarmTrace *traceOut = nullptr);
 
 /** Outcome of a sampled or checkpointed run. */
@@ -80,8 +81,7 @@ struct FfRunOutcome
  * (both modes at once, non-single-stream runs, lockstep) fail with
  * SimFatalError, which the run driver reports as sim_error.
  */
-FfRunOutcome runFastForwarded(Soc &soc, Design design,
-                              Workload &workload,
+FfRunOutcome runFastForwarded(Soc &soc, Workload &workload,
                               const RunOptions &opts);
 
 } // namespace bvl

@@ -73,22 +73,19 @@ runWorkload(Design design, Workload &workload, const RunOptions &opts)
         workload.init(soc->backing);
 
         // Sampled / checkpointed runs dispatch through the
-        // fast-forward engine instead of the switch below.
+        // fast-forward engine instead of the dispatch below.
         bool ffMode = opts.sampling.enabled() ||
                       opts.checkpoint.enabled();
 
         // Lockstep is exact only when exactly one component fetches a
-        // single program stream: the non-runtime data-parallel modes.
-        // Task graphs (and 1b-4L/1bIV-4L) degrade to invariants only.
-        bool singleStream = workload.isDataParallel() &&
-                            design != Design::d1b4L &&
-                            design != Design::d1bIV4L;
-        // Arm before any program is dispatched: arming snapshots the
-        // initialized backing store for the reference model. The
-        // fast-forward engine rejects lockstep itself (the checker
-        // must observe every fetch), so don't arm it here.
+        // single program stream; task graphs degrade to invariants
+        // only. Arm before any program is dispatched: arming
+        // snapshots the initialized backing store for the reference
+        // model. The fast-forward engine rejects lockstep itself (the
+        // checker must observe every fetch), so don't arm it here.
+        RunShape shape = soc->shape(workload.isDataParallel());
         if (!ffMode)
-            soc->armLockstep(singleStream);
+            soc->armLockstep(!shape.taskGraph);
 
         auto onDone = [&] { done = true; };
 
@@ -98,56 +95,16 @@ runWorkload(Design design, Workload &workload, const RunOptions &opts)
         if (ffMode) {
             // Dispatch happens inside runFastForwarded(), below, after
             // the watchdog is armed.
-        } else if (workload.isDataParallel()) {
-            switch (design) {
-              case Design::d1L:
-                soc->littles[0]->runProgram(workload.scalarProgram(),
-                                            workload.fullRangeArgs(),
-                                            onDone);
-                break;
-              case Design::d1b:
-                soc->big->runProgram(workload.scalarProgram(),
-                                     workload.fullRangeArgs(), onDone);
-                break;
-              case Design::d1bIV:
-              case Design::d1bDV:
-              case Design::d1b4VL: {
-                ProgramPtr prog = workload.vectorProgram();
-                bvl_assert(prog != nullptr, "%s has no vector program",
-                           workload.name().c_str());
-                soc->big->runProgram(prog, workload.fullRangeArgs(),
-                                     onDone);
-                break;
-              }
-              case Design::d1b4L:
-                runtime->run(workload.taskGraph(), true,
-                             soc->littles.size(), false, onDone);
-                break;
-              case Design::d1bIV4L:
-                runtime->run(workload.taskGraph(), true,
-                             soc->littles.size(), true, onDone);
-                break;
-            }
+        } else if (shape.taskGraph) {
+            runtime->run(workload.taskGraph(), shape.useBig,
+                         shape.littleWorkers, shape.vector, onDone);
         } else {
-            // Task-parallel (Ligra) workloads always go through the
-            // work-stealing runtime.
-            bool useBig = design != Design::d1L;
-            unsigned littles = 0;
-            switch (design) {
-              case Design::d1L:
-                littles = 1;
-                break;
-              case Design::d1b:
-              case Design::d1bIV:
-              case Design::d1bDV:
-                littles = 0;
-                break;
-              default:
-                littles = static_cast<unsigned>(soc->littles.size());
-                break;
-            }
-            runtime->run(workload.taskGraph(), useBig, littles, false,
-                         onDone);
+            ProgramPtr prog = shape.vector ? workload.vectorProgram()
+                                           : workload.scalarProgram();
+            bvl_assert(prog != nullptr, "%s has no vector program",
+                       workload.name().c_str());
+            soc->streamCore()->runProgram(prog, workload.fullRangeArgs(),
+                                          onDone);
         }
 
         // A wall-clock deadline rides on the watchdog's periodic check
@@ -160,8 +117,7 @@ runWorkload(Design design, Workload &workload, const RunOptions &opts)
         }
 
         if (ffMode) {
-            FfRunOutcome ffo =
-                runFastForwarded(*soc, design, workload, opts);
+            FfRunOutcome ffo = runFastForwarded(*soc, workload, opts);
             finished = ffo.finished;
             estimatedNs = ffo.estimatedNs;
             extraStats = std::move(ffo.extraStats);
@@ -233,9 +189,6 @@ runWorkload(Design design, Workload &workload, const RunOptions &opts)
         // (much shorter) detailed-simulated time.
         if (estimatedNs)
             r.ns = *estimatedNs;
-        r.ifetchReqs = soc->stats.value("sys.ifetchReqs");
-        r.dataReqs = soc->stats.value("sys.dataReqs");
-        r.bigFetched = soc->stats.value("big.fetched");
         for (const auto &kv : soc->stats.all())
             r.stats[kv.first] = kv.second.value();
         for (const auto &kv : extraStats)

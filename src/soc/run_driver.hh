@@ -3,23 +3,8 @@
  * Run driver: executes one workload on one design and collects the
  * statistics the paper's figures are built from.
  *
- * Execution-mode table (paper Section IV):
- *
- *   data-parallel workloads
- *     1L          scalar whole-problem program on one little core
- *     1b          scalar program on the big core
- *     1bIV        vectorized program on the big core (VLEN 128)
- *     1b-4L       work-stealing task graph, big + 4 little, all scalar
- *     1bIV-4L     task graph; big runs vectorized chunks, littles scalar
- *     1bDV        vectorized program, decoupled engine (VLEN 2048)
- *     1b-4VL      vectorized program, VLITTLE engine (VLEN 512),
- *                 500-cycle mode switch, littles ganged as lanes
- *
- *   task-parallel workloads (Ligra)
- *     1L          task graph with one little worker
- *     1b/1bIV/1bDV task graph with the big core only (the decoupled
- *                 engine cannot help irregular scalar tasks)
- *     1b-4L/1bIV-4L/1b-4VL task graph on big + 4 little workers
+ * Which core runs which program is decided by runShape()
+ * (soc/soc.hh), the execution-mode table of paper Section IV.
  */
 
 #ifndef BVL_SOC_RUN_DRIVER_HH
@@ -181,11 +166,6 @@ struct RunResult
     double ns = 0.0;
 
     bool ok() const { return status == RunStatus::ok; }
-
-    /** Key series used by the figures. */
-    std::uint64_t ifetchReqs = 0;   ///< Figure 5
-    std::uint64_t dataReqs = 0;     ///< Figure 6
-    std::uint64_t bigFetched = 0;
 
     /** Full stat snapshot for detailed analyses. */
     std::map<std::string, std::uint64_t> stats;

@@ -180,8 +180,6 @@ vengineParamsToJson(const VEngineParams &p)
         j.set("memPath", "directL2");
         break;
     }
-    j.set("controlsL1Mode", p.controlsL1Mode);
-    j.set("headDispatch", p.headDispatch);
     return j;
 }
 
@@ -238,10 +236,6 @@ vengineParamsFromJson(const Json &j)
         else
             fatal("run document: unknown memPath '%s'", m.c_str());
     }
-    if (j.has("controlsL1Mode"))
-        p.controlsL1Mode = j["controlsL1Mode"].asBool();
-    if (j.has("headDispatch"))
-        p.headDispatch = j["headDispatch"].asBool();
     return p;
 }
 
@@ -379,9 +373,6 @@ runResultToJson(const RunResult &r)
     j.set("finished", r.finished);
     j.set("verified", r.verified);
     j.set("ns", r.ns);
-    j.set("ifetchReqs", r.ifetchReqs);
-    j.set("dataReqs", r.dataReqs);
-    j.set("bigFetched", r.bigFetched);
     Json stats = Json::object();
     for (const auto &kv : r.stats)
         stats.set(kv.first, kv.second);
@@ -407,9 +398,6 @@ runResultFromJson(const Json &j)
     r.finished = j["finished"].asBool();
     r.verified = j["verified"].asBool();
     r.ns = j["ns"].asDouble();
-    r.ifetchReqs = j["ifetchReqs"].asU64();
-    r.dataReqs = j["dataReqs"].asU64();
-    r.bigFetched = j["bigFetched"].asU64();
     for (const auto &kv : j["stats"].members())
         r.stats[kv.first] = kv.second.asU64();
     if (j.has("heartbeats"))

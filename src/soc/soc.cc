@@ -28,6 +28,33 @@ designHasVector(Design d)
            d == Design::d1bDV || d == Design::d1b4VL;
 }
 
+RunShape
+runShape(Design d, bool dataParallel, unsigned numLittle)
+{
+    RunShape s;
+    s.useBig = d != Design::d1L;
+    s.vector = dataParallel && designHasVector(d);
+    switch (d) {
+      case Design::d1L:
+        s.littleWorkers = 1;
+        break;
+      case Design::d1b4L:
+      case Design::d1bIV4L:
+        s.littleWorkers = numLittle;
+        break;
+      case Design::d1b4VL:
+        // Data-parallel code gangs the littles as engine lanes.
+        s.littleWorkers = dataParallel ? 0 : numLittle;
+        break;
+      default:
+        break;
+    }
+    // Task-parallel work always goes through the runtime; a
+    // data-parallel program is one stream unless it has two cores.
+    s.taskGraph = !dataParallel || (s.useBig && s.littleWorkers > 0);
+    return s;
+}
+
 namespace
 {
 
@@ -145,12 +172,18 @@ Soc::armLockstep(bool singleStream)
                "degrading to structural invariants only");
         return false;
     }
-    if (p.design == Design::d1L)
-        return checkCtx->armLockstep(littles[0].get(), "little0",
-                                     vlenBits(), 1, backing, false);
+    ProgramCore *core = streamCore();
     unsigned chimes = engine ? engine->params().chimes : 1;
-    return checkCtx->armLockstep(big.get(), "big", vlenBits(), chimes,
+    return checkCtx->armLockstep(core, core->name(), vlenBits(), chimes,
                                  backing, engine != nullptr);
+}
+
+ProgramCore *
+Soc::streamCore()
+{
+    if (shape(true).useBig)
+        return big.get();
+    return littles[0].get();
 }
 
 Soc::Soc(Design design, double bigGhz, double littleGhz)

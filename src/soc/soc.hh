@@ -44,6 +44,45 @@ const char *designName(Design d);
 /** Does the design include a vector engine? */
 bool designHasVector(Design d);
 
+/**
+ * Which cores run which program in one run: the execution-mode table
+ * of paper Section IV. A run is either one program stream on one core
+ * (no runtime) or a work-stealing task graph (runtime/ws_runtime.hh).
+ *
+ *   data-parallel workloads
+ *     1L          scalar whole-problem program on one little core
+ *     1b          scalar program on the big core
+ *     1bIV        vectorized program on the big core (VLEN 128)
+ *     1b-4L       task graph, big + 4 little, all scalar
+ *     1bIV-4L     task graph; big runs vectorized chunks, littles scalar
+ *     1bDV        vectorized program, decoupled engine (VLEN 2048)
+ *     1b-4VL      vectorized program, VLITTLE engine (VLEN 512),
+ *                 500-cycle mode switch, littles ganged as lanes
+ *
+ *   task-parallel workloads (Ligra)
+ *     1L          task graph with one little worker
+ *     1b/1bIV/1bDV task graph with the big core only (the decoupled
+ *                 engine cannot help irregular scalar tasks)
+ *     1b-4L/1bIV-4L/1b-4VL task graph on big + 4 little workers
+ */
+struct RunShape
+{
+    /** Task graph on the workers below, rather than one stream. */
+    bool taskGraph = false;
+    /** The big core runs: the stream's core, or a graph worker. */
+    bool useBig = true;
+    /** Little cores that run, littles[0..littleWorkers): 1 for the
+     *  1L stream, the graph's little workers otherwise. */
+    unsigned littleWorkers = 0;
+    /** The big core runs vector code: the stream's vectorized
+     *  program, or each task's vectorized version. */
+    bool vector = false;
+};
+
+/** The RunShape of @p d on a data- or task-parallel workload, on an
+ *  SoC with @p numLittle little cores. */
+RunShape runShape(Design d, bool dataParallel, unsigned numLittle);
+
 struct SocParams
 {
     Design design = Design::d1b4VL;
@@ -96,11 +135,21 @@ class Soc
     /** Registered structural invariants (always populated). */
     InvariantRegistry &invariantRegistry() { return invariants; }
 
+    /** This design's RunShape on a data- or task-parallel workload. */
+    RunShape shape(bool dataParallel) const
+    { return runShape(p.design, dataParallel, p.numLittle); }
+
     /**
-     * Arm the lockstep checker on this run's single program stream
-     * (the big core, or the little core of the 1L design). Lockstep
-     * is exact only for single-stream runs: @p singleStream is false
-     * for task-parallel shapes, in which case the checker degrades to
+     * The core that fetches this design's single program stream of a
+     * data-parallel workload (runShape(); the little core of 1L, else
+     * the big core).
+     */
+    ProgramCore *streamCore();
+
+    /**
+     * Arm the lockstep checker on streamCore(). Lockstep is exact
+     * only for single-stream runs: @p singleStream is false for
+     * task-graph shapes, in which case the checker degrades to
      * structural invariants only and this returns false. Also returns
      * false when checking is disabled or lockstep was not requested.
      */

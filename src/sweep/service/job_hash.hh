@@ -15,9 +15,9 @@
  * ablations and the fault plan — feeds the hash.
  *
  * The library revision ties cached results to simulation semantics:
- * bump kLibraryRevision whenever a change alters any RunResult (timing
- * model, stat definitions, workload generation, ...) so stale caches
- * invalidate themselves instead of serving wrong numbers.
+ * it is a SHA-256 over every file under src/, derived at build time
+ * (src/library_revision.cmake), so any change to the simulator's
+ * sources invalidates stale caches instead of serving wrong numbers.
  */
 
 #ifndef BVL_SWEEP_SERVICE_JOB_HASH_HH
@@ -30,8 +30,8 @@
 namespace bvl
 {
 
-/** Bump on any change that alters simulation results. */
-constexpr const char *kLibraryRevision = "bvl-r7";
+/** SHA-256 hex of the src/ tree this library was built from. */
+extern const char *const kLibraryRevision;
 
 /** 64-char hex SHA-256 identifying @p job (see file comment). */
 std::string jobHashHex(const SweepJob &job);

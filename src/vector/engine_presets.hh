@@ -43,7 +43,6 @@ vlittlePreset()
     p.storeCamEntries = 8;
     p.switchPenalty = 500;
     p.memPath = VEngineParams::MemPath::bankedL1;
-    p.controlsL1Mode = true;
     return p;
 }
 
@@ -64,9 +63,7 @@ integratedVuPreset()
     p.storeQueueLines = 4;
     p.storeCamEntries = 4;
     p.switchPenalty = 0;
-    p.memPath = VEngineParams::MemPath::bigL1D;
-    p.controlsL1Mode = false;
-    p.headDispatch = false;   // executes inside the big core pipeline
+    p.memPath = VEngineParams::MemPath::bigL1D;  // in-pipeline dispatch
     return p;
 }
 
@@ -88,7 +85,6 @@ decoupledVePreset()
     p.storeCamEntries = 16;
     p.switchPenalty = 0;
     p.memPath = VEngineParams::MemPath::directL2;
-    p.controlsL1Mode = false;
     return p;
 }
 

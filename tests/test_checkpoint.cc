@@ -21,9 +21,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "sim/check/json.hh"
 #include "sim/io/io_fault.hh"
 #include "soc/checkpoint.hh"
 #include "soc/checkpoint_farm.hh"
@@ -121,14 +123,24 @@ TEST(CheckpointTest, WorksOnEveryFastForwardableDesign)
 {
     // One little core (scalar), big scalar, big + each vector engine:
     // all four executing-core/predictor/cache layouts of the format.
+    // The flavor each header names is pinned: it keys existing
+    // checkpoint files and farm entries, so it must not drift.
+    const std::map<Design, std::string> flavors = {
+        {Design::d1L, "little-scalar"}, {Design::d1b, "big-scalar"},
+        {Design::d1bIV, "big-vector"}, {Design::d1bDV, "big-vector"},
+        {Design::d1b4VL, "big-vector"}};
     std::string dir = scratchDir("designs");
-    for (Design d : {Design::d1L, Design::d1b, Design::d1bIV,
-                     Design::d1bDV, Design::d1b4VL}) {
+    for (const auto &[d, flavor] : flavors) {
         std::string ck = dir + "/" + designName(d) + ".bvl";
         RunResult saved = runWorkload(d, "vvadd", Scale::tiny,
                                       saveOpts(ck, 100));
         ASSERT_TRUE(saved.ok()) << designName(d) << ": "
                                 << saved.message;
+        std::ifstream f(ck, std::ios::binary);
+        std::string header;
+        ASSERT_TRUE(std::getline(f, header)) << designName(d);
+        EXPECT_EQ(Json::parse(header)["flavor"].asString(), flavor)
+            << designName(d);
         RunResult restored = runWorkload(d, "vvadd", Scale::tiny,
                                          restoreOpts(ck, 100));
         ASSERT_TRUE(restored.ok()) << designName(d) << ": "
@@ -221,6 +233,17 @@ TEST(CheckpointTest, MismatchedCheckpointIsFatal)
     EXPECT_EQ(wrongWorkload.status, RunStatus::sim_error);
     EXPECT_NE(wrongWorkload.message.find("does not match"),
               std::string::npos) << wrongWorkload.message;
+
+    // Same scalar program and VLEN, other executing core: a big-core
+    // prefix carries predictor state a little core does not have.
+    std::string bigCk = dir + "/big.bvl";
+    ASSERT_TRUE(runWorkload(Design::d1b, "saxpy", Scale::tiny,
+                            saveOpts(bigCk, 150)).ok());
+    RunResult wrongCore = runWorkload(Design::d1L, "saxpy", Scale::tiny,
+                                      restoreOpts(bigCk, 150));
+    EXPECT_EQ(wrongCore.status, RunStatus::sim_error);
+    EXPECT_NE(wrongCore.message.find("does not match"),
+              std::string::npos) << wrongCore.message;
 }
 
 TEST(CheckpointTest, FastForwardPastHaltIsFatal)

@@ -37,9 +37,6 @@ expectIdenticalRuns(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.finished, b.finished);
     EXPECT_EQ(a.verified, b.verified);
     EXPECT_EQ(a.ns, b.ns);
-    EXPECT_EQ(a.ifetchReqs, b.ifetchReqs);
-    EXPECT_EQ(a.dataReqs, b.dataReqs);
-    EXPECT_EQ(a.bigFetched, b.bigFetched);
     // The full stat snapshots, key by key.
     EXPECT_EQ(a.stats, b.stats);
 }

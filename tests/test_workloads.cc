@@ -90,11 +90,6 @@ TEST(StatParityTest, HandleCountersVisibleByNameAfterRun)
         return it == s.end() ? 0 : it->second;
     };
 
-    // The figure extractors and the raw snapshot read the same map.
-    EXPECT_EQ(r.bigFetched, val("big.fetched"));
-    EXPECT_EQ(r.ifetchReqs, val("sys.ifetchReqs"));
-    EXPECT_EQ(r.dataReqs, val("sys.dataReqs"));
-
     // The run did real work and the counters saw it.
     EXPECT_GT(val("big.retired"), 0u);
     EXPECT_GT(val("l2.accesses"), 0u);
@@ -165,7 +160,7 @@ TEST(WorkloadShapeTest, LongerVectorsFetchFewerInstructions)
 {
     auto iv = runWorkload(Design::d1bIV, "vvadd", Scale::tiny);
     auto dv = runWorkload(Design::d1bDV, "vvadd", Scale::tiny);
-    EXPECT_LT(dv.bigFetched * 2, iv.bigFetched);
+    EXPECT_LT(dv.stat("big.fetched") * 2, iv.stat("big.fetched"));
 }
 
 TEST(WorkloadShapeTest, BoostingBigCoreHelpsSwMoreThanVvadd)
