@@ -276,11 +276,12 @@ BM_FastForwardStep(benchmark::State &state)
         backing.writeT<std::uint64_t>(srcB + i * 8, i * 3);
     }
     ArchState arch(512);
+    ExecTrace tr;
     std::uint64_t insts = 0;
     for (auto _ : state) {
         arch.reset();
         while (!arch.halted) {
-            stepOne(arch, *prog, backing);
+            stepOne(arch, *prog, backing, tr);
             ++insts;
         }
     }

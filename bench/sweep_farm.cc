@@ -41,13 +41,7 @@ measureDynamicInsts(const std::string &name, Scale scale,
     BackingStore mem;
     w->init(mem);
     ArchState arch(vlenBits);
-    arch.reset();
-    for (const auto &[reg, value] : w->fullRangeArgs()) {
-        if (isFReg(reg))
-            arch.setF(reg, value);
-        else
-            arch.setX(reg, value);
-    }
+    arch.seed(w->fullRangeArgs());
     auto prog = w->vectorProgram();
     bvl_assert(prog != nullptr, "%s has no vector program",
                name.c_str());

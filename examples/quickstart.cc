@@ -53,7 +53,7 @@ main()
     // 4. Run it: x10 carries n.
     bool done = false;
     soc.big->runProgram(prog, {{xreg(10), n}}, [&] { done = true; });
-    soc.runUntil([&] { return done; });
+    soc.runUntil(done);
 
     // 5. Check and report.
     bool ok = true;

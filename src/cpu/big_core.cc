@@ -133,20 +133,20 @@ BigCore::fetchStage()
             return;
 
         std::uint64_t fetchPc = arch.pc;
-        ExecTrace tr = stepOne(arch, *prog, backing);
+        SeqNum seq = nextSeq++;
+        RobInst *inst = &robAt(seq);
+        static_cast<RobInstState &>(*inst) = RobInstState{};
+        inst->seq = seq;
+        stepOne(arch, *prog, backing, inst->trace);
         sFetched++;
         countFetch(eq.now());
         if (check)
-            check->onFetchExecuted(this, arch, tr, backing, eq.now());
+            check->onFetchExecuted(this, arch, inst->trace, backing,
+                                   eq.now());
 
-        SeqNum seq = nextSeq++;
-        RobInst *inst = &robAt(seq);
-        *inst = RobInst{};
-        inst->seq = seq;
         std::fill_n(consumersOf(*inst), maskWords, 0);
         if (trace)
             inst->fetchTick = eq.now();
-        inst->trace = std::move(tr);
         const Instr &in = *inst->trace.inst;
         const OpTraits &traits = in.traits();
 

@@ -83,10 +83,10 @@ class BigCore : public ProgramCore
     bool tick() override;
 
   private:
-    struct RobInst
+    /** A ROB slot's bookkeeping, reset on every fetch into it. */
+    struct RobInstState
     {
         SeqNum seq = 0;
-        ExecTrace trace;
         /** Distinct in-flight producers this instruction waits on. */
         unsigned pendingSrcs = 0;
         bool issued = false;
@@ -102,6 +102,14 @@ class BigCore : public ProgramCore
         Tick fetchTick = 0;
         Tick issueTick = 0;
         Tick completeTick = 0;
+    };
+
+    /** One ROB slot. Fetch steps the oracle straight into its trace,
+     *  which keeps its address buffer from one occupant to the next
+     *  (DESIGN.md §11). */
+    struct RobInst : RobInstState
+    {
+        ExecTrace trace;
     };
 
     void beginWindow() override;

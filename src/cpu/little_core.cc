@@ -17,7 +17,7 @@ LittleCore::LittleCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
       sFetched(sg.handle(prefix + "fetched")),
       sRetired(sg.handle(prefix + "retired")),
       sCycles(sg.handle(prefix + "cycles")),
-      fetchBuf(ms, core_id, sg, prefix)
+      fetchSlots(p.fetchQueueDepth), fetchBuf(ms, core_id, sg, prefix)
 {
     for (unsigned c = 0; c < numStallCauses; ++c)
         sStall[c] = sg.handle(prefix + "stall." +
@@ -31,7 +31,8 @@ void
 LittleCore::beginWindow()
 {
     haltIssued = false;
-    fetchQueue.clear();
+    fetchHead = 0;
+    fetchCount = 0;
     fetchBuf.reset();
     fetchStallUntil = 0;
     regReadyAt.fill(0);
@@ -52,7 +53,7 @@ LittleCore::fetchStage()
 {
     auto &eq = clock().eventQueue();
     if (haltSeen || fetchLimitHit() || fetchStallUntil > eq.now() ||
-        fetchQueue.size() >= p.fetchQueueDepth) {
+        fetchCount >= p.fetchQueueDepth) {
         return;
     }
     if (arch.pc >= prog->size())
@@ -63,16 +64,16 @@ LittleCore::fetchStage()
         return;
 
     // Functional-first execution at fetch (oracle EX).
-    ExecTrace tr = stepOne(arch, *prog, backing);
+    PendingInst &slot = fetchAt(fetchCount);
+    stepOne(arch, *prog, backing, slot.trace);
     if (check)
-        check->onFetchExecuted(this, arch, tr, backing, eq.now());
-    fetchQueue.push_back(PendingInst{std::move(tr)});
-    if (trace)
-        fetchQueue.back().fetchTick = eq.now();
+        check->onFetchExecuted(this, arch, slot.trace, backing, eq.now());
+    slot.fetchTick = eq.now();
+    ++fetchCount;
     sFetched++;
     countFetch(eq.now());
 
-    const ExecTrace &t = fetchQueue.back().trace;
+    const ExecTrace &t = slot.trace;
     if (t.inst->op == Op::halt)
         haltSeen = true;
     if (t.isBranch && t.taken)
@@ -86,12 +87,13 @@ LittleCore::issueStage()
     auto &eq = clock().eventQueue();
     Tick now = eq.now();
 
-    if (fetchQueue.empty()) {
+    if (fetchCount == 0) {
         recordStall(StallCause::misc);
         return false;
     }
 
-    const ExecTrace &t = fetchQueue.front().trace;
+    const PendingInst &head = fetchAt(0);
+    const ExecTrace &t = head.trace;
     const Instr &in = *t.inst;
     bvl_assert(!in.isVector(),
                "little%u executed vector instruction in scalar mode", id);
@@ -168,14 +170,16 @@ LittleCore::issueStage()
         Json args = Json::object();
         args.set("seq", numRetired + 1);
         args.set("op", opName(in.op));
-        args.set("fetch", fetchQueue.front().fetchTick);
+        args.set("fetch", head.fetchTick);
         args.set("issue", now);
         trace->asyncBegin(TraceCat::core, traceTid, opName(in.op), aid,
-                          fetchQueue.front().fetchTick, std::move(args));
+                          head.fetchTick, std::move(args));
         trace->asyncEnd(TraceCat::core, traceTid, opName(in.op), aid,
                         now);
     }
-    fetchQueue.pop_front();
+    if (++fetchHead == p.fetchQueueDepth)
+        fetchHead = 0;
+    --fetchCount;
     ++numRetired;
     sRetired++;
     if (check)
@@ -195,7 +199,7 @@ LittleCore::setTracer(Tracer *t)
 void
 LittleCore::maybeFinish()
 {
-    bool windowDone = fetchLimitHit() && fetchQueue.empty();
+    bool windowDone = fetchLimitHit() && fetchCount == 0;
     if (!running || !(haltIssued || windowDone))
         return;
     if (outstandingLoads != 0 || outstandingStores != 0)
@@ -222,10 +226,10 @@ void
 LittleCore::registerInvariants(InvariantRegistry &reg)
 {
     reg.add(prefix + "fetchQ.bound", [this]() -> std::string {
-        if (fetchQueue.size() <= p.fetchQueueDepth)
+        if (fetchCount <= p.fetchQueueDepth)
             return "";
         return "fetch queue holds " +
-               std::to_string(fetchQueue.size()) + " entries, depth " +
+               std::to_string(fetchCount) + " entries, depth " +
                std::to_string(p.fetchQueueDepth);
     });
     reg.add(prefix + "lsq.bound", [this]() -> std::string {
@@ -245,7 +249,7 @@ LittleCore::progressDetail() const
 {
     if (!running)
         return "";
-    return "fetchQ " + std::to_string(fetchQueue.size()) + " ld " +
+    return "fetchQ " + std::to_string(fetchCount) + " ld " +
            std::to_string(outstandingLoads) + " st " +
            std::to_string(outstandingStores) +
            (haltSeen ? " halting" : "");

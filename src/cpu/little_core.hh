@@ -18,7 +18,7 @@
 #define BVL_CPU_LITTLE_CORE_HH
 
 #include <array>
-#include <deque>
+#include <vector>
 
 #include "cpu/fetch_buffer.hh"
 #include "cpu/fu_params.hh"
@@ -63,9 +63,18 @@ class LittleCore : public ProgramCore
     struct PendingInst
     {
         ExecTrace trace;
-        /** Fetch timestamp, recorded only while tracing. */
+        /** Fetch timestamp, read only while tracing. */
         Tick fetchTick = 0;
     };
+
+    /** The @p i-th fetch-queue entry from the oldest. */
+    PendingInst &
+    fetchAt(unsigned i)
+    {
+        unsigned slot = fetchHead + i;
+        return fetchSlots[slot < p.fetchQueueDepth
+                          ? slot : slot - p.fetchQueueDepth];
+    }
 
     void beginWindow() override;
 
@@ -89,7 +98,12 @@ class LittleCore : public ProgramCore
     bool haltIssued = false;
 
     // fetch state
-    std::deque<PendingInst> fetchQueue;
+    /** The fetch queue: fetchQueueDepth fixed slots, fetchCount of
+     *  them in flight from fetchHead on. Fetch steps the oracle
+     *  straight into the tail slot's trace (DESIGN.md §11). */
+    std::vector<PendingInst> fetchSlots;
+    unsigned fetchHead = 0;
+    unsigned fetchCount = 0;
     FetchBuffer fetchBuf;
     Tick fetchStallUntil = 0;
 

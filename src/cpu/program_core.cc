@@ -16,13 +16,7 @@ ProgramCore::ProgramCore(ClockDomain &cd, std::string name,
 void
 ProgramCore::seed(const ProgArgs &args)
 {
-    arch.reset();
-    for (const auto &[reg, value] : args) {
-        if (isFReg(reg))
-            arch.setF(reg, value);
-        else
-            arch.setX(reg, value);
-    }
+    arch.seed(args);
     if (GsharePredictor *bp = predictor())
         bp->reset();
 }

@@ -143,11 +143,18 @@ withEw(unsigned ew, Body &&body)
 
 } // namespace
 
-ExecTrace
-stepOne(ArchState &st, const Program &prog, BackingStore &mem)
+void
+stepOne(ArchState &st, const Program &prog, BackingStore &mem,
+        ExecTrace &tr)
 {
     const Instr &in = prog.at(st.pc);
-    ExecTrace tr;
+    // Rewrite every field: a flag left over from the previous
+    // instruction would silently change timing. The address buffer is
+    // parked across the reset so it keeps its capacity.
+    std::vector<Addr> addrs = std::move(tr.elemAddrs);
+    addrs.clear();
+    tr = ExecTrace{};
+    tr.elemAddrs = std::move(addrs);
     tr.inst = &in;
     tr.pc = st.pc;
     tr.nextPc = st.pc + 1;
@@ -386,11 +393,13 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       case Op::vzext2: case Op::vsext2: {
         // vd[i] (2*ew) = extend(vs1[i] (ew)). Source elements are read
         // into a buffer first: vd may alias vs1, and a dest element
-        // overlaps two narrower source elements.
+        // overlaps two narrower source elements. vl never exceeds
+        // VLMAX at 1-byte elements, so maxVlenBytes bounds every
+        // per-element scratch buffer here and below.
         unsigned sw = in.ew;
         unsigned dw = 2 * sw;
         bool sign = in.op == Op::vsext2;
-        std::vector<std::uint64_t> src(st.vl, 0);
+        std::uint64_t src[maxVlenBytes];
         for (unsigned i = 0; i < st.vl; ++i)
             src[i] = sign ? std::uint64_t(st.vecGetS(in.rs1, i, sw))
                           : st.vecGet(in.rs1, i, sw);
@@ -408,7 +417,7 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
         std::int64_t lo = in.sign ? -(std::int64_t(1) << (8 * dw - 1)) : 0;
         std::int64_t hi = in.sign ? (std::int64_t(1) << (8 * dw - 1)) - 1
                                   : (std::int64_t(1) << (8 * dw)) - 1;
-        std::vector<std::int64_t> src(st.vl, 0);
+        std::int64_t src[maxVlenBytes];
         for (unsigned i = 0; i < st.vl; ++i)
             src[i] = st.vecGetS(in.rs1, i, sw) >> shamt;
         for (unsigned i = 0; i < st.vl; ++i)
@@ -638,7 +647,7 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       // ----- cross-element -----------------------------------------------------
       case Op::vrgather: {
         unsigned ew = st.sew;
-        std::vector<std::uint64_t> result(st.vl, 0);
+        std::uint64_t result[maxVlenBytes];
         for (unsigned i = 0; i < st.vl; ++i) {
             std::uint64_t idx = st.vecGet(in.rs1, i, ew);
             result[i] = idx < st.vlmax(ew) ? st.vecGet(in.rs2, idx, ew) : 0;
@@ -651,7 +660,7 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       case Op::vslideup: {
         unsigned ew = st.sew;
         unsigned offset = static_cast<unsigned>(in.imm);
-        std::vector<std::uint64_t> result(st.vl, 0);
+        std::uint64_t result[maxVlenBytes];
         for (unsigned i = offset; i < st.vl; ++i)
             result[i] = st.vecGet(in.rs1, i - offset, ew);
         for (unsigned i = offset; i < st.vl; ++i)
@@ -662,7 +671,7 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       case Op::vslidedown: {
         unsigned ew = st.sew;
         unsigned offset = static_cast<unsigned>(in.imm);
-        std::vector<std::uint64_t> result(st.vl, 0);
+        std::uint64_t result[maxVlenBytes];
         for (unsigned i = 0; i < st.vl; ++i) {
             unsigned src = i + offset;
             result[i] = src < st.vlmax(ew) ? st.vecGet(in.rs1, src, ew) : 0;
@@ -736,7 +745,6 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
     }
 
     st.pc = tr.nextPc;
-    return tr;
 }
 
 std::uint64_t
@@ -744,8 +752,9 @@ runFunctional(ArchState &state, const Program &prog, BackingStore &mem,
               std::uint64_t maxSteps)
 {
     std::uint64_t steps = 0;
+    ExecTrace tr;
     while (!state.halted && state.pc < prog.size() && steps < maxSteps) {
-        stepOne(state, prog, mem);
+        stepOne(state, prog, mem, tr);
         ++steps;
     }
     return steps;

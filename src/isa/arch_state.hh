@@ -4,10 +4,10 @@
  *
  * One ArchState exists per hardware thread context. The functional
  * executor steps one instruction at a time against an ArchState and
- * the shared BackingStore, returning an ExecTrace that carries
- * everything the timing models need (branch outcome, memory addresses,
- * vector length in effect). Timing models never re-execute semantics;
- * they only schedule the already-known effects.
+ * the shared BackingStore, filling a caller-owned ExecTrace that
+ * carries everything the timing models need (branch outcome, memory
+ * addresses, vector length in effect). Timing models never re-execute
+ * semantics; they only schedule the already-known effects.
  */
 
 #ifndef BVL_ISA_ARCH_STATE_HH
@@ -32,7 +32,12 @@ namespace bvl
 constexpr unsigned maxVlenBits = 2048;
 constexpr unsigned maxVlenBytes = maxVlenBits / 8;
 
-/** Everything the timing model needs to know about one executed instr. */
+/**
+ * Everything the timing model needs to know about one executed instr.
+ * Callers own it and hand the same one to stepOne() again and again
+ * (DESIGN.md §11): every field is rewritten on each step, and
+ * elemAddrs keeps its capacity.
+ */
 struct ExecTrace
 {
     const Instr *inst = nullptr;
@@ -54,6 +59,8 @@ struct ExecTrace
     std::vector<Addr> elemAddrs;
 
     bool halted = false;
+
+    bool operator==(const ExecTrace &) const = default;
 };
 
 /** Architectural register + vector state of one hardware thread. */
@@ -78,6 +85,19 @@ class ArchState
         vl = 0;
         sew = 4;
         halted = false;
+    }
+
+    /** reset(), then write each program argument to its register. */
+    void
+    seed(const ProgArgs &args)
+    {
+        reset();
+        for (const auto &[reg, value] : args) {
+            if (isFReg(reg))
+                setF(reg, value);
+            else
+                setX(reg, value);
+        }
     }
 
     void
@@ -250,10 +270,12 @@ class ArchState
 
 /**
  * Functionally execute the instruction at @p state.pc of @p prog,
- * updating @p state and @p mem, and return the trace.
+ * updating @p state and @p mem, and describe it in @p out. Every field
+ * of @p out is overwritten; its elemAddrs is cleared, not freed, so a
+ * reused trace steps without touching the heap.
  */
-ExecTrace stepOne(ArchState &state, const Program &prog,
-                  BackingStore &mem);
+void stepOne(ArchState &state, const Program &prog, BackingStore &mem,
+             ExecTrace &out);
 
 /**
  * Run a program functionally to completion (no timing), up to

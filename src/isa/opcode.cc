@@ -1,7 +1,5 @@
 #include "isa/opcode.hh"
 
-#include "sim/logging.hh"
-
 namespace bvl
 {
 
@@ -34,7 +32,9 @@ vecCross(const char *name, FuClass fu, bool writesScalar, bool fp = false)
     return OpTraits{name, fu, true, false, false, true, writesScalar, fp};
 }
 
-const OpTraits traitsTable[] = {
+} // namespace
+
+const OpTraits opTraitsTable[] = {
     // scalar control / misc
     scalar("nop", FuClass::nop),
     scalar("halt", FuClass::nop),
@@ -171,19 +171,8 @@ const OpTraits traitsTable[] = {
              false},
 };
 
-static_assert(sizeof(traitsTable) / sizeof(traitsTable[0]) ==
+static_assert(sizeof(opTraitsTable) / sizeof(opTraitsTable[0]) ==
               static_cast<std::size_t>(Op::numOps),
               "traits table out of sync with Op enum");
-
-} // namespace
-
-const OpTraits &
-opTraits(Op op)
-{
-    auto idx = static_cast<std::size_t>(op);
-    bvl_assert(idx < static_cast<std::size_t>(Op::numOps),
-               "bad opcode %zu", idx);
-    return traitsTable[idx];
-}
 
 } // namespace bvl

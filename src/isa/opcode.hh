@@ -12,7 +12,10 @@
 #ifndef BVL_ISA_OPCODE_HH
 #define BVL_ISA_OPCODE_HH
 
+#include <cstddef>
 #include <cstdint>
+
+#include "sim/logging.hh"
 
 namespace bvl
 {
@@ -139,8 +142,19 @@ struct OpTraits
     bool isFp;         ///< floating-point datapath
 };
 
-/** Look up static traits (table in opcode.cc). */
-const OpTraits &opTraits(Op op);
+/** Static traits indexed by Op (table in opcode.cc). */
+extern const OpTraits opTraitsTable[];
+
+/** Look up static traits: an inline table read, since every fetched
+ *  instruction asks several times (DESIGN.md §11). */
+inline const OpTraits &
+opTraits(Op op)
+{
+    auto idx = static_cast<std::size_t>(op);
+    bvl_assert(idx < static_cast<std::size_t>(Op::numOps),
+               "bad opcode %zu", idx);
+    return opTraitsTable[idx];
+}
 
 inline const char *opName(Op op) { return opTraits(op).mnemonic; }
 

@@ -11,12 +11,16 @@
 #ifndef BVL_MEM_BACKING_STORE_HH
 #define BVL_MEM_BACKING_STORE_HH
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "sim/addr_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -28,6 +32,20 @@ class BackingStore
   public:
     static constexpr unsigned pageShift = 12;
     static constexpr Addr pageBytes = Addr(1) << pageShift;
+    using Page = std::array<std::uint8_t, pageBytes>;
+
+    BackingStore() = default;
+
+    /** Deep copy: the copy owns its pages and starts with a cold page
+     *  cache (the source's cache points into the source's pages). */
+    BackingStore(const BackingStore &other)
+    {
+        other.pages.forEach([&](Addr num, const Page *page) {
+            *allocPage(num) = *page;
+        });
+    }
+
+    BackingStore &operator=(const BackingStore &) = delete;
 
     /** Read @p n bytes at @p addr into @p out. */
     void
@@ -104,16 +122,28 @@ class BackingStore
     /** Number of allocated pages (for tests / memory accounting). */
     std::size_t allocatedPages() const { return pages.size(); }
 
-    /** Page map, keyed by page number (addr >> pageShift). Exposed so
-     *  checkpointing can serialize the memory image (DESIGN.md §15). */
-    const std::unordered_map<Addr, std::vector<std::uint8_t>> &
-    pageMap() const { return pages; }
+    /** Every allocated page with its page number (addr >> pageShift),
+     *  in page order: the memory image checkpoints serialize
+     *  (DESIGN.md §15). */
+    std::vector<std::pair<Addr, const Page *>>
+    sortedPages() const
+    {
+        std::vector<std::pair<Addr, const Page *>> out;
+        out.reserve(pages.size());
+        pages.forEach([&](Addr num, Page *page) {
+            out.emplace_back(num, page);
+        });
+        std::sort(out.begin(), out.end());
+        return out;
+    }
 
     /** Drop every page (checkpoint restore rewrites the full image). */
     void
     clear()
     {
         pages.clear();
+        slabs.clear();
+        slabUsed = pagesPerSlab;
         for (unsigned i = 0; i < cacheWays; ++i) {
             cachedPage[i] = ~Addr(0);
             cachedData[i] = nullptr;
@@ -146,16 +176,14 @@ class BackingStore
         while (n > 0) {
             Addr off = addr & (pageBytes - 1);
             std::size_t chunk = std::min<std::size_t>(n, pageBytes - off);
-            auto it = pages.find(addr >> pageShift);
-            if (it == pages.end()) {
+            Page *page = pages.get(addr >> pageShift);
+            if (!page) {
                 // Unallocated pages read as zero but are not cached:
                 // a later write would allocate behind the cache's back.
                 std::memset(dst, 0, chunk);
             } else {
-                std::memcpy(dst, it->second.data() + off, chunk);
-                cacheInsert(addr >> pageShift,
-                            const_cast<std::uint8_t *>(
-                                it->second.data()));
+                std::memcpy(dst, page->data() + off, chunk);
+                cacheInsert(addr >> pageShift, page->data());
             }
             dst += chunk;
             addr += chunk;
@@ -170,21 +198,42 @@ class BackingStore
         while (n > 0) {
             Addr off = addr & (pageBytes - 1);
             std::size_t chunk = std::min<std::size_t>(n, pageBytes - off);
-            auto &page = pages[addr >> pageShift];
-            if (page.empty())
-                page.resize(pageBytes, 0);
-            std::memcpy(page.data() + off, p, chunk);
-            // The buffer address is stable across map rehashes (the
-            // vector owns it on the heap), so caching it is safe until
-            // clear().
-            cacheInsert(addr >> pageShift, page.data());
+            Page *page = pages.get(addr >> pageShift);
+            if (!page)
+                page = allocPage(addr >> pageShift);
+            std::memcpy(page->data() + off, p, chunk);
+            // Pages never move (slabs are not resized), so caching
+            // one is safe until clear().
+            cacheInsert(addr >> pageShift, page->data());
             p += chunk;
             addr += chunk;
             n -= chunk;
         }
     }
 
-    std::unordered_map<Addr, std::vector<std::uint8_t>> pages;
+    /** A fresh all-zero page for page number @p num, carved out of
+     *  the newest slab. */
+    Page *
+    allocPage(Addr num)
+    {
+        if (slabUsed == pagesPerSlab) {
+            slabs.push_back(std::make_unique<Page[]>(pagesPerSlab));
+            slabUsed = 0;
+        }
+        Page *page = &slabs.back()[slabUsed++];
+        pages.set(num, page);
+        return page;
+    }
+
+    /**
+     * Pages come from 64 KiB slabs, indexed by page number in an
+     * open-addressing table, so the first touch of a page costs a
+     * heap allocation only once per slab (DESIGN.md §11).
+     */
+    static constexpr unsigned pagesPerSlab = 16;
+    AddrMap<Page *> pages{1024};
+    std::vector<std::unique_ptr<Page[]>> slabs;
+    unsigned slabUsed = pagesPerSlab;
     /**
      * Small fully-scanned page cache for the element-granular
      * functional accesses (mutable: a read warms it), replaced

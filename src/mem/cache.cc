@@ -28,7 +28,13 @@ Cache::Cache(ClockDomain &cd, StatGroup &sg, CacheParams params,
     numSets = p.sizeBytes / (p.assoc * lineBytes);
     bvl_assert((numSets & (numSets - 1)) == 0,
                "%s: set count must be a power of two", p.name.c_str());
-    sets.assign(numSets, std::vector<Way>(p.assoc));
+    ways.assign(std::size_t(numSets) * p.assoc, Way{});
+    // Size the miss-handling state up front so a slot's first use
+    // deep into a run does not allocate (DESIGN.md §11).
+    mshrs.resize(p.numMshrs);
+    for (Mshr &m : mshrs)
+        m.waiters.reserve(mshrWaiterSlots);
+    pendingQueue.reserve(p.numMshrs);
 }
 
 unsigned
@@ -42,9 +48,10 @@ Cache::setIndex(Addr lineNum, IndexMode mode) const
 const Cache::Way *
 Cache::findWay(Addr lineNum, unsigned set) const
 {
-    for (const auto &way : sets[set])
-        if (way.valid && way.line == lineNum)
-            return &way;
+    const Way *way = setWays(set);
+    for (unsigned w = 0; w < p.assoc; ++w)
+        if (way[w].valid && way[w].line == lineNum)
+            return &way[w];
     return nullptr;
 }
 
@@ -85,20 +92,20 @@ Cache::registerInvariants(InvariantRegistry &reg)
     // O(1) structural checks only: invariant sweeps run at retire
     // granularity, so no per-set/per-way walks here.
     reg.add(p.name + ".mshr.bound", [this]() -> std::string {
-        if (mshrs.size() <= p.numMshrs)
+        if (mshrsBusy <= p.numMshrs)
             return "";
-        return std::to_string(mshrs.size()) +
+        return std::to_string(mshrsBusy) +
                " MSHRs allocated, capacity " +
                std::to_string(p.numMshrs);
     });
     reg.add(p.name + ".mshr.stall", [this]() -> std::string {
         // A request may only stall in pendingQueue while the MSHR
         // file is genuinely full.
-        if (pendingQueue.empty() || mshrs.size() >= p.numMshrs)
+        if (pendingQueue.empty() || mshrsBusy >= p.numMshrs)
             return "";
         return std::to_string(pendingQueue.size()) +
                " requests stalled with only " +
-               std::to_string(mshrs.size()) + "/" +
+               std::to_string(mshrsBusy) + "/" +
                std::to_string(p.numMshrs) + " MSHRs busy";
     });
 }
@@ -124,17 +131,19 @@ Cache::registerProgress(Watchdog &wd)
 std::string
 Cache::mshrReport() const
 {
-    if (mshrs.empty() && pendingQueue.empty())
+    if (mshrsBusy == 0 && pendingQueue.empty())
         return "";
-    std::string out = "mshrs " + std::to_string(mshrs.size()) + "/" +
+    std::string out = "mshrs " + std::to_string(mshrsBusy) + "/" +
                       std::to_string(p.numMshrs) + " stalled " +
                       std::to_string(pendingQueue.size()) + " lines";
     unsigned listed = 0;
-    for (const auto &kv : mshrs) {
+    for (const Mshr &m : mshrs) {
+        if (!m.busy)
+            continue;
         out += (listed == 0 ? ": " : " ");
-        out += std::to_string(kv.first);
-        out += kv.second.isWrite ? "(w," : "(r,";
-        out += std::to_string(kv.second.waiters.size()) + "w)";
+        out += std::to_string(m.line);
+        out += m.isWrite ? "(w," : "(r,";
+        out += std::to_string(m.waiters.size()) + "w)";
         if (++listed == 8) {
             out += " ...";
             break;
@@ -169,29 +178,44 @@ Cache::access(Addr addr, bool isWrite, MemCallback done)
     handleMiss(lineNum, isWrite, std::move(done), tagDone);
 }
 
+int
+Cache::findMshr(Addr lineNum) const
+{
+    for (unsigned i = 0; i < mshrs.size(); ++i)
+        if (mshrs[i].busy && mshrs[i].line == lineNum)
+            return static_cast<int>(i);
+    return -1;
+}
+
 void
 Cache::handleMiss(Addr lineNum, bool isWrite, MemCallback done,
                   Tick readyTick)
 {
     auto &eq = clock.eventQueue();
 
-    auto it = mshrs.find(lineNum);
-    if (it != mshrs.end()) {
+    if (int hit = findMshr(lineNum); hit >= 0) {
         // Secondary miss: piggyback on the outstanding request.
-        it->second.isWrite |= isWrite;
+        Mshr &mshr = mshrs[hit];
+        mshr.isWrite |= isWrite;
         if (done)
-            it->second.waiters.push_back(std::move(done));
+            mshr.waiters.push_back(std::move(done));
         return;
     }
 
-    if (mshrs.size() >= p.numMshrs) {
+    if (mshrsBusy >= p.numMshrs) {
         sMshrFull++;
-        pendingQueue.emplace_back(lineNum, isWrite, std::move(done));
+        pendingQueue.push_back(PendingReq{lineNum, isWrite, std::move(done)});
         return;
     }
 
-    Mshr &mshr = mshrs[lineNum];
+    unsigned slot = 0;
+    while (mshrs[slot].busy)
+        ++slot;
+    Mshr &mshr = mshrs[slot];
+    mshr.busy = true;
+    mshr.line = lineNum;
     mshr.isWrite = isWrite;
+    ++mshrsBusy;
     if (trace)
         mshr.allocTick = eq.now();
     if (done)
@@ -203,41 +227,42 @@ Cache::handleMiss(Addr lineNum, bool isWrite, MemCallback done,
     if (injector)
         delay += clock.cyclesToTicks(
             injector->cacheResponseDelay(eq.now()));
-    eq.schedule(delay, [this, lineNum] {
-        auto mit = mshrs.find(lineNum);
-        bvl_assert(mit != mshrs.end(), "%s: lost MSHR", p.name.c_str());
-        next->request(l1Id, lineNum << lineShift, mit->second.isWrite,
-                      [this, lineNum] {
-            auto &eq2 = clock.eventQueue();
-            auto mit2 = mshrs.find(lineNum);
-            bvl_assert(mit2 != mshrs.end(), "%s: MSHR vanished",
-                       p.name.c_str());
-            bool isWrite = mit2->second.isWrite;
-            auto waiters = std::move(mit2->second.waiters);
-            if (trace && trace->wants(TraceCat::cache)) {
-                // Miss lifetimes overlap (non-blocking cache), so
-                // MSHR allocate -> fill pairs as async events.
-                std::uint64_t id = trace->nextAsyncId();
-                Json args = Json::object();
-                args.set("line", lineNum);
-                args.set("write", isWrite);
-                args.set("waiters",
-                         static_cast<unsigned>(waiters.size()));
-                trace->asyncBegin(TraceCat::cache, traceTid, "miss",
-                                  id, mit2->second.allocTick,
-                                  std::move(args));
-                trace->asyncEnd(TraceCat::cache, traceTid, "miss",
-                                id, eq2.now());
-            }
-            mshrs.erase(mit2);
-            installLine(lineNum, isWrite, /*warm=*/false);
-            // One-cycle fill-forward latency to the waiting requests.
-            Tick respond = eq2.now() + clock.cyclesToTicks(1);
-            for (auto &w : waiters)
-                eq2.scheduleAt(respond, std::move(w));
-            issuePending();
-        });
+    eq.schedule(delay, [this, slot] {
+        const Mshr &m = mshrs[slot];
+        bvl_assert(m.busy, "%s: lost MSHR", p.name.c_str());
+        next->request(l1Id, m.line << lineShift, m.isWrite,
+                      [this, slot] { fillMshr(slot); });
     });
+}
+
+void
+Cache::fillMshr(unsigned slot)
+{
+    auto &eq = clock.eventQueue();
+    Mshr &m = mshrs[slot];
+    bvl_assert(m.busy, "%s: MSHR vanished", p.name.c_str());
+    Addr lineNum = m.line;
+    if (trace && trace->wants(TraceCat::cache)) {
+        // Miss lifetimes overlap (non-blocking cache), so MSHR
+        // allocate -> fill pairs as async events.
+        std::uint64_t id = trace->nextAsyncId();
+        Json args = Json::object();
+        args.set("line", lineNum);
+        args.set("write", m.isWrite);
+        args.set("waiters", static_cast<unsigned>(m.waiters.size()));
+        trace->asyncBegin(TraceCat::cache, traceTid, "miss", id,
+                          m.allocTick, std::move(args));
+        trace->asyncEnd(TraceCat::cache, traceTid, "miss", id, eq.now());
+    }
+    installLine(lineNum, m.isWrite, /*warm=*/false);
+    // One-cycle fill-forward latency to the waiting requests.
+    Tick respond = eq.now() + clock.cyclesToTicks(1);
+    for (auto &w : m.waiters)
+        eq.scheduleAt(respond, std::move(w));
+    m.waiters.clear();
+    m.busy = false;
+    --mshrsBusy;
+    issuePending();
 }
 
 void
@@ -252,7 +277,9 @@ Cache::installLine(Addr lineNum, bool isWrite, bool warm)
     }
 
     Way *victim = nullptr;
-    for (auto &way : sets[setIndex(lineNum, indexMode)]) {
+    Way *set = setWays(setIndex(lineNum, indexMode));
+    for (unsigned w = 0; w < p.assoc; ++w) {
+        Way &way = set[w];
         if (!way.valid) {
             victim = &way;
             break;
@@ -304,7 +331,7 @@ Cache::warmAccess(Addr addr, bool isWrite)
 void
 Cache::issuePending()
 {
-    while (!pendingQueue.empty() && mshrs.size() < p.numMshrs) {
+    while (!pendingQueue.empty() && mshrsBusy < p.numMshrs) {
         auto [lineNum, isWrite, done] = std::move(pendingQueue.front());
         pendingQueue.pop_front();
         // Re-check the tags: the line may have been filled meanwhile.

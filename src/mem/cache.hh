@@ -15,14 +15,13 @@
 #define BVL_MEM_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "mem/mem_types.hh"
 #include "sim/clock_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -149,14 +148,32 @@ class Cache
         Tick lastUse = 0;
     };
 
+    /** Waiters each MSHR has room for before its first miss. */
+    static constexpr unsigned mshrWaiterSlots = 8;
+
+    /** One slot of the fixed MSHR file. Its waiter list keeps its
+     *  capacity from one miss to the next (DESIGN.md §11). */
     struct Mshr
     {
+        bool busy = false;
+        Addr line = 0;       ///< line number of the outstanding miss
         bool isWrite = false;
         std::vector<MemCallback> waiters;
         /** Allocation timestamp, recorded only while tracing. */
         Tick allocTick = 0;
     };
 
+    /** A request stalled on a full MSHR file. */
+    struct PendingReq
+    {
+        Addr lineNum = 0;
+        bool isWrite = false;
+        MemCallback done;
+    };
+
+    /** The ways of set @p set: assoc entries from this one on. */
+    const Way *setWays(unsigned set) const { return &ways[set * p.assoc]; }
+    Way *setWays(unsigned set) { return &ways[set * p.assoc]; }
     unsigned setIndex(Addr lineNum, IndexMode mode) const;
     const Way *findWay(Addr lineNum, unsigned set) const;
     Way *
@@ -175,6 +192,10 @@ class Cache
     void installLine(Addr lineNum, bool isWrite, bool warm);
     void handleMiss(Addr lineNum, bool isWrite, MemCallback done,
                     Tick readyTick);
+    /** The MSHR slot tracking @p lineNum, or -1 if it has none. */
+    int findMshr(Addr lineNum) const;
+    /** Fill path of MSHR slot @p slot: install, wake, retry stalls. */
+    void fillMshr(unsigned slot);
     void issuePending();
 
     ClockDomain &clock;
@@ -193,12 +214,15 @@ class Cache
     unsigned numSets;
     IndexMode indexMode = IndexMode::scalarPrivate;
 
-    /** A line lives in its set under one index mode or the other,
-     *  never both: there is no side index (DESIGN.md §7). */
-    std::vector<std::vector<Way>> sets;
-    std::unordered_map<Addr, Mshr> mshrs;
-    /** Requests stalled on a full MSHR file. */
-    std::deque<std::tuple<Addr, bool, MemCallback>> pendingQueue;
+    /** numSets x assoc ways, set-major. A line lives in its set
+     *  under one index mode or the other, never both: there is no
+     *  side index (DESIGN.md §7). */
+    std::vector<Way> ways;
+    /** The MSHR file: numMshrs slots, mshrsBusy of them in use. */
+    std::vector<Mshr> mshrs;
+    unsigned mshrsBusy = 0;
+    /** Requests stalled on a full MSHR file, oldest first. */
+    Ring<PendingReq> pendingQueue;
 
     /** Tag-port occupancy: next tick a new lookup can start. */
     Tick portNextFree = 0;

@@ -17,13 +17,14 @@
 #ifndef BVL_MEM_MEM_SYSTEM_HH
 #define BVL_MEM_MEM_SYSTEM_HH
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/mem_types.hh"
+#include "sim/addr_map.hh"
 #include "sim/clock_domain.hh"
 #include "sim/stats.hh"
 
@@ -46,9 +47,10 @@ struct MemSystemParams
 };
 
 /**
- * L2 front end: a shared Cache plus an inclusive-enough directory of
- * which L1Ds hold each line. Writes invalidate all other sharers; the
- * requester is charged an extra penalty when that happens.
+ * L2 front end: a shared Cache plus a directory of which L1Ds hold
+ * each line. Writes invalidate all other sharers; the requester is
+ * charged an extra penalty when that happens. The directory is not
+ * inclusive: an entry outlives the L2's own copy of the line.
  */
 class L2Front : public MemLevel
 {
@@ -58,7 +60,10 @@ class L2Front : public MemLevel
         : clock(cd), invalPenalty(inval_penalty),
           sDirInvalidates(sg.handle("l2.dir.invalidates")),
           cache(cd, sg, l2p, dram)
-    {}
+    {
+        parked.reserve(l2p.numMshrs);
+        freeParked.reserve(l2p.numMshrs);
+    }
 
     /** Register an L1D participating in coherence. */
     void
@@ -74,12 +79,15 @@ class L2Front : public MemLevel
         bool invalidated =
             updateDirectory(requesterId, lineAddr, isWrite, false);
         if (invalidated && invalPenalty > 0 && done) {
-            Tick d = clock.cyclesToTicks(invalPenalty);
-            auto &eq = clock.eventQueue();
-            cache.access(lineAddr, isWrite,
-                         [&eq, d, cb = std::move(done)]() mutable {
-                             eq.schedule(d, std::move(cb));
-                         });
+            // The requester's callback waits in a recycled slot, so
+            // the wrapper captures an index and stays inline.
+            unsigned slot = parkCallback(std::move(done));
+            cache.access(lineAddr, isWrite, [this, slot] {
+                MemCallback cb = std::move(parked[slot]);
+                freeParked.push_back(slot);
+                clock.eventQueue().schedule(
+                    clock.cyclesToTicks(invalPenalty), std::move(cb));
+            });
         } else {
             cache.access(lineAddr, isWrite, std::move(done));
         }
@@ -90,12 +98,8 @@ class L2Front : public MemLevel
     {
         if (requesterId < 0)
             return;
-        auto it = sharers.find(lineOf(lineAddr));
-        if (it != sharers.end()) {
-            it->second &= ~(1u << requesterId);
-            if (it->second == 0)
-                sharers.erase(it);
-        }
+        Addr lineNum = lineOf(lineAddr);
+        sharers.set(lineNum, sharers.get(lineNum) & ~(1u << requesterId));
     }
 
     void
@@ -125,27 +129,36 @@ class L2Front : public MemLevel
                     bool warm)
     {
         Addr lineNum = lineOf(lineAddr);
+        std::uint32_t bits = sharers.get(lineNum);
+        std::uint32_t mine = requesterId >= 0 ? 1u << requesterId : 0;
         bool invalidated = false;
-        if (isWrite) {
-            auto it = sharers.find(lineNum);
-            if (it != sharers.end()) {
-                std::uint32_t others = it->second;
-                if (requesterId >= 0)
-                    others &= ~(1u << requesterId);
-                if (others != 0) {
-                    for (unsigned i = 0; i < l1ds.size(); ++i)
-                        if (others & (1u << i))
-                            l1ds[i]->invalidate(lineAddr, warm);
-                    it->second &= ~others;
-                    invalidated = true;
-                    if (!warm)
-                        sDirInvalidates++;
-                }
-            }
+        std::uint32_t others = isWrite ? bits & ~mine : 0;
+        if (others != 0) {
+            for (unsigned i = 0; i < l1ds.size(); ++i)
+                if (others & (1u << i))
+                    l1ds[i]->invalidate(lineAddr, warm);
+            invalidated = true;
+            if (!warm)
+                sDirInvalidates++;
         }
-        if (requesterId >= 0)
-            sharers[lineNum] |= (1u << requesterId);
+        std::uint32_t after = (bits & ~others) | mine;
+        if (after != bits)
+            sharers.set(lineNum, after);
         return invalidated;
+    }
+
+    /** Park @p cb in a free slot of parked and return its index. */
+    unsigned
+    parkCallback(MemCallback cb)
+    {
+        if (freeParked.empty()) {
+            parked.push_back(std::move(cb));
+            return static_cast<unsigned>(parked.size() - 1);
+        }
+        unsigned slot = freeParked.back();
+        freeParked.pop_back();
+        parked[slot] = std::move(cb);
+        return slot;
     }
 
     ClockDomain &clock;
@@ -153,7 +166,17 @@ class L2Front : public MemLevel
     StatHandle sDirInvalidates;
     Cache cache;
     std::vector<Cache *> l1ds;
-    std::unordered_map<Addr, std::uint32_t> sharers;
+    /**
+     * Line -> mask of the L1Ds recorded as holding it; a line whose
+     * mask drops to zero leaves the table. It is a side table, not
+     * bits beside the L2 tags: the directory is not inclusive, and its
+     * entries (stale ones included, see updateDirectory) outlive the
+     * L2's own copy. Sized for every L1D line at half load.
+     */
+    AddrMap<std::uint32_t> sharers{8192};
+    /** Callbacks waiting out the invalidation penalty, by slot. */
+    std::vector<MemCallback> parked;
+    std::vector<unsigned> freeParked;
 };
 
 class MemSystem

@@ -212,8 +212,8 @@ LockstepChecker::onRetire(Tick now)
     RetireRecord timed = std::move(pending.front());
     pending.pop_front();
 
-    ExecTrace rtr = stepOne(refArch, *prog, shadowMem);
-    RetireRecord ref = capture(refArch, rtr, shadowMem, timed.seq);
+    stepOne(refArch, *prog, shadowMem, refTrace);
+    RetireRecord ref = capture(refArch, refTrace, shadowMem, timed.seq);
 
     compare(timed, ref, now);
     ++numRetires;

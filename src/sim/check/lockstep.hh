@@ -225,6 +225,8 @@ class LockstepChecker
     const Program *prog = nullptr;
     ArchState refArch;
     BackingStore shadowMem;
+    /** The reference step's trace, reused across retires. */
+    ExecTrace refTrace;
 
     /** Timed-side records between fetch and retire, oldest first. */
     std::deque<RetireRecord> pending;

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -79,7 +78,13 @@ class Event
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    EventQueue()
+    {
+        // Room for a busy system's in-flight events up front, so the
+        // heap and free list do not grow mid-run (DESIGN.md §11).
+        heap.reserve(initialEvents);
+        freeClosures.reserve(initialEvents);
+    }
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -209,14 +214,15 @@ class EventQueue
     }
 
     /**
-     * Run until @p done returns true, the queue drains, or the tick
-     * limit is reached.
-     * @retval true iff @p done became true.
+     * Run until an event sets @p stop, the queue drains, or the tick
+     * limit is reached. The flag is a plain load per event, not a
+     * call.
+     * @retval true iff @p stop became true.
      */
     bool
-    runUntil(const std::function<bool()> &done, Tick limit = maxTick)
+    runUntil(const bool &stop, Tick limit = maxTick)
     {
-        while (!done()) {
+        while (!stop) {
             purgeStale();
             if (heap.empty() || heap.front().when > limit)
                 return false;
@@ -307,6 +313,8 @@ class EventQueue
         std::pop_heap(heap.begin(), heap.end(), LaterThan{});
         heap.pop_back();
     }
+
+    static constexpr std::size_t initialEvents = 1024;
 
     /** Binary min-heap maintained with std::push_heap/std::pop_heap;
      *  after purgeStale(), heap.front() is the earliest live event. */

@@ -7,7 +7,9 @@
  * FIFO traffic; a hardware queue has a fixed depth, so its model
  * should not. A Ring is sized once to the structure's depth and never
  * touches the heap again unless a push finds it full, in which case it
- * doubles (a warm-up cost, never a steady-state one).
+ * doubles (a warm-up cost, never a steady-state one). Elements are
+ * move-assigned into and out of their slots, so a slot may hold a
+ * callback (a cache's stalled requests) without ever being freed.
  */
 
 #ifndef BVL_SIM_RING_HH
@@ -16,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace bvl
@@ -24,11 +27,16 @@ namespace bvl
 template <typename T>
 class Ring
 {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "Ring slots are overwritten, never destroyed");
-
   public:
-    explicit Ring(std::size_t capacity = 0) { reserve(capacity); }
+    explicit Ring(std::size_t capacity = 0)
+    {
+        // Checked here rather than at class scope so T may be a
+        // nested struct of the class that holds the Ring.
+        static_assert(std::is_default_constructible_v<T> &&
+                          std::is_move_assignable_v<T>,
+                      "Ring slots are assigned over, never destroyed");
+        reserve(capacity);
+    }
 
     /** Grow to hold at least @p n elements; contents are kept. */
     void
@@ -41,7 +49,7 @@ class Ring
             return;
         std::vector<T> grown(cap);
         for (std::uint64_t pos = head; pos != tail; ++pos)
-            grown[pos & (cap - 1)] = buf[pos & mask];
+            grown[pos & (cap - 1)] = std::move(buf[pos & mask]);
         buf = std::move(grown);
         mask = cap - 1;
     }
@@ -64,6 +72,14 @@ class Ring
         buf[tail++ & mask] = v;
     }
 
+    void
+    push_back(T &&v)
+    {
+        if (size() == buf.size())
+            reserve(buf.size() * 2);
+        buf[tail++ & mask] = std::move(v);
+    }
+
     void pop_front() { ++head; }
 
     /** Remove the @p i-th element, keeping the order of the rest.
@@ -73,7 +89,7 @@ class Ring
     erase(std::size_t i)
     {
         for (; i > 0; --i)
-            (*this)[i] = (*this)[i - 1];
+            (*this)[i] = std::move((*this)[i - 1]);
         ++head;
     }
 

@@ -8,9 +8,8 @@
  * every steady-state capture shape in the simulator (`[this]`,
  * `[this, rd, gen]`, `[this, lineNum]`, the VMSU's `[this, req,
  * attempt]`) — and falls back to the heap only for oversized or
- * throwing-move captures (cold paths such as the L2 invalidate
- * penalty wrapper). DESIGN.md §11 states the hot-path rules that
- * depend on this.
+ * throwing-move captures, which no steady-state path may use.
+ * DESIGN.md §11 states the hot-path rules that depend on this.
  */
 
 #ifndef BVL_SIM_SMALL_FN_HH

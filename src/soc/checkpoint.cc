@@ -1,6 +1,5 @@
 #include "soc/checkpoint.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "sim/check/json.hh"
@@ -156,14 +155,7 @@ std::string
 checkpointInputSha256(const Soc &soc, Workload &workload)
 {
     Sha256 d;
-    std::vector<std::pair<Addr, const std::vector<std::uint8_t> *>>
-        pages;
-    for (const auto &kv : soc.backing.pageMap())
-        pages.emplace_back(kv.first, &kv.second);
-    std::sort(pages.begin(), pages.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
+    auto pages = soc.backing.sortedPages();
     for (const auto &[num, bytes] : pages) {
         std::uint64_t n = num;
         d.update(&n, sizeof(n));
@@ -209,14 +201,7 @@ encodeCheckpoint(Soc &soc, const std::string &workloadName,
     }
 
     // 3. Memory image, sorted by page number for determinism.
-    std::vector<std::pair<Addr, const std::vector<std::uint8_t> *>>
-        pages;
-    for (const auto &kv : soc.backing.pageMap())
-        pages.emplace_back(kv.first, &kv.second);
-    std::sort(pages.begin(), pages.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
+    auto pages = soc.backing.sortedPages();
     put64(payload, pages.size());
     for (const auto &[num, bytes] : pages) {
         put64(payload, num);

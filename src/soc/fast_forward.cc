@@ -15,6 +15,7 @@ fastForward(Soc &soc, ProgramCore &core, const Program &prog,
     unsigned coreId = core.coreId();
     GsharePredictor *bpred = core.predictor();
     FastForwardResult res;
+    ExecTrace tr;
     Addr lastFetchLine = ~Addr(0);
     while (res.executed < maxInsts) {
         if (arch.halted || arch.pc >= prog.size())
@@ -32,7 +33,7 @@ fastForward(Soc &soc, ProgramCore &core, const Program &prog,
             }
         }
 
-        ExecTrace tr = stepOne(arch, prog, soc.backing);
+        stepOne(arch, prog, soc.backing, tr);
         ++res.executed;
 
         if (bpred && tr.isBranch && tr.inst->op != Op::jump)
@@ -105,7 +106,7 @@ runFastForwarded(Soc &soc, Workload &workload, const RunOptions &opts)
                                  std::uint64_t markFetch = 0) -> bool {
         bool done = false;
         core.runWindow(prog, maxFetch, [&] { done = true; }, markFetch);
-        bool fin = soc.runUntil([&] { return done; }, limit);
+        bool fin = soc.runUntil(done, limit);
         if (!fin) {
             out.finished = false;
             out.queueDrained = soc.eq.empty();

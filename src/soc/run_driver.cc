@@ -89,8 +89,11 @@ runWorkload(Design design, Workload &workload, const RunOptions &opts)
 
         auto onDone = [&] { done = true; };
 
+        // Always built: its constructor interns the runtime.* stats
+        // every run reports. Only a task graph gives it a heartbeat.
         runtime = std::make_unique<WsRuntime>(*soc);
-        runtime->registerProgress(soc->watchdog);
+        if (shape.taskGraph)
+            runtime->registerProgress(soc->watchdog);
 
         if (ffMode) {
             // Dispatch happens inside runFastForwarded(), below, after
@@ -123,7 +126,7 @@ runWorkload(Design design, Workload &workload, const RunOptions &opts)
             extraStats = std::move(ffo.extraStats);
         } else {
             Tick limit = static_cast<Tick>(opts.limitNs * ticksPerNs);
-            finished = soc->runUntil([&] { return done; }, limit);
+            finished = soc->runUntil(done, limit);
         }
 
         if (finished) {

@@ -197,9 +197,9 @@ Soc::Soc(Design design, double bigGhz, double littleGhz)
 {}
 
 bool
-Soc::runUntil(const std::function<bool()> &done, Tick limit)
+Soc::runUntil(const bool &stop, Tick limit)
 {
-    return eq.runUntil(done, limit);
+    return eq.runUntil(stop, limit);
 }
 
 } // namespace bvl

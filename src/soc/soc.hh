@@ -115,9 +115,9 @@ class Soc
     unsigned vlenBits() const
     { return engine ? engine->params().vlenBits() : 64; }
 
-    /** Run the event queue until @p done or no events remain. */
-    bool runUntil(const std::function<bool()> &done,
-                  Tick limit = maxTick);
+    /** Run the event queue until an event sets @p stop, no events
+     *  remain, or @p limit passes. */
+    bool runUntil(const bool &stop, Tick limit = maxTick);
 
     /** Elapsed simulated nanoseconds. */
     double elapsedNs() const

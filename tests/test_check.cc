@@ -155,7 +155,7 @@ TEST(LockstepTest, SeededCorruptionCaughtAtFirstWrongRetire)
     soc.big->runProgram(w->vectorProgram(), w->fullRangeArgs(),
                         [&] { done = true; });
     try {
-        soc.runUntil([&] { return done; });
+        soc.runUntil(done);
         FAIL() << "corrupted retire was not caught";
     } catch (const CheckError &e) {
         ASSERT_TRUE(e.hasDivergence());
@@ -191,7 +191,7 @@ TEST(LockstepTest, ScalarStreamCorruptionCaughtToo)
     soc.big->runProgram(w->scalarProgram(), w->fullRangeArgs(),
                         [&] { done = true; });
     try {
-        soc.runUntil([&] { return done; });
+        soc.runUntil(done);
         FAIL() << "corrupted retire was not caught";
     } catch (const CheckError &e) {
         ASSERT_TRUE(e.hasDivergence());
@@ -216,7 +216,7 @@ TEST(LockstepTest, InvariantViolationRaisesCheckError)
     soc.big->runProgram(w->scalarProgram(), w->fullRangeArgs(),
                         [&] { done = true; });
     try {
-        soc.runUntil([&] { return done; });
+        soc.runUntil(done);
         FAIL() << "invariant violation was not raised";
     } catch (const CheckError &e) {
         EXPECT_FALSE(e.hasDivergence());

@@ -153,7 +153,7 @@ TEST_P(CosimScalarTest, LittleMatchesFunctional)
     initData(soc.backing, dataRng2);
     bool done = false;
     soc.littles[0]->runProgram(prog, {}, [&] { done = true; });
-    ASSERT_TRUE(soc.runUntil([&] { return done; },
+    ASSERT_TRUE(soc.runUntil(done,
                              soc.eq.now() + 50'000'000ull));
     expectSameState(soc.littles[0]->archState(), func, soc.backing,
                     funcMem, "little");
@@ -175,7 +175,7 @@ TEST_P(CosimScalarTest, BigMatchesFunctional)
     initData(soc.backing, dataRng2);
     bool done = false;
     soc.big->runProgram(prog, {}, [&] { done = true; });
-    ASSERT_TRUE(soc.runUntil([&] { return done; },
+    ASSERT_TRUE(soc.runUntil(done,
                              soc.eq.now() + 50'000'000ull));
     expectSameState(soc.big->archState(), func, soc.backing, funcMem,
                     "big");
@@ -205,7 +205,7 @@ TEST_P(CosimVectorTest, EngineMatchesFunctional)
     initData(soc.backing, dataRng2);
     bool done = false;
     soc.big->runProgram(prog, {}, [&] { done = true; });
-    ASSERT_TRUE(soc.runUntil([&] { return done; },
+    ASSERT_TRUE(soc.runUntil(done,
                              soc.eq.now() + 50'000'000ull));
     expectSameState(soc.big->archState(), func, soc.backing, funcMem,
                     designName(design));
@@ -389,7 +389,7 @@ class EngineGeometryTest
         bool done = false;
         soc.big->runProgram(prog, {}, [&] { done = true; });
         try {
-            ASSERT_TRUE(soc.runUntil([&] { return done; },
+            ASSERT_TRUE(soc.runUntil(done,
                                      soc.eq.now() + 50'000'000ull));
         } catch (const SimError &e) {
             FAIL() << e.what();

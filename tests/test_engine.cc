@@ -64,7 +64,7 @@ runOnBig(Soc &soc, ProgramPtr prog,
     double start = soc.elapsedNs();
     soc.big->runProgram(std::move(prog), std::move(args),
                         [&] { done = true; });
-    bool finished = soc.runUntil([&] { return done; },
+    bool finished = soc.runUntil(done,
                                  soc.eq.now() + 500'000'000ull);
     EXPECT_TRUE(finished) << "simulation deadlocked";
     return soc.elapsedNs() - start;

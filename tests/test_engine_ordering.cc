@@ -30,7 +30,7 @@ runProg(Soc &soc, ProgramPtr prog,
     double t0 = soc.elapsedNs();
     soc.big->runProgram(std::move(prog), std::move(args),
                         [&] { done = true; });
-    EXPECT_TRUE(soc.runUntil([&] { return done; },
+    EXPECT_TRUE(soc.runUntil(done,
                              soc.eq.now() + 100'000'000ull));
     return soc.elapsedNs() - t0;
 }

@@ -125,6 +125,22 @@ TEST(BackingStoreTest, PageStraddlingAccess)
     EXPECT_EQ(mem.allocatedPages(), 2u);
 }
 
+TEST(BackingStoreTest, CopyOwnsItsPages)
+{
+    // The lockstep checker's shadow memory is a copy taken after the
+    // workload's init writes warmed the page cache; writes through
+    // either store must never reach the other.
+    BackingStore mem;
+    mem.writeT<std::uint64_t>(0x1000, 1);
+    BackingStore copy(mem);
+    copy.writeT<std::uint64_t>(0x1000, 2);
+    mem.writeT<std::uint64_t>(0x1008, 3);
+    EXPECT_EQ(mem.readT<std::uint64_t>(0x1000), 1u);
+    EXPECT_EQ(copy.readT<std::uint64_t>(0x1000), 2u);
+    EXPECT_EQ(copy.readT<std::uint64_t>(0x1008), 0u);
+    EXPECT_EQ(copy.allocatedPages(), 1u);
+}
+
 TEST(BackingStoreTest, UnwrittenMemoryReadsZero)
 {
     BackingStore mem;

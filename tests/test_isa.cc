@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "isa/arch_state.hh"
 #include "isa/program.hh"
 #include "mem/backing_store.hh"
+#include "workloads/workload.hh"
 
 namespace bvl
 {
@@ -370,7 +372,7 @@ TEST_F(IsaTest, ExecTraceRecordsVectorAddresses)
     // step through manually
     ExecTrace tr;
     while (!st.halted) {
-        tr = stepOne(st, *p, mem);
+        stepOne(st, *p, mem, tr);
         if (tr.inst->op == Op::vle)
             break;
     }
@@ -529,6 +531,76 @@ TEST_P(IsaVlenTest, StripmineLoopIsVlenInvariant)
 
 INSTANTIATE_TEST_SUITE_P(AllVlens, IsaVlenTest,
                          ::testing::Values(128u, 256u, 512u, 1024u, 2048u));
+
+/**
+ * The timing cores, fast-forward and the lockstep reference all step
+ * into a trace they reuse (DESIGN.md §11). Stepping into a trace that
+ * last held a vector store, with every other flag raised as well, must
+ * leave exactly what stepping into a fresh one does: a flag stepOne
+ * forgot to reset would silently change timing.
+ */
+TEST(ExecTraceReuseTest, DirtyTraceStepsLikeAFreshOne)
+{
+    ExecTrace dirty;
+    {
+        Asm a("dirty");
+        a.li(xreg(1), 4)
+         .vsetvli(xreg(2), xreg(1), 8)
+         .li(xreg(3), 0x4000)
+         .vse(vreg(1), xreg(3), 8)
+         .halt();
+        auto p = a.finish();
+        ArchState st;
+        BackingStore mem;
+        do {
+            stepOne(st, *p, mem, dirty);
+        } while (dirty.inst->op != Op::vse);
+    }
+    ASSERT_TRUE(dirty.isVec && dirty.isMem && dirty.isStore);
+    ASSERT_EQ(dirty.elemAddrs.size(), 4u);
+    dirty.isBranch = true;
+    dirty.taken = true;
+    dirty.halted = true;
+    dirty.addr = 0xdead0;
+
+    unsigned programs = 0;
+    for (const std::string &name : allWorkloadNames()) {
+        WorkloadPtr wl = makeWorkload(name, Scale::tiny);
+        ASSERT_NE(wl, nullptr) << name;
+        for (const ProgramPtr &prog :
+             {wl->scalarProgram(), wl->vectorProgram()}) {
+            if (!prog)
+                continue;
+            ++programs;
+            BackingStore freshMem, reusedMem;
+            wl->init(freshMem);
+            wl->init(reusedMem);
+            ArchState fresh(maxVlenBits), reused(maxVlenBits);
+            fresh.seed(wl->fullRangeArgs());
+            reused.seed(wl->fullRangeArgs());
+            ExecTrace tr;
+            std::string freshState, reusedState;
+            for (std::uint64_t step = 0;
+                 !fresh.halted && fresh.pc < prog->size(); ++step) {
+                ExecTrace want;
+                stepOne(fresh, *prog, freshMem, want);
+                tr = dirty;
+                stepOne(reused, *prog, reusedMem, tr);
+                ASSERT_TRUE(tr == want)
+                    << prog->name() << " step " << step << ": "
+                    << want.inst->toString();
+                freshState.clear();
+                reusedState.clear();
+                fresh.dumpState(freshState);
+                reused.dumpState(reusedState);
+                ASSERT_EQ(freshState, reusedState)
+                    << prog->name() << " step " << step;
+            }
+            ASSERT_TRUE(fresh.halted) << prog->name();
+        }
+    }
+    EXPECT_GT(programs, allWorkloadNames().size());
+}
 
 } // namespace
 } // namespace bvl

@@ -76,7 +76,7 @@ runGraph(Soc &soc, TaskGraph g, bool useBig, unsigned littles,
     double start = soc.elapsedNs();
     rt.run(std::move(g), useBig, littles, bigVector,
            [&] { done = true; });
-    EXPECT_TRUE(soc.runUntil([&] { return done; },
+    EXPECT_TRUE(soc.runUntil(done,
                              soc.eq.now() + 100'000'000ull));
     return soc.elapsedNs() - start;
 }

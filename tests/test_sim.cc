@@ -63,9 +63,10 @@ TEST(EventQueueTest, RunUntilStopsOnPredicate)
 {
     EventQueue eq;
     int count = 0;
+    bool stop = false;
     for (int i = 1; i <= 10; ++i)
-        eq.schedule(i * 10, [&] { ++count; });
-    bool reached = eq.runUntil([&] { return count >= 5; });
+        eq.schedule(i * 10, [&] { stop = ++count >= 5; });
+    bool reached = eq.runUntil(stop);
     EXPECT_TRUE(reached);
     EXPECT_EQ(count, 5);
     EXPECT_LT(eq.now(), 100u);
