@@ -71,7 +71,7 @@ main()
     printHeader("Ablation: big.VLITTLE design choices "
                 "(1b-4VL speedup over 1L)", scale);
 
-    SweepService pool(benchServiceOptions("ablation_engine"));
+    SweepService pool(sweepServiceOptionsFromEnv("ablation_engine"));
     return finishSweep(pool, [&] {
         sweep("chimes x packing (effective VLEN)",
               {{"1c", withChimes(1, false)},

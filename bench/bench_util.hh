@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <future>
 #include <string>
@@ -94,34 +93,6 @@ applyCkptEnv(RunOptions &opts)
 }
 
 /**
- * Sweep-service configuration shared by every figure bench:
- *
- *  - journal: ${BVL_SWEEP_DIR:-.bvl-sweep}/<bench>.journal.jsonl.
- *    BVL_SWEEP_JOURNAL=0 disables journaling; any other non-"1" value
- *    overrides the journal path verbatim.
- *  - cache: BVL_CACHE_DIR (unset = no cache).
- *  - isolation: BVL_SWEEP_ISOLATE=1 (read by SweepService itself).
- */
-inline SweepServiceOptions
-benchServiceOptions(const char *benchName)
-{
-    SweepServiceOptions o;
-    const char *j = std::getenv("BVL_SWEEP_JOURNAL");
-    if (j && !std::strcmp(j, "0")) {
-        // Journaling explicitly off.
-    } else if (j && *j && std::strcmp(j, "1") != 0) {
-        o.journalPath = j;
-    } else {
-        const char *dir = std::getenv("BVL_SWEEP_DIR");
-        o.journalPath = std::string(dir && *dir ? dir : ".bvl-sweep") +
-                        "/" + benchName + ".journal.jsonl";
-    }
-    if (const char *c = std::getenv("BVL_CACHE_DIR"); c && *c)
-        o.cacheDir = c;
-    return o;
-}
-
-/**
  * Run a bench body under graceful-stop supervision: installs the
  * SIGINT/SIGTERM handlers, translates SweepInterrupted into the
  * distinct resumable exit code (75), and prints the machine-readable
@@ -161,16 +132,6 @@ checkResult(RunResult r)
              runStatusName(r.status), r.message.empty() ? "" : ": ",
              r.message.c_str());
     return r;
-}
-
-/** Run and insist on a finished, verified result. */
-inline RunResult
-runChecked(Design d, const std::string &name, Scale scale,
-           RunOptions opts = {})
-{
-    applyTraceEnv(opts, d, name);
-    applyCkptEnv(opts);
-    return checkResult(runWorkload(d, name, scale, opts));
 }
 
 /**

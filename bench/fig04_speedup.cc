@@ -114,7 +114,7 @@ main()
 {
     setVerbose(false);
     Scale scale = chosenScale(Scale::small);
-    SweepService pool(benchServiceOptions("fig04_speedup"));
+    SweepService pool(sweepServiceOptionsFromEnv("fig04_speedup"));
     printHeader("Figure 4: speedup over 1L", scale);
     return finishSweep(pool, [&] {
         runSuite("task-parallel (Ligra)",

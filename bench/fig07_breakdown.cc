@@ -77,7 +77,7 @@ main()
     VEngineParams oneChimePacked = vlittlePreset();
     oneChimePacked.chimes = 1;
 
-    SweepService pool(benchServiceOptions("fig07_breakdown"));
+    SweepService pool(sweepServiceOptionsFromEnv("fig07_breakdown"));
     return finishSweep(pool, [&] {
         runConfig("1c", oneChime, scale, pool);
         runConfig("1c+sw", oneChimePacked, scale, pool);

@@ -26,7 +26,7 @@ main()
                                            "pathfinder", "backprop",
                                            "jacobi-2d", "kmeans"};
 
-    SweepService pool(benchServiceOptions("fig08_buffering"));
+    SweepService pool(sweepServiceOptionsFromEnv("fig08_buffering"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
         for (const auto &name : apps) {

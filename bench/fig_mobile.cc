@@ -56,7 +56,7 @@ main()
     const Design base = Design::d1b;
     const Design vec[] = {Design::d1bIV, Design::d1bDV, Design::d1b4VL};
 
-    SweepService pool(benchServiceOptions("fig_mobile"));
+    SweepService pool(sweepServiceOptionsFromEnv("fig_mobile"));
     Json rows = Json::array();
     bool failed = false;
     int rc = finishSweep(pool, [&] {

@@ -123,7 +123,7 @@ main()
 
     const unsigned depths[] = {2, 4, 8, 16, 32};
 
-    SweepService pool(benchServiceOptions("sweep_farm"));
+    SweepService pool(sweepServiceOptionsFromEnv("sweep_farm"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
 

@@ -3,14 +3,14 @@
  * Run one workload from the built-in suite on all seven evaluated
  * systems and print a Figure-4-style speedup row. The seven runs are
  * independent simulations, so they go through the crash-safe sweep
- * service (BVL_JOBS threads; journal/cache via BVL_SWEEP_DIR /
- * BVL_CACHE_DIR) and are printed in submission order.
+ * service (BVL_JOBS threads; journal/cache via BVL_SWEEP_DIR,
+ * BVL_SWEEP_JOURNAL and BVL_CACHE_DIR) and are printed in submission
+ * order.
  *
  *   $ ./example_compare_designs [workload] [tiny|small|medium]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 
@@ -38,14 +38,7 @@ main(int argc, char **argv)
     // they execute concurrently; futures resolve in submission order.
     // The journal makes a rerun after a crash (or a warm rerun) replay
     // completed results instead of re-simulating.
-    SweepServiceOptions sopts;
-    const char *sweepDir = std::getenv("BVL_SWEEP_DIR");
-    sopts.journalPath =
-        std::string(sweepDir && *sweepDir ? sweepDir : ".bvl-sweep") +
-        "/compare_designs.journal.jsonl";
-    if (const char *c = std::getenv("BVL_CACHE_DIR"); c && *c)
-        sopts.cacheDir = c;
-    SweepService pool(sopts);
+    SweepService pool(sweepServiceOptionsFromEnv("compare_designs"));
     SweepService::installSignalHandlers();
     auto baseFut = pool.submit({Design::d1L, name, scale, {}});
     std::vector<std::future<RunResult>> futures;

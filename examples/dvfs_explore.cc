@@ -8,13 +8,12 @@
  *
  * The 16 V/f points are independent simulations, so they run through
  * the crash-safe sweep service (BVL_JOBS threads; journal/cache via
- * BVL_SWEEP_DIR / BVL_CACHE_DIR).
+ * BVL_SWEEP_DIR, BVL_SWEEP_JOURNAL and BVL_CACHE_DIR).
  *
  *   $ ./example_dvfs_explore [workload]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 
 #include "power/power_model.hh"
@@ -28,14 +27,7 @@ main(int argc, char **argv)
     setVerbose(false);
     std::string name = argc > 1 ? argv[1] : "blackscholes";
 
-    SweepServiceOptions sopts;
-    const char *sweepDir = std::getenv("BVL_SWEEP_DIR");
-    sopts.journalPath =
-        std::string(sweepDir && *sweepDir ? sweepDir : ".bvl-sweep") +
-        "/dvfs_explore.journal.jsonl";
-    if (const char *c = std::getenv("BVL_CACHE_DIR"); c && *c)
-        sopts.cacheDir = c;
-    SweepService pool(sopts);
+    SweepService pool(sweepServiceOptionsFromEnv("dvfs_explore"));
     SweepService::installSignalHandlers();
     std::vector<std::future<RunResult>> futures;
     for (unsigned bi = 0; bi < bigLevels.size(); ++bi) {

@@ -18,7 +18,9 @@
 # mid-operation crashes and a seeded probabilistic soak must never
 # move sweep stdout or leave temp litter; scripts/chaos_smoke.sh),
 # gate the sweep journal a live sweep just wrote (scripts/check_bench.py
-# --journal), smoke the mobile kernel tier (fig_mobile BVL_JOBS=1 vs 4
+# --journal), smoke the V/f figures (fig09_11_vf BVL_JOBS=1 vs 4
+# byte-identical, each of its 583 cells simulated once, its journal
+# gated), smoke the mobile kernel tier (fig_mobile BVL_JOBS=1 vs 4
 # byte-identical, its journal gated, and its simulated-time /
 # access-pattern table gated against the pinned BENCH_mobile.json via
 # scripts/check_bench.py --mobile), gate the sampled-simulation
@@ -85,6 +87,25 @@ echo "fig04_speedup output is byte-identical across thread counts"
 echo "=== journal gate (every journaled sweep cell finished ok) ==="
 python3 scripts/check_bench.py \
     --journal build/sweep.j1/fig04_speedup.journal.jsonl
+
+echo "=== V/f figures (fig09_11_vf, BVL_JOBS=1 vs 4, each cell once) ==="
+# Figs 9, 10 and 11 print from one grid of 583 cells; a cold run must
+# simulate each of them exactly once.
+rm -rf build/vf.j1 build/vf.j4
+BVL_SCALE=tiny BVL_JOBS=1 BVL_SWEEP_DIR=build/vf.j1 \
+    ./build/bench/fig09_11_vf > build/fig09_11_vf.j1 2> build/fig09_11_vf.err
+BVL_SCALE=tiny BVL_JOBS=4 BVL_SWEEP_DIR=build/vf.j4 \
+    ./build/bench/fig09_11_vf > build/fig09_11_vf.j4
+cmp build/fig09_11_vf.j1 build/fig09_11_vf.j4
+grep -q 'bvl-sweep-summary: submitted=583 simulated=583 ' \
+    build/fig09_11_vf.err || {
+    cat build/fig09_11_vf.err
+    echo "FAIL: fig09_11_vf did not simulate its 583 cells once each"
+    exit 1
+}
+python3 scripts/check_bench.py \
+    --journal build/vf.j1/fig09_11_vf.journal.jsonl
+echo "fig09_11_vf output is byte-identical across thread counts"
 
 echo "=== mobile tier smoke (fig_mobile, BVL_JOBS=1 vs 4 + gates) ==="
 rm -rf build/mobile.j1 build/mobile.j4

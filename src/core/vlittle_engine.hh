@@ -98,7 +98,6 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     void dispatch(const ExecTrace &trace,
                   std::function<void()> onDone) override;
     bool idle() const override;
-    const char *engineName() const override { return p.name.c_str(); }
     bool dispatchAtHead() const override
     { return p.memPath != VEngineParams::MemPath::bigL1D; }
 

@@ -51,9 +51,6 @@ class VectorEngine
      * operands are ready (in program order among vector instructions).
      */
     virtual bool dispatchAtHead() const { return true; }
-
-    /** Engine name for reporting. */
-    virtual const char *engineName() const = 0;
 };
 
 } // namespace bvl

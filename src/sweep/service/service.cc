@@ -70,6 +70,25 @@ SweepService::clearStop()
     g_stop.store(false, std::memory_order_relaxed);
 }
 
+SweepServiceOptions
+sweepServiceOptionsFromEnv(const char *sweepName)
+{
+    SweepServiceOptions o;
+    const char *j = std::getenv("BVL_SWEEP_JOURNAL");
+    if (j && !std::strcmp(j, "0")) {
+        // Journaling explicitly off.
+    } else if (j && *j && std::strcmp(j, "1") != 0) {
+        o.journalPath = j;
+    } else {
+        const char *dir = std::getenv("BVL_SWEEP_DIR");
+        o.journalPath = std::string(dir && *dir ? dir : ".bvl-sweep") +
+                        "/" + sweepName + ".journal.jsonl";
+    }
+    if (const char *c = std::getenv("BVL_CACHE_DIR"); c && *c)
+        o.cacheDir = c;
+    return o;
+}
+
 SweepService::SweepService(SweepServiceOptions options)
     : opts(std::move(options)), runner(opts.jobs)
 {

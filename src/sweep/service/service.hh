@@ -96,6 +96,18 @@ struct SweepServiceOptions
     std::function<void(const SweepJob &, unsigned attempt)> preRunHook;
 };
 
+/**
+ * Options for a named sweep (a figure bench or a sweep example),
+ * configured from the environment:
+ *
+ *  - journal: ${BVL_SWEEP_DIR:-.bvl-sweep}/<sweepName>.journal.jsonl.
+ *    BVL_SWEEP_JOURNAL=0 disables journaling; any other non-"1" value
+ *    overrides the journal path verbatim.
+ *  - cache: BVL_CACHE_DIR (unset = no cache).
+ *  - isolation: BVL_SWEEP_ISOLATE=1 (read by SweepService itself).
+ */
+SweepServiceOptions sweepServiceOptionsFromEnv(const char *sweepName);
+
 class SweepService
 {
   public:

@@ -131,8 +131,9 @@ TEST(LockstepTest, CleanRunsStayCleanAcrossDesigns)
             << designName(d) << ": " << r.message;
         EXPECT_GT(r.stat("check.retires"), 0u) << designName(d);
         EXPECT_EQ(r.stat("check.divergences"), 0u) << designName(d);
-        if (designHasVector(d))
+        if (designHasVector(d)) {
             EXPECT_GT(r.stat("check.uops"), 0u) << designName(d);
+        }
     }
 }
 

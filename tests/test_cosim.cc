@@ -279,8 +279,9 @@ TEST_P(FaultedCosimTest, RecoverableFaultsRetireMatchTheModel)
     EXPECT_TRUE(r.verified);
     EXPECT_GT(r.stat("check.retires"), 0u);
     EXPECT_EQ(r.stat("check.divergences"), 0u);
-    if (designHasVector(design))
+    if (designHasVector(design)) {
         EXPECT_GT(r.stat("check.uops"), 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,8 @@
  * instead of silently running with a default the user did not ask
  * for. Each shipped variable — BVL_JOBS, BVL_SWEEP_ISOLATE, BVL_SCALE
  * — gets its own regression through the code path that consumes it.
+ * The free-form path variables a sweep's journal and cache follow are
+ * checked through sweepServiceOptionsFromEnv.
  */
 
 #include <gtest/gtest.h>
@@ -207,6 +209,37 @@ TEST(EnvParseTest, ScaleVariableIsStrict)
     ScopedEnv e("BVL_SCALE", "large");
     std::string msg = fatalMessage(scaleIndex);
     EXPECT_NE(msg.find("tiny|small|medium"), std::string::npos) << msg;
+}
+
+// --- sweep journal and cache (sweepServiceOptionsFromEnv) -------------
+
+TEST(EnvParseTest, SweepServiceOptionsFollowJournalAndCacheVariables)
+{
+    ScopedEnv dir("BVL_SWEEP_DIR", nullptr);
+    ScopedEnv cache("BVL_CACHE_DIR", nullptr);
+    {
+        ScopedEnv j("BVL_SWEEP_JOURNAL", nullptr);
+        auto o = sweepServiceOptionsFromEnv("fig");
+        EXPECT_EQ(o.journalPath, ".bvl-sweep/fig.journal.jsonl");
+        EXPECT_EQ(o.cacheDir, "");
+    }
+    {
+        ScopedEnv j("BVL_SWEEP_JOURNAL", "1");
+        ScopedEnv d("BVL_SWEEP_DIR", "sweeps");
+        EXPECT_EQ(sweepServiceOptionsFromEnv("fig").journalPath,
+                  "sweeps/fig.journal.jsonl");
+    }
+    {
+        ScopedEnv j("BVL_SWEEP_JOURNAL", "0");
+        EXPECT_EQ(sweepServiceOptionsFromEnv("fig").journalPath, "");
+    }
+    {
+        ScopedEnv j("BVL_SWEEP_JOURNAL", "elsewhere/run.jsonl");
+        ScopedEnv c("BVL_CACHE_DIR", "results");
+        auto o = sweepServiceOptionsFromEnv("fig");
+        EXPECT_EQ(o.journalPath, "elsewhere/run.jsonl");
+        EXPECT_EQ(o.cacheDir, "results");
+    }
 }
 
 } // namespace
