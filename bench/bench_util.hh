@@ -25,7 +25,7 @@
 
 #include "sim/env.hh"
 #include "sim/logging.hh"
-#include "soc/run_driver.hh"
+#include "soc/run_io.hh"
 #include "sweep/service/service.hh"
 
 namespace bvlbench
@@ -36,23 +36,8 @@ using namespace bvl;
 inline Scale
 chosenScale(Scale fallback)
 {
-    switch (envChoice("BVL_SCALE", {"tiny", "small", "medium"}, -1)) {
-      case 0: return Scale::tiny;
-      case 1: return Scale::small;
-      case 2: return Scale::medium;
-      default: return fallback;
-    }
-}
-
-inline const char *
-scaleName(Scale s)
-{
-    switch (s) {
-      case Scale::tiny: return "tiny";
-      case Scale::small: return "small";
-      case Scale::medium: return "medium";
-    }
-    return "?";
+    int i = envChoice("BVL_SCALE", EnumNames<Scale>::names, -1);
+    return i < 0 ? fallback : static_cast<Scale>(i);
 }
 
 /**

@@ -11,9 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <future>
 
+#include "soc/run_io.hh"
 #include "sweep/service/service.hh"
 
 using namespace bvl;
@@ -23,11 +23,12 @@ main(int argc, char **argv)
 {
     setVerbose(false);
     std::string name = argc > 1 ? argv[1] : "saxpy";
-    Scale scale = Scale::small;
-    if (argc > 2) {
-        scale = !std::strcmp(argv[2], "tiny") ? Scale::tiny :
-                !std::strcmp(argv[2], "medium") ? Scale::medium
-                                                : Scale::small;
+    auto scale = argc > 2 ? scaleFromName(argv[2]) : Scale::small;
+    if (!scale) {
+        std::fprintf(stderr,
+                     "usage: %s [workload] [tiny|small|medium]\n",
+                     argv[0]);
+        return 1;
     }
 
     const Design others[] = {Design::d1b, Design::d1bIV, Design::d1b4L,
@@ -40,10 +41,10 @@ main(int argc, char **argv)
     // completed results instead of re-simulating.
     SweepService pool(sweepServiceOptionsFromEnv("compare_designs"));
     SweepService::installSignalHandlers();
-    auto baseFut = pool.submit({Design::d1L, name, scale, {}});
+    auto baseFut = pool.submit({Design::d1L, name, *scale, {}});
     std::vector<std::future<RunResult>> futures;
     for (Design d : others)
-        futures.push_back(pool.submit({d, name, scale, {}}));
+        futures.push_back(pool.submit({d, name, *scale, {}}));
 
     try {
         auto base = baseFut.get();

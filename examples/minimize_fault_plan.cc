@@ -27,22 +27,22 @@ using namespace bvl;
 namespace
 {
 
-ReplayRecipe
+SweepJob
 demoFatalRecipe()
 {
-    ReplayRecipe rec;
+    SweepJob rec;
     rec.design = Design::d1b4VL;
     rec.workload = "vvadd";
     rec.scale = Scale::tiny;
-    rec.options.watchdogIntervalNs = 10000;
-    rec.options.faults.enabled = true;
-    rec.options.faults.vmuMaxRetries = 0;
+    rec.opts.watchdogIntervalNs = 10000;
+    rec.opts.faults.enabled = true;
+    rec.opts.faults.vmuMaxRetries = 0;
     for (unsigned i = 0; i < 20; ++i) {
         if (i == 13)
-            rec.options.faults.script.push_back(
+            rec.opts.faults.script.push_back(
                 {0, FaultKind::vmuDrop, 0});
         else
-            rec.options.faults.script.push_back(
+            rec.opts.faults.script.push_back(
                 {Tick(1000) * i, FaultKind::vcuStall, 5});
     }
     return rec;
@@ -56,7 +56,7 @@ main(int argc, char **argv)
     std::string path =
         argc > 1 ? argv[1] : std::string("failure_report.json");
 
-    ReplayRecipe recipe;
+    SweepJob recipe;
     if (std::ifstream(path).good()) {
         std::printf("loading replay recipe from %s\n", path.c_str());
         recipe = loadReplayRecipe(path);
@@ -64,14 +64,14 @@ main(int argc, char **argv)
         recipe = demoFatalRecipe();
         std::printf("running demo fatal plan: %zu injections, "
                     "%s on %s\n",
-                    recipe.options.faults.script.size(),
+                    recipe.opts.faults.script.size(),
                     recipe.workload.c_str(),
                     designName(recipe.design));
-        ReplayRecipe reported = recipe;
-        reported.options.check.invariants = true;
-        reported.options.check.forensicsPath = path;
+        SweepJob reported = recipe;
+        reported.opts.check.invariants = true;
+        reported.opts.check.forensicsPath = path;
         RunResult r = runWorkload(reported.design, reported.workload,
-                                  reported.scale, reported.options);
+                                  reported.scale, reported.opts);
         std::printf("baseline status: %s\n", runStatusName(r.status));
         if (r.ok()) {
             std::printf("demo plan unexpectedly passed; nothing to "
@@ -86,9 +86,9 @@ main(int argc, char **argv)
     std::printf("oracle runs: %u\n", out.oracleRuns);
     std::printf("one-minimal: %s\n", out.oneMinimal ? "yes" : "no");
     std::printf("minimal injections: %zu\n",
-                out.minimal.options.faults.script.size());
+                out.minimal.opts.faults.script.size());
     for (std::size_t i = 0; i < out.keptIndices.size(); ++i) {
-        const ScriptedFault &f = out.minimal.options.faults.script[i];
+        const ScriptedFault &f = out.minimal.opts.faults.script[i];
         std::printf("  [%zu] %s at tick %llu (%llu cycles)\n",
                     out.keptIndices[i], faultKindName(f.kind),
                     static_cast<unsigned long long>(f.atTick),

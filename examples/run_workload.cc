@@ -22,24 +22,12 @@
 #include <cstring>
 #include <optional>
 
-#include "soc/run_driver.hh"
+#include "soc/run_io.hh"
 
 using namespace bvl;
 
 namespace
 {
-
-std::optional<Design>
-parseDesign(const std::string &s)
-{
-    for (Design d : {Design::d1L, Design::d1b, Design::d1bIV,
-                     Design::d1b4L, Design::d1bIV4L, Design::d1bDV,
-                     Design::d1b4VL}) {
-        if (s == designName(d))
-            return d;
-    }
-    return std::nullopt;
-}
 
 void
 usage(const char *argv0)
@@ -92,16 +80,19 @@ main(int argc, char **argv)
         } else if (arg == "--workload") {
             workload = next();
         } else if (arg == "--design") {
-            auto d = parseDesign(next());
+            auto d = designFromName(next());
             if (!d) {
                 usage(argv[0]);
                 return 1;
             }
             design = *d;
         } else if (arg == "--scale") {
-            std::string s = next();
-            scale = s == "tiny" ? Scale::tiny :
-                    s == "medium" ? Scale::medium : Scale::small;
+            auto s = scaleFromName(next());
+            if (!s) {
+                usage(argv[0]);
+                return 1;
+            }
+            scale = *s;
         } else if (arg == "--big-ghz") {
             opts.bigGhz = std::atof(next());
         } else if (arg == "--little-ghz") {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build and run the full test suite normally and
-# under AddressSanitizer + UBSan, check that the library revision is
+# Tier-1 verification: build (failing on any compiler warning in the
+# normal build) and run the full test suite normally and under
+# AddressSanitizer + UBSan, check that the library revision is
 # derived from the src/ tree (scripts/revision_check.sh), run the
 # checker-enabled suite under plain UBSan, run the
 # concurrency/determinism tests under ThreadSanitizer to check the
@@ -59,7 +60,12 @@ esac
 
 echo "=== normal build (jobs=$jobs) ==="
 cmake -B build -S . >/dev/null
-cmake --build build -j "$jobs"
+# Fail on any compiler warning in what this build compiled.
+cmake --build build -j "$jobs" 2>&1 | tee build/build.log
+if grep -n "warning:" build/build.log; then
+    echo "normal build emitted compiler warnings (above)" >&2
+    exit 1
+fi
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 echo "=== library revision is a digest of src/ ==="

@@ -33,6 +33,7 @@
 #include "cpu/vec_engine.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
+#include "sim/enum_names.hh"
 #include "sim/ring.hh"
 #include "sim/stats.hh"
 
@@ -85,6 +86,13 @@ struct VEngineParams
     {
         return numLanes * chimes * (packed ? 64 : 32);
     }
+};
+
+template <>
+struct EnumNames<VEngineParams::MemPath>
+{
+    static constexpr const char *names[] = {"bankedL1", "bigL1D",
+                                            "directL2"};
 };
 
 class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv

@@ -4,14 +4,15 @@
  *
  * Any non-ok run can be serialized to a JSON failure report
  * (schema "bvl-failure-report-v1") capturing what is needed to
- * understand and reproduce it: the run configuration including the
- * fault plan and checker flags, the final per-component heartbeat
- * table, queue occupancies, the first lockstep divergence if one was
- * caught, the captured diagnostic log, and a replay recipe. Feeding
- * the recipe back through runReplay() re-executes the identical
- * deterministic run; every RunOptions field round-trips, including
- * the engine-parameter override of the Figure 7/8 sweeps (see
- * soc/run_io.hh, which owns the serialization).
+ * understand and reproduce it: the RunResult document (status,
+ * message, captured log, stats, and when present the final
+ * per-component heartbeat table, the first lockstep divergence and
+ * the invariant violations) plus a replay recipe, the SweepJob that
+ * ran (design, workload, scale and every RunOptions field, including
+ * the fault plan, checker flags and the engine-parameter override of
+ * the Figure 7/8 sweeps). Feeding the recipe back through runReplay()
+ * re-executes the identical deterministic run. soc/run_io.hh owns the
+ * serialization.
  */
 
 #ifndef BVL_SIM_CHECK_FORENSICS_HH
@@ -19,34 +20,16 @@
 
 #include <string>
 
-#include "sim/check/json.hh"
-#include "soc/run_driver.hh"
-#include "workloads/workload.hh"
+#include "soc/run_io.hh"
 
 namespace bvl
 {
 
-/** Everything needed to deterministically re-run one failing run. */
-struct ReplayRecipe
-{
-    Design design = Design::d1b4VL;
-    std::string workload;
-    Scale scale = Scale::tiny;
-    RunOptions options{};
-};
-
-const char *scaleName(Scale s);
-
-/** JSON <-> recipe. fromJson throws SimFatalError on malformed input. */
-Json replayRecipeToJson(const ReplayRecipe &recipe);
-ReplayRecipe replayRecipeFromJson(const Json &j);
-
-/** JSON <-> fault plan (shared with the recipe serialization). */
-Json faultSpecToJson(const FaultSpec &spec);
-FaultSpec faultSpecFromJson(const Json &j);
-
-/** Build the full "bvl-failure-report-v1" document for @p r. */
-Json buildFailureReport(const RunResult &r, const ReplayRecipe &recipe);
+/**
+ * The "bvl-failure-report-v1" document for @p r: runResultToJson(r)
+ * followed by "schema" and "replay" (sweepJobToJson(recipe)).
+ */
+Json buildFailureReport(const RunResult &r, const SweepJob &recipe);
 
 /**
  * Serialize @p r to @p path. Returns false (with a warn()) when the
@@ -54,21 +37,21 @@ Json buildFailureReport(const RunResult &r, const ReplayRecipe &recipe);
  * failure into a crash.
  */
 bool writeFailureReport(const std::string &path, const RunResult &r,
-                        const ReplayRecipe &recipe);
+                        const SweepJob &recipe);
 
 /**
  * Load the replay recipe from @p path, accepting either a full
  * failure report (its "replay" member) or a bare recipe document.
  * Throws SimFatalError on unreadable or malformed files.
  */
-ReplayRecipe loadReplayRecipe(const std::string &path);
+SweepJob loadReplayRecipe(const std::string &path);
 
 /**
  * Re-run the recipe's workload/design/options. The recipe's
  * forensicsPath is cleared first so a replay never overwrites the
  * report it came from.
  */
-RunResult runReplay(const ReplayRecipe &recipe);
+RunResult runReplay(const SweepJob &recipe);
 
 } // namespace bvl
 

@@ -13,15 +13,15 @@ namespace
 {
 
 /** Recipe with only the given original-script positions kept. */
-ReplayRecipe
-subsetRecipe(const ReplayRecipe &base,
+SweepJob
+subsetRecipe(const SweepJob &base,
              const std::vector<std::size_t> &keep)
 {
-    ReplayRecipe r = base;
-    r.options.check.forensicsPath.clear();
-    r.options.faults.script.clear();
+    SweepJob r = base;
+    r.opts.check.forensicsPath.clear();
+    r.opts.faults.script.clear();
     for (std::size_t i : keep)
-        r.options.faults.script.push_back(base.options.faults.script[i]);
+        r.opts.faults.script.push_back(base.opts.faults.script[i]);
     return r;
 }
 
@@ -52,7 +52,7 @@ complementOf(const std::vector<std::size_t> &all,
 } // namespace
 
 MinimizeOutcome
-minimizeFaultPlan(const ReplayRecipe &failing,
+minimizeFaultPlan(const SweepJob &failing,
                   const MinimizeOptions &mopts)
 {
     MinimizeOutcome out;
@@ -62,7 +62,7 @@ minimizeFaultPlan(const ReplayRecipe &failing,
     // status exactly. All candidate runs go through the runner so
     // rounds parallelize; consumption stays in submission order.
     auto runKeep = [&](std::vector<std::size_t> keep) {
-        ReplayRecipe r = subsetRecipe(failing, std::move(keep));
+        SweepJob r = subsetRecipe(failing, std::move(keep));
         return runner.submit([r] { return runReplay(r); });
     };
 
@@ -72,7 +72,7 @@ minimizeFaultPlan(const ReplayRecipe &failing,
         fatal("minimizeFaultPlan: the given plan does not fail");
     out.target = baseline.status;
 
-    std::vector<std::size_t> current(failing.options.faults.script.size());
+    std::vector<std::size_t> current(failing.opts.faults.script.size());
     for (std::size_t i = 0; i < current.size(); ++i)
         current[i] = i;
 

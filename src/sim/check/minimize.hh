@@ -37,8 +37,8 @@ struct MinimizeOptions
 
 struct MinimizeOutcome
 {
-    /** The shrunk plan (recipe's options.faults with a minimal script). */
-    ReplayRecipe minimal;
+    /** The shrunk plan (recipe's opts.faults with a minimal script). */
+    SweepJob minimal;
     /** Failure status the minimization preserved. */
     RunStatus target = RunStatus::ok;
     /** Total simulations executed, including the baseline. */
@@ -55,7 +55,7 @@ struct MinimizeOutcome
  * whose failure does not depend on scripted entries minimizes to an
  * empty script.
  */
-MinimizeOutcome minimizeFaultPlan(const ReplayRecipe &failing,
+MinimizeOutcome minimizeFaultPlan(const SweepJob &failing,
                                   const MinimizeOptions &opts = {});
 
 } // namespace bvl

@@ -13,9 +13,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <string>
 
 #include "sim/logging.hh"
@@ -63,11 +63,12 @@ envBool01(const char *name, bool fallback)
 
 /**
  * Enumerated env choice: returns the index of the variable's value in
- * @p choices, @p fallback when unset, and fatal()s (listing the legal
- * values) on anything else.
+ * @p choices (a braced list or an EnumNames table), @p fallback when
+ * unset, and fatal()s (listing the legal values) on anything else.
  */
-inline int
-envChoice(const char *name, std::initializer_list<const char *> choices,
+template <std::size_t N>
+int
+envChoice(const char *name, const char *const (&choices)[N],
           int fallback)
 {
     const char *env = std::getenv(name);

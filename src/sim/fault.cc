@@ -3,18 +3,6 @@
 namespace bvl
 {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::memDelay: return "memDelay";
-      case FaultKind::cacheDelay: return "cacheDelay";
-      case FaultKind::vcuStall: return "vcuStall";
-      case FaultKind::vmuDrop: return "vmuDrop";
-    }
-    return "?";
-}
-
 FaultInjector::FaultInjector(FaultSpec spec, StatGroup &sg)
     : spec_(std::move(spec)), rng(spec_.seed), stats(sg),
       fired(spec_.script.size(), false)

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/enum_names.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -48,9 +49,16 @@ enum class FaultKind
     vmuDrop,    ///< drop a VMU load/store memory response
 };
 
-constexpr unsigned numFaultKinds = 4;
+template <>
+struct EnumNames<FaultKind>
+{
+    static constexpr const char *names[] = {"memDelay", "cacheDelay",
+                                            "vcuStall", "vmuDrop"};
+};
 
-const char *faultKindName(FaultKind kind);
+constexpr unsigned numFaultKinds = enumCount<FaultKind>();
+
+inline const char *faultKindName(FaultKind kind) { return enumName(kind); }
 
 /** One fault injected at a fixed simulated time. */
 struct ScriptedFault

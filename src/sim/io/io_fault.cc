@@ -20,19 +20,6 @@ namespace io
 namespace
 {
 
-const char *
-kindForSpec(const std::string &name, IoFaultKind *out)
-{
-    for (unsigned i = 0; i < numIoFaultKinds; ++i) {
-        auto k = static_cast<IoFaultKind>(i);
-        if (name == ioFaultKindName(k)) {
-            *out = k;
-            return nullptr;
-        }
-    }
-    return "unknown fault kind";
-}
-
 /** Kinds that model a real failure of @p op (crash fits anywhere). */
 bool
 eligible(IoFaultKind k, IoOp op)
@@ -190,20 +177,6 @@ ioOpName(IoOp op)
     return "?";
 }
 
-const char *
-ioFaultKindName(IoFaultKind k)
-{
-    switch (k) {
-      case IoFaultKind::fail_enospc: return "enospc";
-      case IoFaultKind::fail_eio: return "eio";
-      case IoFaultKind::short_write: return "short";
-      case IoFaultKind::torn_rename: return "torn";
-      case IoFaultKind::stale_lock: return "stale_lock";
-      case IoFaultKind::crash: return "crash";
-    }
-    return "?";
-}
-
 IoFaultPlan
 ioFaultPlanFromSpec(const std::string &spec)
 {
@@ -222,10 +195,15 @@ ioFaultPlanFromSpec(const std::string &spec)
             fatal("BVL_IO_FAULT entry '%s' is not <kind>@<site>",
                   item.c_str());
         IoFault f;
-        if (kindForSpec(item.substr(0, at), &f.kind))
-            fatal("BVL_IO_FAULT entry '%s': unknown kind '%s' (want "
-                  "enospc|eio|short|torn|stale_lock|crash)",
-                  item.c_str(), item.substr(0, at).c_str());
+        auto kind = enumFromName<IoFaultKind>(item.substr(0, at));
+        if (!kind) {
+            std::string legal;
+            for (const char *n : EnumNames<IoFaultKind>::names)
+                legal += (legal.empty() ? "" : "|") + std::string(n);
+            fatal("BVL_IO_FAULT entry '%s': unknown kind '%s' (want %s)",
+                  item.c_str(), item.substr(0, at).c_str(), legal.c_str());
+        }
+        f.kind = *kind;
         std::string site = item.substr(at + 1);
         if (site.find_first_not_of("0123456789") == std::string::npos) {
             f.site = std::stoll(site);

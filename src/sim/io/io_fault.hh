@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/enum_names.hh"
 #include "sim/logging.hh"
 
 namespace bvl
@@ -95,9 +96,22 @@ enum class IoFaultKind
     crash,
 };
 
-constexpr unsigned numIoFaultKinds = 6;
+} // namespace io
 
-const char *ioFaultKindName(IoFaultKind k);
+/** Names as IoFaultPlan specs spell them (BVL_IO_FAULT). */
+template <>
+struct EnumNames<io::IoFaultKind>
+{
+    static constexpr const char *names[] = {
+        "enospc", "eio", "short", "torn", "stale_lock", "crash"};
+};
+
+namespace io
+{
+
+constexpr unsigned numIoFaultKinds = enumCount<IoFaultKind>();
+
+inline const char *ioFaultKindName(IoFaultKind k) { return enumName(k); }
 
 /**
  * One scripted fault. Matches by global site index (site >= 0) or by

@@ -9,35 +9,6 @@
 namespace bvl
 {
 
-const char *
-runStatusName(RunStatus s)
-{
-    switch (s) {
-      case RunStatus::ok: return "ok";
-      case RunStatus::time_limit: return "time_limit";
-      case RunStatus::deadlock: return "deadlock";
-      case RunStatus::verify_failed: return "verify_failed";
-      case RunStatus::sim_error: return "sim_error";
-      case RunStatus::check_failed: return "check_failed";
-      case RunStatus::deadline: return "deadline";
-      case RunStatus::worker_lost: return "worker_lost";
-    }
-    return "?";
-}
-
-RunStatus
-runStatusFromName(const std::string &name)
-{
-    // Iterate the enum by count rather than a hand-maintained list,
-    // so a new status only needs runStatusName + numRunStatuses.
-    for (unsigned i = 0; i < numRunStatuses; ++i) {
-        auto s = static_cast<RunStatus>(i);
-        if (name == runStatusName(s))
-            return s;
-    }
-    fatal("unknown run status '%s'", name.c_str());
-}
-
 RunResult
 runWorkload(Design design, Workload &workload, const RunOptions &opts)
 {
@@ -224,7 +195,7 @@ runWorkload(Design design, const std::string &name, Scale scale,
     // Forensics: only this overload knows the (name, scale) pair a
     // replay recipe needs, so the failure report is written here.
     if (!r.ok() && !opts.check.forensicsPath.empty()) {
-        ReplayRecipe recipe{design, name, scale, opts};
+        SweepJob recipe{design, name, scale, opts};
         if (writeFailureReport(opts.check.forensicsPath, r, recipe))
             inform("failure report written to %s",
                    opts.check.forensicsPath.c_str());

@@ -135,18 +135,22 @@ enum class RunStatus
     worker_lost,    ///< isolated sweep worker died (signal/short read)
 };
 
-/**
- * Number of RunStatus values. Keep in sync when adding a status: the
- * exhaustive round-trip test iterates [0, numRunStatuses) and also
- * asserts that the value *past* the end is unnamed, so forgetting to
- * bump this (or to extend runStatusName) fails loudly.
- */
-constexpr unsigned numRunStatuses =
-    static_cast<unsigned>(RunStatus::worker_lost) + 1;
+template <>
+struct EnumNames<RunStatus>
+{
+    static constexpr const char *names[] = {
+        "ok", "time_limit", "deadlock", "verify_failed",
+        "sim_error", "check_failed", "deadline", "worker_lost"};
+};
 
-const char *runStatusName(RunStatus s);
-/** Inverse of runStatusName(); throws SimFatalError on unknown names. */
-RunStatus runStatusFromName(const std::string &name);
+constexpr unsigned numRunStatuses = enumCount<RunStatus>();
+
+inline const char *runStatusName(RunStatus s) { return enumName(s); }
+inline std::optional<RunStatus>
+runStatusFromName(std::string_view name)
+{
+    return enumFromName<RunStatus>(name);
+}
 
 struct RunResult
 {
@@ -184,6 +188,18 @@ struct RunResult
         auto it = stats.find(name);
         return it == stats.end() ? 0 : it->second;
     }
+};
+
+/**
+ * One simulation of the sweep grid, and the replay recipe of a failed
+ * run: everything that deterministically reproduces a RunResult.
+ */
+struct SweepJob
+{
+    Design design = Design::d1b4VL;
+    std::string workload;
+    Scale scale = Scale::tiny;
+    RunOptions opts{};
 };
 
 /** Run @p workload on @p design and return the measurements. */

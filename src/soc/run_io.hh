@@ -1,6 +1,7 @@
 /**
  * @file
- * JSON round-trip serialization of RunOptions and RunResult.
+ * Text forms of a run: JSON documents of RunOptions, RunResult, the
+ * fault plan and the job (replay recipe), and the scale names.
  *
  * Two subsystems need a faithful on-disk form of a run: failure
  * forensics (replay recipes in the "bvl-failure-report-v1" schema) and
@@ -11,9 +12,12 @@
  * re-serializes byte-identically (the JSON layer prints doubles with
  * %.17g, which is exact for IEEE doubles).
  *
- * fromJson functions accept missing members (defaulting them) so old
- * documents stay loadable; they throw SimFatalError on structurally
- * malformed input, matching Json::parse.
+ * Each serialized struct has one field list in run_io.cc that both
+ * directions walk. fromJson functions accept missing members
+ * (defaulting them) so old documents stay loadable; they throw
+ * SimFatalError on a missing required member (RunResult::status, a
+ * scripted fault's kind, a job's design/workload/scale) or an unknown
+ * enum name, matching Json::parse.
  */
 
 #ifndef BVL_SOC_RUN_IO_HH
@@ -25,20 +29,30 @@
 namespace bvl
 {
 
+/*
+ * Declared here rather than next to Scale in workload.hh, so that a
+ * program including workload.hh stays free to define its own
+ * scaleName().
+ */
+inline const char *scaleName(Scale s) { return enumName(s); }
+inline std::optional<Scale>
+scaleFromName(std::string_view name)
+{
+    return enumFromName<Scale>(name);
+}
+
 Json runOptionsToJson(const RunOptions &o);
 RunOptions runOptionsFromJson(const Json &j);
 
 Json runResultToJson(const RunResult &r);
 RunResult runResultFromJson(const Json &j);
 
-Json vengineParamsToJson(const VEngineParams &p);
-VEngineParams vengineParamsFromJson(const Json &j);
+Json faultSpecToJson(const FaultSpec &spec);
+FaultSpec faultSpecFromJson(const Json &j);
 
-/** Heartbeat/divergence serialization shared with forensics reports. */
-Json heartbeatsToJson(const std::vector<Watchdog::Heartbeat> &beats);
-std::vector<Watchdog::Heartbeat> heartbeatsFromJson(const Json &j);
-Json divergenceToJson(const DivergenceRecord &d);
-DivergenceRecord divergenceFromJson(const Json &j);
+/** The replay recipe: design, workload, scale and "options". */
+Json sweepJobToJson(const SweepJob &job);
+SweepJob sweepJobFromJson(const Json &j);
 
 } // namespace bvl
 

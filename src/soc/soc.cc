@@ -6,21 +6,6 @@
 namespace bvl
 {
 
-const char *
-designName(Design d)
-{
-    switch (d) {
-      case Design::d1L: return "1L";
-      case Design::d1b: return "1b";
-      case Design::d1bIV: return "1bIV";
-      case Design::d1b4L: return "1b-4L";
-      case Design::d1bIV4L: return "1bIV-4L";
-      case Design::d1bDV: return "1bDV";
-      case Design::d1b4VL: return "1b-4VL";
-    }
-    return "?";
-}
-
 bool
 designHasVector(Design d)
 {

@@ -18,6 +18,7 @@
 #include "mem/mem_system.hh"
 #include "sim/check/check_context.hh"
 #include "sim/clock_domain.hh"
+#include "sim/enum_names.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
 #include "sim/stats.hh"
@@ -39,7 +40,19 @@ enum class Design
     d1b4VL,    ///< big.VLITTLE: big + VLITTLE engine of 4 little cores
 };
 
-const char *designName(Design d);
+template <>
+struct EnumNames<Design>
+{
+    static constexpr const char *names[] = {
+        "1L", "1b", "1bIV", "1b-4L", "1bIV-4L", "1bDV", "1b-4VL"};
+};
+
+inline const char *designName(Design d) { return enumName(d); }
+inline std::optional<Design>
+designFromName(std::string_view name)
+{
+    return enumFromName<Design>(name);
+}
 
 /** Does the design include a vector engine? */
 bool designHasVector(Design d);

@@ -1,6 +1,5 @@
 #include "sweep/service/job_hash.hh"
 
-#include "sim/check/forensics.hh"
 #include "soc/run_io.hh"
 #include "sweep/service/digest.hh"
 

@@ -25,7 +25,7 @@
 
 #include <string>
 
-#include "sweep/sweep_runner.hh"
+#include "soc/run_driver.hh"
 
 namespace bvl
 {

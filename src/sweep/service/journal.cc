@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <sstream>
 
-#include "sim/check/forensics.hh"
 #include "sim/logging.hh"
 #include "soc/run_io.hh"
 

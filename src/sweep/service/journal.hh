@@ -38,7 +38,7 @@
 #include <unordered_map>
 
 #include "sim/io/sim_io.hh"
-#include "sweep/sweep_runner.hh"
+#include "soc/run_driver.hh"
 
 namespace bvl
 {

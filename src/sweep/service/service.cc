@@ -488,33 +488,32 @@ SweepService::summary() const
 }
 
 std::string
-SweepService::summaryLine() const
+SweepService::summaryLine(const Summary &s)
 {
-    Summary s = summary();
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "bvl-sweep-summary: submitted=%llu simulated=%llu "
-        "journal_hits=%llu cache_hits=%llu cache_corrupt=%llu "
-        "retries=%llu quarantined=%llu failed=%llu interrupted=%d "
-        "farm_hits=%llu farm_produced=%llu farm_corrupt=%llu "
-        "farm_evicted=%llu tmp_cleaned=%llu io_faults=%llu "
-        "journal_degraded=%d cache_degraded=%d farm_degraded=%d",
-        (unsigned long long)s.submitted, (unsigned long long)s.simulated,
-        (unsigned long long)s.journalHits,
-        (unsigned long long)s.cacheHits,
-        (unsigned long long)s.cacheCorrupt,
-        (unsigned long long)s.retries, (unsigned long long)s.quarantines,
-        (unsigned long long)s.failed, s.interrupted ? 1 : 0,
-        (unsigned long long)s.farmHits,
-        (unsigned long long)s.farmProduced,
-        (unsigned long long)s.farmCorrupt,
-        (unsigned long long)s.farmEvicted,
-        (unsigned long long)s.tmpCleaned,
-        (unsigned long long)s.ioFaults,
-        s.journalDegraded ? 1 : 0, s.cacheDegraded ? 1 : 0,
-        s.farmDegraded ? 1 : 0);
-    return buf;
+    const std::pair<const char *, std::uint64_t> items[] = {
+        {"submitted", s.submitted},
+        {"simulated", s.simulated},
+        {"journal_hits", s.journalHits},
+        {"cache_hits", s.cacheHits},
+        {"cache_corrupt", s.cacheCorrupt},
+        {"retries", s.retries},
+        {"quarantined", s.quarantines},
+        {"failed", s.failed},
+        {"interrupted", s.interrupted},
+        {"farm_hits", s.farmHits},
+        {"farm_produced", s.farmProduced},
+        {"farm_corrupt", s.farmCorrupt},
+        {"farm_evicted", s.farmEvicted},
+        {"tmp_cleaned", s.tmpCleaned},
+        {"io_faults", s.ioFaults},
+        {"journal_degraded", s.journalDegraded},
+        {"cache_degraded", s.cacheDegraded},
+        {"farm_degraded", s.farmDegraded},
+    };
+    std::string line = "bvl-sweep-summary:";
+    for (const auto &[name, value] : items)
+        line += std::string(" ") + name + "=" + std::to_string(value);
+    return line;
 }
 
 } // namespace bvl

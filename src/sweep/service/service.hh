@@ -172,7 +172,8 @@ class SweepService
     Summary summary() const;
 
     /** One-line machine-readable form, for scripts (stderr). */
-    std::string summaryLine() const;
+    std::string summaryLine() const { return summaryLine(summary()); }
+    static std::string summaryLine(const Summary &s);
 
     /**
      * The deterministic retry-delay schedule (maxAttempts - 1 entries)

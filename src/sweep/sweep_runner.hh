@@ -37,15 +37,6 @@
 namespace bvl
 {
 
-/** One independent simulation of the sweep grid. */
-struct SweepJob
-{
-    Design design = Design::d1b4VL;
-    std::string workload;
-    Scale scale = Scale::tiny;
-    RunOptions opts{};
-};
-
 class SweepRunner
 {
   public:

@@ -23,6 +23,7 @@
 #include "isa/program.hh"
 #include "mem/backing_store.hh"
 #include "runtime/task_graph.hh"
+#include "sim/enum_names.hh"
 #include "sim/rng.hh"
 
 namespace bvl
@@ -34,6 +35,13 @@ enum class Scale
     tiny,     ///< smoke-test sizes (CI)
     small,    ///< benchmark sizes (default for figure regeneration)
     medium,   ///< closer-to-paper sizes
+};
+
+/** Scale's names; scaleName()/scaleFromName() are in soc/run_io.hh. */
+template <>
+struct EnumNames<Scale>
+{
+    static constexpr const char *names[] = {"tiny", "small", "medium"};
 };
 
 class Workload

@@ -297,7 +297,7 @@ TEST(ForensicsTest, ReportRoundTripsThroughReplayToSameStatus)
               std::string::npos);
 
     // Replaying the embedded recipe reproduces the identical status.
-    ReplayRecipe recipe = loadReplayRecipe(path);
+    SweepJob recipe = loadReplayRecipe(path);
     EXPECT_EQ(recipe.workload, "vvadd");
     EXPECT_EQ(recipe.design, Design::d1b4VL);
     RunResult replay = runReplay(recipe);
@@ -318,32 +318,32 @@ TEST(ForensicsTest, CheckFailedRunsProduceDivergenceInReport)
                               opts);
     ASSERT_NE(r.status, RunStatus::ok);
 
-    ReplayRecipe recipe = loadReplayRecipe(path);
-    EXPECT_TRUE(recipe.options.check.lockstep);
-    EXPECT_TRUE(recipe.options.check.invariants);
-    EXPECT_EQ(recipe.options.faults.vmuMaxRetries, 1u);
+    SweepJob recipe = loadReplayRecipe(path);
+    EXPECT_TRUE(recipe.opts.check.lockstep);
+    EXPECT_TRUE(recipe.opts.check.invariants);
+    EXPECT_EQ(recipe.opts.faults.vmuMaxRetries, 1u);
     std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------ minimizer
 
-ReplayRecipe
+SweepJob
 twentyInjectionRecipe()
 {
-    ReplayRecipe rec;
+    SweepJob rec;
     rec.design = Design::d1b4VL;
     rec.workload = "vvadd";
     rec.scale = Scale::tiny;
-    rec.options.watchdogIntervalNs = 10000;
-    rec.options.faults.enabled = true;
-    rec.options.faults.vmuMaxRetries = 0;
+    rec.opts.watchdogIntervalNs = 10000;
+    rec.opts.faults.enabled = true;
+    rec.opts.faults.vmuMaxRetries = 0;
     // 19 harmless stalls and one unrecoverable drop, buried at #13.
     for (unsigned i = 0; i < 20; ++i) {
         if (i == 13)
-            rec.options.faults.script.push_back(
+            rec.opts.faults.script.push_back(
                 {0, FaultKind::vmuDrop, 0});
         else
-            rec.options.faults.script.push_back(
+            rec.opts.faults.script.push_back(
                 {Tick(1000) * i, FaultKind::vcuStall, 5});
     }
     return rec;
@@ -355,8 +355,8 @@ TEST(MinimizeTest, ShrinksTwentyInjectionsToTheFatalOne)
     EXPECT_EQ(out.target, RunStatus::deadlock);
     ASSERT_EQ(out.keptIndices.size(), 1u);
     EXPECT_EQ(out.keptIndices[0], 13u);
-    ASSERT_EQ(out.minimal.options.faults.script.size(), 1u);
-    EXPECT_EQ(out.minimal.options.faults.script[0].kind,
+    ASSERT_EQ(out.minimal.opts.faults.script.size(), 1u);
+    EXPECT_EQ(out.minimal.opts.faults.script[0].kind,
               FaultKind::vmuDrop);
     EXPECT_TRUE(out.oneMinimal);
 
@@ -364,8 +364,8 @@ TEST(MinimizeTest, ShrinksTwentyInjectionsToTheFatalOne)
     RunResult again = runReplay(out.minimal);
     EXPECT_EQ(again.status, out.target);
     // ...and an empty plan passes (1-minimality spot check).
-    ReplayRecipe clean = out.minimal;
-    clean.options.faults.script.clear();
+    SweepJob clean = out.minimal;
+    clean.opts.faults.script.clear();
     EXPECT_EQ(runReplay(clean).status, RunStatus::ok);
 }
 
@@ -387,7 +387,7 @@ TEST(MinimizeTest, DeterministicAcrossRerunsAndThreadCounts)
 
 TEST(MinimizeTest, PassingPlanIsRejected)
 {
-    ReplayRecipe rec;
+    SweepJob rec;
     rec.design = Design::d1b;
     rec.workload = "vvadd";
     rec.scale = Scale::tiny;

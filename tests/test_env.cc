@@ -191,7 +191,7 @@ TEST(EnvParseTest, ScaleVariableIsStrict)
 {
     // The exact call bench_util.hh's chosenScale() makes.
     auto scaleIndex = [] {
-        return envChoice("BVL_SCALE", {"tiny", "small", "medium"}, -1);
+        return envChoice("BVL_SCALE", EnumNames<Scale>::names, -1);
     };
     {
         ScopedEnv e("BVL_SCALE", nullptr);

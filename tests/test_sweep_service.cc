@@ -188,9 +188,8 @@ TEST(SweepServiceTest, RunOptionsRoundTripIsExact)
 
 TEST(SweepServiceTest, RunStatusNamesAreExhaustiveAndRoundTrip)
 {
-    // Iterates the enum by count: adding a RunStatus without updating
-    // numRunStatuses + runStatusName (and thus run_io) fails here, not
-    // in a sweep journal three PRs later.
+    // Iterates the enum by count: every status has one distinct name
+    // in the EnumNames table that run_io writes, and it parses back.
     std::set<std::string> seen;
     for (unsigned i = 0; i < numRunStatuses; ++i) {
         auto s = static_cast<RunStatus>(i);
@@ -201,11 +200,10 @@ TEST(SweepServiceTest, RunStatusNamesAreExhaustiveAndRoundTrip)
             << "duplicate status name '" << name << "'";
         EXPECT_EQ(runStatusFromName(name), s);
     }
-    // ...and the value past the end must be unnamed, so forgetting to
-    // bump numRunStatuses after extending the enum also fails.
+    // ...and the value past the end is unnamed.
     EXPECT_STREQ(runStatusName(static_cast<RunStatus>(numRunStatuses)),
                  "?");
-    EXPECT_THROW(runStatusFromName("no-such-status"), SimFatalError);
+    EXPECT_FALSE(runStatusFromName("no-such-status"));
 }
 
 TEST(SweepServiceTest, RunOptionsEveryFieldRoundTripsExactly)
@@ -276,6 +274,348 @@ TEST(SweepServiceTest, RunResultRoundTripIsExact)
     EXPECT_EQ(back.ns, r.ns);
     EXPECT_EQ(back.stats, r.stats);
     EXPECT_EQ(back.status, r.status);
+}
+
+// --- golden documents --------------------------------------------------
+//
+// Documents byte for byte as builds before the shared field lists
+// wrote them: journals, result caches, job hashes and replay recipes
+// written by older builds must keep matching and loading.
+
+/** Every RunOptions field away from its default. */
+RunOptions
+goldenOptions()
+{
+    RunOptions o;
+    o.bigGhz = 1.7;
+    o.littleGhz = 0.6;
+    VEngineParams p;
+    p.name = "ablate";
+    p.lanePrefix = "lane";
+    p.numLanes = 8;
+    p.chimes = 4;
+    p.packed = false;
+    p.cmdQueueDepth = 33;
+    p.uopQueueDepth = 65;
+    p.dataQueueDepth = 9;
+    p.laneUopQueueDepth = 5;
+    p.vmiuQueueDepth = 17;
+    p.loadQueueLines = 24;
+    p.storeQueueLines = 12;
+    p.storeCamEntries = 6;
+    p.coalesceWindow = 2;
+    p.switchPenalty = 250;
+    p.fu = {2, 4, 13, 5, 6, 14, 2, 3};
+    p.memPath = VEngineParams::MemPath::directL2;
+    o.engineOverride = p;
+    o.limitNs = 2.5e6;
+    o.verifyResult = false;
+    o.watchdog = false;
+    o.watchdogIntervalNs = 12345.5;
+    o.wallDeadlineSec = 0.1;
+    o.faults.enabled = true;
+    o.faults.seed = 0xdeadbeefcafef00dull;
+    o.faults.memDelayProb = 0.125;
+    o.faults.memDelayCycles = 51;
+    o.faults.cacheDelayProb = 1.0 / 3.0;
+    o.faults.cacheDelayCycles = 9;
+    o.faults.vcuStallProb = 0.05;
+    o.faults.vcuStallCycles = 21;
+    o.faults.vmuDropProb = 0.01;
+    o.faults.vmuMaxRetries = 2;
+    o.faults.vmuRetryDelay = 65;
+    o.faults.script = {{1000, FaultKind::vmuDrop, 0},
+                       {2500, FaultKind::cacheDelay, 30}};
+    o.check.lockstep = true;
+    o.check.invariants = true;
+    o.check.retireContext = 16;
+    o.check.invariantPeriod = 32;
+    o.check.forensicsPath = "/tmp/report.json";
+    o.trace.path = "t.json";
+    o.trace.samplePath = "s.csv";
+    o.trace.startNs = 10.5;
+    o.trace.stopNs = 999.25;
+    o.trace.categories = 5;
+    o.trace.sampleIntervalNs = 250.0;
+    o.sampling.ffInsts = 20000;
+    o.sampling.warmupInsts = 1000;
+    o.sampling.detailInsts = 4000;
+    o.sampling.periods = 8;
+    o.checkpoint.savePath = "a.bvl";
+    o.checkpoint.restorePath = "b.bvl";
+    o.checkpoint.ffInsts = 777;
+    o.checkpoint.farm = true;
+    o.checkpoint.farmDir = "farm";
+    o.checkpoint.strict = true;
+    return o;
+}
+
+/** A failed result with every optional member present. */
+RunResult
+goldenResult()
+{
+    RunResult r;
+    r.workload = "vvadd";
+    r.design = "1b-4VL";
+    r.status = RunStatus::check_failed;
+    r.message = "lockstep divergence\n\"big\" stream";
+    r.log = "warn: retrying\n";
+    r.finished = false;
+    r.verified = false;
+    r.ns = 1234.5678;
+    r.stats = {{"a.b", 1},
+               {"big.cycles", 18446744073709551615ull},
+               {"little0.busy", 42}};
+    r.heartbeats = {{"big", 100, 9000, "rob=3"},
+                    {"vcu", 7, 8500, "uopq=64 full"}};
+    DivergenceRecord d;
+    d.stream = "big";
+    d.seq = 17;
+    d.tick = 9000;
+    d.instr = "add x1, x2, x3";
+    d.field = "rd";
+    d.timedValue = 5;
+    d.refValue = 6;
+    d.chime = -1;
+    d.queueContext = "vmu: 2 loads";
+    d.lastRetires = {"r1", "r2"};
+    r.divergence = d;
+    r.invariantViolations = "rob.count > cap";
+    return r;
+}
+
+const char *const kGoldenOptions =
+    R"({"bigGhz":1.7,"littleGhz":0.59999999999999998,)"
+    R"("limitNs":2500000,"verifyResult":false,"watchdog":false,)"
+    R"("watchdogIntervalNs":12345.5,)"
+    R"("wallDeadlineSec":0.10000000000000001,)"
+    R"("engineOverride":{"name":"ablate","lanePrefix":"lane",)"
+    R"("numLanes":8,"chimes":4,"packed":false,"cmdQueueDepth":33,)"
+    R"("uopQueueDepth":65,"dataQueueDepth":9,"laneUopQueueDepth":5,)"
+    R"("vmiuQueueDepth":17,"loadQueueLines":24,"storeQueueLines":12,)"
+    R"("storeCamEntries":6,"coalesceWindow":2,"switchPenalty":250,)"
+    R"("fu":{"intAlu":2,"intMul":4,"intDiv":13,"fpAdd":5,"fpMul":6,)"
+    R"("fpDiv":14,"mem":2,"branch":3},"memPath":"directL2"},)"
+    R"("faults":{"enabled":true,"seed":16045690984503111693,)"
+    R"("memDelayProb":0.125,"memDelayCycles":51,)"
+    R"("cacheDelayProb":0.33333333333333331,"cacheDelayCycles":9,)"
+    R"("vcuStallProb":0.050000000000000003,"vcuStallCycles":21,)"
+    R"("vmuDropProb":0.01,"vmuMaxRetries":2,"vmuRetryDelay":65,)"
+    R"("script":[{"atTick":1000,"kind":"vmuDrop","cycles":0},)"
+    R"({"atTick":2500,"kind":"cacheDelay","cycles":30}]},)"
+    R"("check":{"lockstep":true,"invariants":true,"retireContext":16,)"
+    R"("invariantPeriod":32,"forensicsPath":"/tmp/report.json"},)"
+    R"("trace":{"path":"t.json","samplePath":"s.csv","startNs":10.5,)"
+    R"("stopNs":999.25,"categories":5,"sampleIntervalNs":250},)"
+    R"("sampling":{"ffInsts":20000,"warmupInsts":1000,)"
+    R"("detailInsts":4000,"periods":8},)"
+    R"("checkpoint":{"savePath":"a.bvl","restorePath":"b.bvl",)"
+    R"("ffInsts":777,"farm":true,"farmDir":"farm","strict":true}})";
+
+const char *const kGoldenResult =
+    R"({"workload":"vvadd","design":"1b-4VL","status":"check_failed",)"
+    R"("message":"lockstep divergence\n\"big\" stream",)"
+    R"("log":"warn: retrying\n","finished":false,"verified":false,)"
+    R"("ns":1234.5678,"stats":{"a.b":1,)"
+    R"("big.cycles":18446744073709551615,"little0.busy":42},)"
+    R"("heartbeats":[{"name":"big","progress":100,"lastAdvance":9000,)"
+    R"("detail":"rob=3"},{"name":"vcu","progress":7,)"
+    R"("lastAdvance":8500,"detail":"uopq=64 full"}],)"
+    R"("divergence":{"stream":"big","seq":17,"tick":9000,)"
+    R"("instr":"add x1, x2, x3","field":"rd","timedValue":5,)"
+    R"("refValue":6,"chime":-1,"queueContext":"vmu: 2 loads",)"
+    R"("lastRetires":["r1","r2"]},)"
+    R"("invariantViolations":"rob.count > cap"})";
+
+const char *const kGoldenDefaultOptions =
+    R"({"bigGhz":1,"littleGhz":1,"limitNs":1000000000,)"
+    R"("verifyResult":true,"watchdog":true,)"
+    R"("watchdogIntervalNs":100000,"wallDeadlineSec":0,)"
+    R"("faults":{"enabled":false,"seed":1,"memDelayProb":0,)"
+    R"("memDelayCycles":50,"cacheDelayProb":0,"cacheDelayCycles":8,)"
+    R"("vcuStallProb":0,"vcuStallCycles":20,"vmuDropProb":0,)"
+    R"("vmuMaxRetries":3,"vmuRetryDelay":64,"script":[]},)"
+    R"("check":{"lockstep":false,"invariants":false,)"
+    R"("retireContext":8,"invariantPeriod":64,"forensicsPath":""},)"
+    R"("trace":{"path":"","samplePath":"","startNs":0,"stopNs":-1,)"
+    R"("categories":255,"sampleIntervalNs":1000},)"
+    R"("sampling":{"ffInsts":0,"warmupInsts":0,"detailInsts":0,)"
+    R"("periods":0},"checkpoint":{"savePath":"","restorePath":"",)"
+    R"("ffInsts":0,"farm":false,"farmDir":"","strict":false}})";
+
+/** No heartbeats, divergence or violations: their keys are left out. */
+const char *const kGoldenPlainResult =
+    R"({"workload":"saxpy","design":"1b","status":"deadlock",)"
+    R"("message":"","log":"","finished":false,"verified":false,)"
+    R"("ns":0,"stats":{}})";
+
+/** A failure report as older builds wrote it, up to its "options". */
+const char *const kParentReportHead =
+    R"({"schema":"bvl-failure-report-v1","status":"deadlock",)"
+    R"("workload":"saxpy","design":"1b","message":"",)"
+    R"("finished":false,"verified":false,"ns":0,"heartbeats":[],)"
+    R"("divergence":null,"invariantViolations":"","log":"",)"
+    R"("stats":{},"replay":{"design":"1b","workload":"saxpy",)"
+    R"("scale":"tiny","options":)";
+
+const char *const kGoldenSummary =
+    "bvl-sweep-summary: submitted=583 simulated=580 journal_hits=1 "
+    "cache_hits=2 cache_corrupt=3 retries=4 quarantined=5 failed=6 "
+    "interrupted=1 farm_hits=7 farm_produced=8 farm_corrupt=9 "
+    "farm_evicted=10 tmp_cleaned=11 io_faults=12 journal_degraded=1 "
+    "cache_degraded=0 farm_degraded=1";
+
+/** Serialize, parse back and serialize again. */
+template <class T>
+std::string
+reserialized(const std::string &doc, T (*fromJson)(const Json &),
+             Json (*toJson)(const T &))
+{
+    return toJson(fromJson(Json::parse(doc))).dump(0);
+}
+
+TEST(SweepServiceTest, GoldenRunOptionsDocument)
+{
+    EXPECT_EQ(runOptionsToJson(goldenOptions()).dump(0), kGoldenOptions);
+    EXPECT_EQ(reserialized(kGoldenOptions, runOptionsFromJson,
+                           runOptionsToJson),
+              kGoldenOptions);
+    EXPECT_EQ(runOptionsToJson(RunOptions{}).dump(0),
+              kGoldenDefaultOptions);
+}
+
+TEST(SweepServiceTest, GoldenRunResultDocument)
+{
+    EXPECT_EQ(runResultToJson(goldenResult()).dump(0), kGoldenResult);
+    EXPECT_EQ(reserialized(kGoldenResult, runResultFromJson,
+                           runResultToJson),
+              kGoldenResult);
+    EXPECT_EQ(reserialized(kGoldenPlainResult, runResultFromJson,
+                           runResultToJson),
+              kGoldenPlainResult);
+}
+
+TEST(SweepServiceTest, GoldenRecipeDocument)
+{
+    SweepJob job{Design::d1bDV, "bfs", Scale::small, goldenOptions()};
+    std::string golden =
+        std::string(R"({"design":"1bDV","workload":"bfs",)"
+                    R"("scale":"small","options":)") +
+        kGoldenOptions + "}";
+    EXPECT_EQ(sweepJobToJson(job).dump(0), golden);
+    EXPECT_EQ(reserialized(golden, sweepJobFromJson, sweepJobToJson),
+              golden);
+}
+
+TEST(SweepServiceTest, GoldenSummaryLine)
+{
+    SweepService::Summary s;
+    s.submitted = 583;
+    s.simulated = 580;
+    s.journalHits = 1;
+    s.cacheHits = 2;
+    s.cacheCorrupt = 3;
+    s.retries = 4;
+    s.quarantines = 5;
+    s.failed = 6;
+    s.interrupted = true;
+    s.farmHits = 7;
+    s.farmProduced = 8;
+    s.farmCorrupt = 9;
+    s.farmEvicted = 10;
+    s.tmpCleaned = 11;
+    s.ioFaults = 12;
+    s.journalDegraded = true;
+    s.cacheDegraded = false;
+    s.farmDegraded = true;
+    EXPECT_EQ(SweepService::summaryLine(s), kGoldenSummary);
+}
+
+TEST(SweepServiceTest, FailureReportIsResultPlusSchemaAndReplay)
+{
+    RunResult r;
+    r.workload = "saxpy";
+    r.design = "1b";
+    r.status = RunStatus::deadlock;
+    SweepJob job{Design::d1b, "saxpy", Scale::tiny, {}};
+    std::string plain = kGoldenPlainResult;
+    std::string golden =
+        plain.substr(0, plain.size() - 1) +
+        R"(,"schema":"bvl-failure-report-v1","replay":{"design":"1b",)"
+        R"("workload":"saxpy","scale":"tiny","options":)" +
+        kGoldenDefaultOptions + "}}";
+    EXPECT_EQ(buildFailureReport(r, job).dump(0), golden);
+}
+
+TEST(SweepServiceTest, OlderFailureReportStillLoads)
+{
+    // The older layout: schema first, heartbeats and divergence
+    // written (as [] and null) even when empty.
+    std::string report = std::string(kParentReportHead) +
+                         kGoldenDefaultOptions + "}}";
+    std::string path = scratchDir("oldreport") + "/report.json";
+    std::ofstream(path) << Json::parse(report).dump(2) << "\n";
+    SweepJob job = loadReplayRecipe(path);
+    EXPECT_EQ(job.design, Design::d1b);
+    EXPECT_EQ(job.workload, "saxpy");
+    EXPECT_EQ(job.scale, Scale::tiny);
+    EXPECT_EQ(runOptionsToJson(job.opts).dump(0), kGoldenDefaultOptions);
+    RunResult r = runResultFromJson(Json::parse(report));
+    EXPECT_EQ(r.status, RunStatus::deadlock);
+    EXPECT_TRUE(r.heartbeats.empty());
+    EXPECT_FALSE(r.divergence.has_value());
+}
+
+TEST(SweepServiceTest, MalformedDocumentsAreRejected)
+{
+    auto result = [](const std::string &doc) {
+        return runResultFromJson(Json::parse(doc));
+    };
+    auto options = [](const std::string &doc) {
+        return runOptionsFromJson(Json::parse(doc));
+    };
+    EXPECT_THROW(result(R"({"workload":"vvadd","ns":1})"),
+                 SimFatalError);
+    EXPECT_THROW(result(R"({"status":"exploded"})"), SimFatalError);
+    EXPECT_THROW(options(R"({"engineOverride":{"memPath":"l3"}})"),
+                 SimFatalError);
+    EXPECT_THROW(
+        options(R"({"faults":{"script":[{"atTick":1,"kind":"zap"}]}})"),
+        SimFatalError);
+    EXPECT_THROW(options(R"({"faults":{"script":[{"atTick":1}]}})"),
+                 SimFatalError);
+    EXPECT_THROW(sweepJobFromJson(Json::parse(
+                     R"({"design":"1b","workload":"saxpy"})")),
+                 SimFatalError);
+    EXPECT_THROW(sweepJobFromJson(Json::parse(
+                     R"({"design":"2b","workload":"x","scale":"tiny"})")),
+                 SimFatalError);
+}
+
+TEST(SweepServiceTest, MissingMembersLoadAsDefaults)
+{
+    EXPECT_EQ(runOptionsToJson(runOptionsFromJson(Json::parse("{}")))
+                  .dump(0),
+              kGoldenDefaultOptions);
+    RunOptions o = runOptionsFromJson(Json::parse(
+        R"({"bigGhz":2,"engineOverride":{"chimes":3},)"
+        R"("faults":{"script":[{"kind":"vcuStall"}]}})"));
+    EXPECT_EQ(o.bigGhz, 2.0);
+    EXPECT_EQ(o.littleGhz, 1.0);
+    ASSERT_TRUE(o.engineOverride.has_value());
+    EXPECT_EQ(o.engineOverride->chimes, 3u);
+    EXPECT_EQ(o.engineOverride->numLanes, VEngineParams{}.numLanes);
+    ASSERT_EQ(o.faults.script.size(), 1u);
+    EXPECT_EQ(o.faults.script[0].atTick, 0u);
+    EXPECT_EQ(o.faults.script[0].kind, FaultKind::vcuStall);
+
+    RunResult r = runResultFromJson(Json::parse(R"({"status":"ok"})"));
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.workload, "");
+    EXPECT_EQ(r.ns, 0.0);
+    EXPECT_TRUE(r.stats.empty());
+    EXPECT_FALSE(r.divergence.has_value());
+    EXPECT_EQ(r.invariantViolations, "");
 }
 
 // --- write-ahead journal -----------------------------------------------

@@ -47,6 +47,15 @@ runTraced(const TraceOptions &trace, Design d = Design::d1b4VL,
     return runWorkload(d, workload, Scale::tiny, opts);
 }
 
+/** Event tracing to @p path, every other option at its default. */
+TraceOptions
+eventTrace(const std::string &path)
+{
+    TraceOptions t;
+    t.path = path;
+    return t;
+}
+
 // ------------------------------------------------------- category parse
 
 TEST(TraceCatTest, ParsesNamesAndDefaults)
@@ -76,7 +85,7 @@ TEST(TraceCatTest, EveryCategoryNameRoundTrips)
 TEST(TraceTest, ArmedRunWritesValidJsonWithAllTracks)
 {
     std::string path = tempPath("bvl_trace_valid.json");
-    auto r = runTraced({.path = path});
+    auto r = runTraced(eventTrace(path));
     ASSERT_TRUE(r.ok()) << r.message;
 
     Json doc = Json::parse(slurp(path));
@@ -211,8 +220,8 @@ TEST(TraceTest, RerunsProduceByteIdenticalTraces)
 {
     std::string p1 = tempPath("bvl_trace_det1.json");
     std::string p2 = tempPath("bvl_trace_det2.json");
-    ASSERT_TRUE(runTraced({.path = p1}).ok());
-    ASSERT_TRUE(runTraced({.path = p2}).ok());
+    ASSERT_TRUE(runTraced(eventTrace(p1)).ok());
+    ASSERT_TRUE(runTraced(eventTrace(p2)).ok());
     std::string a = slurp(p1), b = slurp(p2);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "soc/run_driver.hh"
 #include "workloads/graph.hh"
@@ -134,14 +135,45 @@ TEST(WorkloadShapeTest, MultiCoreBeatsSingleLittleOnGraphs)
     EXPECT_LT(t5, t1);
 }
 
-TEST(WorkloadShapeTest, TaskParallelIdenticalOn4VLAnd4L)
+// A Ligra app has no vector code, so vector support must cost it
+// nothing (paper Section V-A): 1bIV and 1bDV run it exactly as 1b
+// does, and 1bIV-4L and big.VLITTLE exactly as big.LITTLE does. Same
+// time to the cycle and every counter equal, a counter one design
+// lacks reading as 0.
+class TaskParallelShapeTest : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(TaskParallelShapeTest, TaskParallelIdenticalOn4VLAnd4L)
 {
-    // In scalar mode big.VLITTLE behaves exactly like big.LITTLE
-    // (paper Section V-A): same time to the cycle.
-    double t4l = runWorkload(Design::d1b4L, "bfs", Scale::tiny).ns;
-    double t4vl = runWorkload(Design::d1b4VL, "bfs", Scale::tiny).ns;
-    EXPECT_DOUBLE_EQ(t4l, t4vl);
+    const std::string &app = GetParam();
+    const Design classes[2][3] = {
+        {Design::d1b, Design::d1bIV, Design::d1bDV},
+        {Design::d1b4L, Design::d1bIV4L, Design::d1b4VL}};
+    for (const auto &designs : classes) {
+        RunResult base = runWorkload(designs[0], app, Scale::tiny);
+        ASSERT_TRUE(base.ok()) << app << ": " << base.message;
+        for (Design d : {designs[1], designs[2]}) {
+            RunResult r = runWorkload(d, app, Scale::tiny);
+            ASSERT_TRUE(r.ok()) << app << " on " << designName(d);
+            EXPECT_EQ(r.ns, base.ns) << app << " on " << designName(d);
+            std::set<std::string> keys;
+            for (const auto *run : {&base, &r})
+                for (const auto &kv : run->stats)
+                    keys.insert(kv.first);
+            for (const auto &k : keys)
+                EXPECT_EQ(r.stat(k), base.stat(k))
+                    << app << ": " << k << " on " << designName(d)
+                    << " vs " << designName(designs[0]);
+        }
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Ligra, TaskParallelShapeTest,
+    ::testing::ValuesIn(workloadNames(Suite::taskParallel)),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(WorkloadShapeTest, LittleStallBreakdownAccountsAllCycles)
 {
