@@ -20,7 +20,7 @@
 #include <string>
 
 #include "sim/check/forensics.hh"
-#include "sim/check/minimize.hh"
+#include "sweep/minimize.hh"
 
 using namespace bvl;
 

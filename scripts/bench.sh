@@ -37,7 +37,7 @@ cmake --build build-bench -j "$jobs" \
 echo "=== kernel microbenchmarks ==="
 micro_json=build-bench/microbench.json
 ./build-bench/bench/microbench_sim \
-    --benchmark_filter='BM_EventQueue|BM_TickChurn|BM_Stat|BM_CacheHitPath|BM_FastForwardStep|BM_LittleCoreSimSpeed|BM_BigCoreSimSpeed|BM_VectorEngineSimSpeed' \
+    --benchmark_filter="$(python3 scripts/check_bench.py --print-filter)" \
     --benchmark_min_time=0.5 \
     --benchmark_out="$micro_json" --benchmark_out_format=json
 

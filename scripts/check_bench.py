@@ -48,12 +48,24 @@ Usage:
     scripts/check_bench.py --mobile build/mobile.json
     scripts/check_bench.py --journal build/.bvl-sweep/fig04.journal.jsonl
     scripts/check_bench.py --self-test
+    scripts/check_bench.py --print-filter
+
+The microbenchmark families to run are listed once, in FAMILIES below:
+scripts/bench.sh and scripts/ci.sh pass the --print-filter regex to
+microbench_sim --benchmark_filter, and so does hosted CI.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
+
+# Benchmark families microbench_sim runs for the baseline and the gate
+# (a --benchmark_filter alternation; BM_Stat covers both stat benches).
+FAMILIES = ["BM_EventQueue", "BM_TickChurn", "BM_Stat", "BM_CacheHitPath",
+            "BM_FastForwardStep", "BM_LittleCoreSimSpeed",
+            "BM_BigCoreSimSpeed", "BM_VectorEngineSimSpeed"]
 
 GATED = ["BM_CacheHitPath", "BM_TickChurn", "BM_StatIncrement",
          "BM_FastForwardStep", "BM_LittleCoreSimSpeed",
@@ -367,8 +379,15 @@ def compare(baseline, results, tolerance, benches):
     return failures, lines
 
 
+def benchmark_filter():
+    """The --benchmark_filter regex selecting every family."""
+    return "|".join(FAMILIES)
+
+
 def self_test():
     """Machine-independent check that the gate actually gates."""
+    unrun = [g for g in GATED if not re.search(benchmark_filter(), g)]
+    assert not unrun, "gated benches the filter does not run: %s" % unrun
     baseline = {"BM_CacheHitPath": 25.0, "BM_TickChurn": 17000.0,
                 "BM_StatIncrement": 0.4, "BM_FastForwardStep": 21000.0,
                 "BM_LittleCoreSimSpeed": 260000.0,
@@ -648,10 +667,17 @@ def main():
     ap.add_argument("--self-test", action="store_true",
                     help="verify the comparator catches an injected "
                          "slowdown, then exit")
+    ap.add_argument("--print-filter", action="store_true",
+                    help="print the microbench_sim --benchmark_filter "
+                         "regex, then exit")
     args = ap.parse_args()
 
     if args.self_test:
         return self_test()
+
+    if args.print_filter:
+        print(benchmark_filter())
+        return 0
 
     if args.sampled:
         try:

@@ -72,8 +72,14 @@ echo "=== library revision is a digest of src/ ==="
 scripts/revision_check.sh build
 
 echo "=== host-time benchmark builds against the library (hostbench/) ==="
+# A Release (-O3) build of the library: it fails on any warning too,
+# as the optimizer finds some the default build does not.
 cmake -S hostbench -B build-hostbench >/dev/null
-cmake --build build-hostbench -j "$jobs"
+cmake --build build-hostbench -j "$jobs" 2>&1 | tee build-hostbench/build.log
+if grep -n "warning:" build-hostbench/build.log; then
+    echo "Release hostbench build emitted compiler warnings (above)" >&2
+    exit 1
+fi
 python3 hostbench/test_metrics.py
 
 echo "=== dead-code gate (no library function without a caller) ==="
@@ -166,7 +172,7 @@ cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-bench -j "$jobs" --target microbench_sim >/dev/null
 python3 scripts/check_bench.py --self-test
 ./build-bench/bench/microbench_sim \
-    --benchmark_filter='BM_EventQueue|BM_TickChurn|BM_Stat|BM_CacheHitPath|BM_FastForwardStep|BM_LittleCoreSimSpeed|BM_BigCoreSimSpeed|BM_VectorEngineSimSpeed' \
+    --benchmark_filter="$(python3 scripts/check_bench.py --print-filter)" \
     --benchmark_min_time=0.1 \
     --benchmark_out=build-bench/microbench_ci.json \
     --benchmark_out_format=json

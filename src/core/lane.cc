@@ -1,15 +1,17 @@
 #include "core/lane.hh"
 
+#include "core/vlittle_engine.hh"
 #include "isa/reg.hh"
 #include "sim/trace/tracer.hh"
 
 namespace bvl
 {
 
-VectorLane::VectorLane(ClockDomain &cd, StatGroup &sg, LaneEnv &env,
-                       unsigned lane_idx, std::string stat_prefix,
-                       FuLatencies fu_params, unsigned uop_queue_depth)
-    : clock(cd), stats(sg), env(env), lane(lane_idx),
+VectorLane::VectorLane(ClockDomain &cd, StatGroup &sg,
+                       VlittleEngine &eng, unsigned lane_idx,
+                       std::string stat_prefix, FuLatencies fu_params,
+                       unsigned uop_queue_depth)
+    : clock(cd), engine(eng), lane(lane_idx),
       prefix(std::move(stat_prefix)),
       sCycles(sg.handle(prefix + "cycles")),
       sUops(sg.handle(prefix + "uops")),
@@ -93,8 +95,8 @@ VectorLane::tick()
     sCycles++;
 
     if (uopQueue.empty()) {
-        recordStall(env.vcuBlockedLockstep() ? StallCause::simd
-                                             : StallCause::misc);
+        recordStall(engine.vcuBlockedLockstep() ? StallCause::simd
+                                                : StallCause::misc);
         return;
     }
 
@@ -129,7 +131,7 @@ VectorLane::tick()
       }
 
       case UopKind::loadWb: {
-        if (!env.loadDataReady(vseq, lane, chime, uop.elems)) {
+        if (!engine.loadDataReady(vseq, lane, chime, uop.elems)) {
             recordStall(StallCause::rawMem);
             return;
         }
@@ -143,24 +145,24 @@ VectorLane::tick()
 
       case UopKind::storeRd: {
         occupyFu(uop, 1);
-        env.storeDataFromLane(vseq, lane, chime, uop.elems);
+        engine.storeDataFromLane(vseq, uop.elems);
         break;
       }
 
       case UopKind::indexSend: {
         occupyFu(uop, 1);
-        env.indexFromLane(vseq, lane, chime);
+        engine.indexFromLane(vseq);
         break;
       }
 
       case UopKind::vxRead: {
         occupyFu(uop, 1);
-        env.vxSourceFromLane(vseq, lane, chime);
+        engine.vxSourceFromLane(vseq, lane, chime);
         break;
       }
 
       case UopKind::vxWrite: {
-        if (!env.vxDeliveryReady(vseq)) {
+        if (!engine.vxDeliveryReady(vseq)) {
             recordStall(StallCause::xelem);
             return;
         }
@@ -173,7 +175,7 @@ VectorLane::tick()
       }
 
       case UopKind::vxReduce: {
-        if (!env.vxReadsComplete(vseq)) {
+        if (!engine.vxReadsComplete(vseq)) {
             recordStall(StallCause::xelem);
             return;
         }
@@ -199,7 +201,7 @@ VectorLane::tick()
     }
 
     // Completion (write-back) notification to the engine.
-    env.retireUopAt(readyTick, vseq, chime);
+    engine.retireUopAt(readyTick, vseq, chime);
 
     uopQueue.pop_front();
     ++numUops;

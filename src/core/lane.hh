@@ -7,7 +7,7 @@
  * III-C). The lane re-uses the core's scalar FU latencies, tracks
  * per-(vreg, chime) readiness in the re-purposed physical register
  * file, and attributes every stalled cycle to the paper's Figure-7
- * categories. The engine (LaneEnv) provides the VLU/VSU/VXU/VMIU
+ * categories. The engine provides the VLU/VSU/VXU/VMIU
  * interactions.
  */
 
@@ -28,44 +28,12 @@ namespace bvl
 {
 
 class Tracer;
-
-/** Engine services a lane needs while executing micro-ops. */
-class LaneEnv
-{
-  public:
-    virtual ~LaneEnv() = default;
-
-    /** Has the VLU delivered @p needed elements for this uop yet? */
-    virtual bool loadDataReady(SeqNum vseq, unsigned lane, unsigned chime,
-                               unsigned needed) = 0;
-    /** Lane sends @p elems store-data elements to the VSU. */
-    virtual void storeDataFromLane(SeqNum vseq, unsigned lane,
-                                   unsigned chime, unsigned elems) = 0;
-    /** Lane sends a chime's worth of indices to the VMIU. */
-    virtual void indexFromLane(SeqNum vseq, unsigned lane,
-                               unsigned chime) = 0;
-    /** Lane sends cross-element source values into the VXU ring. */
-    virtual void vxSourceFromLane(SeqNum vseq, unsigned lane,
-                                  unsigned chime) = 0;
-    /** Has the VXU finished shifting values for this instruction? */
-    virtual bool vxDeliveryReady(SeqNum vseq) = 0;
-    /** Have all vxRead micro-ops of this instruction completed? */
-    virtual bool vxReadsComplete(SeqNum vseq) = 0;
-    /**
-     * A lane micro-op of chime group @p chime writes back at
-     * @p readyTick; the engine retires it at the start of its tick at
-     * that time (DESIGN.md §11).
-     */
-    virtual void retireUopAt(Tick readyTick, SeqNum vseq,
-                             unsigned chime) = 0;
-    /** Is the VCU currently blocked broadcasting by a busy peer? */
-    virtual bool vcuBlockedLockstep() const = 0;
-};
+class VlittleEngine;
 
 class VectorLane
 {
   public:
-    VectorLane(ClockDomain &cd, StatGroup &stats, LaneEnv &env,
+    VectorLane(ClockDomain &cd, StatGroup &stats, VlittleEngine &engine,
                unsigned laneIdx, std::string statPrefix,
                FuLatencies fu, unsigned uopQueueDepth);
 
@@ -90,8 +58,7 @@ class VectorLane
     Tick occupyFu(const VUop &uop, unsigned subOps);
 
     ClockDomain &clock;
-    StatGroup &stats;
-    LaneEnv &env;
+    VlittleEngine &engine;
     unsigned lane;
     std::string prefix;
     /** Interned counters (DESIGN.md §11); sStall indexed by StallCause. */

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 
+#include "cpu/big_core.hh"
 #include "sim/check/check_context.hh"
 #include "sim/fault.hh"
 #include "sim/small_fn.hh"
@@ -43,9 +44,10 @@ vregIdx(RegId r)
 } // namespace
 
 VlittleEngine::VlittleEngine(ClockDomain &cd, StatGroup &sg,
-                             MemSystem &ms, VEngineParams params)
-    : Clocked(cd, params.name), stats(sg), mem(ms), p(std::move(params)),
-      sp(p.name + "."),
+                             MemSystem &ms, BigCore &big,
+                             const FuLatencies &fu, VEngineParams params)
+    : Clocked(cd, params.name()), stats(sg), mem(ms), core(big),
+      p(std::move(params)), sp(std::string(p.name()) + "."),
       sModeSwitches(sg.handle(sp + "modeSwitches")),
       sDispatched(sg.handle(sp + "dispatched")),
       sVmiuCmds(sg.handle(sp + "vmiuCmds")),
@@ -68,12 +70,12 @@ VlittleEngine::VlittleEngine(ClockDomain &cd, StatGroup &sg,
 {
     // A lane write-back lands on a later cycle than its issue, where
     // drainRetires() finds it.
-    if (p.fu.latencyRange().first == 0)
-        fatal("%s: FU latencies must be at least one cycle", p.name.c_str());
+    if (fu.latencyRange().first == 0)
+        fatal("%s: FU latencies must be at least one cycle", p.name());
     for (unsigned i = 0; i < p.numLanes; ++i) {
         lanes.push_back(std::make_unique<VectorLane>(
             cd, stats, *this, i,
-            p.lanePrefix + std::to_string(i) + ".", p.fu,
+            p.lanePrefix() + std::to_string(i) + ".", fu,
             p.laneUopQueueDepth));
     }
     unsigned n_vmsus =
@@ -145,7 +147,7 @@ VlittleEngine::laneOfElem(unsigned elem_idx, unsigned sew_bytes) const
 }
 
 // --------------------------------------------------------------------
-// VectorEngine interface
+// Big core side
 // --------------------------------------------------------------------
 
 bool
@@ -159,11 +161,9 @@ VlittleEngine::canAccept(const ExecTrace &trace) const
 }
 
 void
-VlittleEngine::dispatch(const ExecTrace &tr,
-                        std::function<void()> onDone)
+VlittleEngine::dispatch(const ExecTrace &tr, SeqNum robSeq)
 {
-    bvl_assert(canAccept(tr), "%s: dispatch without canAccept",
-               p.name.c_str());
+    bvl_assert(canAccept(tr), "%s: dispatch without canAccept", p.name());
 
     if (!vectorMode) {
         vectorMode = true;
@@ -184,9 +184,9 @@ VlittleEngine::dispatch(const ExecTrace &tr,
     VInstr &vi = slot(vseq);
     static_cast<VInstrState &>(vi) = VInstrState{};
     vi.vseq = vseq;
+    vi.robSeq = robSeq;
     vi.live = true;
     vi.trace = tr;
-    vi.onDone = std::move(onDone);
     vi.plan.clear();
     vi.planTarget.clear();
     vi.arrived.assign(p.numLanes * p.chimes, 0);
@@ -221,7 +221,7 @@ VlittleEngine::idle() const
 void
 VlittleEngine::exitVectorMode()
 {
-    bvl_assert(idle(), "%s: exitVectorMode while busy", p.name.c_str());
+    bvl_assert(idle(), "%s: exitVectorMode while busy", p.name());
     if (!vectorMode)
         return;
     vectorMode = false;
@@ -547,7 +547,7 @@ VlittleEngine::deliverLine(const LineReq &req)
         while (i < vluOrder.size() && vluOrder[i].reqSeq != req.reqSeq)
             ++i;
         bvl_assert(i < vluOrder.size(), "%s: VLU order lost load "
-                   "request %llu", p.name.c_str(),
+                   "request %llu", p.name(),
                    static_cast<unsigned long long>(req.reqSeq));
         vluOrder[i].ready = true;
     }
@@ -600,7 +600,7 @@ VlittleEngine::issueToMemory(const LineReq &req, unsigned attempt)
                 warn("%s: VMU %s response for line 0x%llx (vseq %llu, "
                      "vmsu %u) lost after %u attempts; retry budget "
                      "exhausted",
-                     p.name.c_str(), req.isStore ? "store" : "load",
+                     p.name(), req.isStore ? "store" : "load",
                      static_cast<unsigned long long>(req.lineAddr),
                      static_cast<unsigned long long>(req.vseq),
                      req.vmsu, attempt + 1);
@@ -843,7 +843,7 @@ VlittleEngine::vsuTick()
     while (i < q.size() && q[i].reqSeq != req.reqSeq)
         ++i;
     bvl_assert(i < q.size(), "%s: store line %llu left its VMSU queue "
-               "before its data", p.name.c_str(),
+               "before its data", p.name(),
                static_cast<unsigned long long>(req.reqSeq));
     q[i].ready = true;
     vsuOrder.pop_front();
@@ -851,7 +851,7 @@ VlittleEngine::vsuTick()
 }
 
 // --------------------------------------------------------------------
-// LaneEnv interface
+// Lane side
 // --------------------------------------------------------------------
 
 bool
@@ -867,15 +867,14 @@ VlittleEngine::loadDataReady(SeqNum vseq, unsigned lane, unsigned chime,
 }
 
 void
-VlittleEngine::storeDataFromLane(SeqNum vseq, unsigned, unsigned,
-                                 unsigned elems)
+VlittleEngine::storeDataFromLane(SeqNum vseq, unsigned elems)
 {
     if (VInstr *vi = findInflight(vseq))
         vi->storeElemsReceived += elems;
 }
 
 void
-VlittleEngine::indexFromLane(SeqNum vseq, unsigned, unsigned)
+VlittleEngine::indexFromLane(SeqNum vseq)
 {
     // A chime's indices are complete once every lane has sent its
     // share; lanes execute chimes in order, so counting is enough.
@@ -954,7 +953,7 @@ VlittleEngine::drainRetires()
         if (r.readyTick != now) {
             bvl_assert(r.readyTick > now, "%s: vseq %llu write-back due "
                        "at tick %llu drained at %llu (missed tick)",
-                       p.name.c_str(), (unsigned long long)r.vseq,
+                       p.name(), (unsigned long long)r.vseq,
                        (unsigned long long)r.readyTick,
                        (unsigned long long)now);
             pendingRetires[kept++] = r;
@@ -971,7 +970,7 @@ VlittleEngine::retireUop(SeqNum vseq, unsigned chime)
     VInstr *vi = findInflight(vseq);
     if (!vi)
         return;
-    bvl_assert(vi->lanePending > 0, "%s: uop underflow", p.name.c_str());
+    bvl_assert(vi->lanePending > 0, "%s: uop underflow", p.name());
     --vi->lanePending;
     if (check)
         check->onUopRetired(vseq, chime, clock().eventQueue().now());
@@ -1041,15 +1040,15 @@ VlittleEngine::completeInstr(VInstr &vi)
     }
 
     SeqNum vseq = vi.vseq;
-    auto onDone = std::move(vi.onDone);
+    SeqNum robSeq = vi.robSeq;
+    bool writesScalar = vi.trace.inst->traits().writesScalar;
     vi.live = false;
     --numInflight;
     while (oldestVseq < nextVseq && !slot(oldestVseq).live)
         ++oldestVseq;
     if (check)
         check->onVecComplete(vseq);
-    if (onDone)
-        onDone();
+    core.vecCompleted(robSeq, writesScalar);
 }
 
 // --------------------------------------------------------------------
@@ -1207,7 +1206,7 @@ VlittleEngine::registerProgress(Watchdog &wd)
     // Work counters only (never cycles): chime micro-op broadcasts,
     // completions, and every VMU queue movement. A livelocked engine
     // keeps ticking but advances none of these.
-    wd.addSource(p.name,
+    wd.addSource(p.name(),
                  [this] {
                      return sDispatched.value() +
                             sUopsBroadcast.value() +

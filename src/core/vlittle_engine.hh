@@ -24,13 +24,12 @@
 #ifndef BVL_CORE_VLITTLE_ENGINE_HH
 #define BVL_CORE_VLITTLE_ENGINE_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/lane.hh"
 #include "core/vuop.hh"
-#include "cpu/vec_engine.hh"
+#include "isa/arch_state.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
 #include "sim/enum_names.hh"
@@ -40,6 +39,7 @@
 namespace bvl
 {
 
+class BigCore;
 class CheckContext;
 class FaultInjector;
 class InvariantRegistry;
@@ -48,9 +48,6 @@ class Watchdog;
 
 struct VEngineParams
 {
-    std::string name = "vlittle";
-    /** Per-lane stat prefix; lane i uses "<lanePrefix><i>.". */
-    std::string lanePrefix = "little";
     unsigned numLanes = 4;
     unsigned chimes = 2;
     bool packed = true;
@@ -68,7 +65,6 @@ struct VEngineParams
     unsigned coalesceWindow = 4;   ///< indexed elems coalesced per line
 
     Cycles switchPenalty = 500;    ///< vector-region entry cost
-    FuLatencies fu{};
 
     /**
      * Where vector memory goes. It also fixes how the engine couples
@@ -79,6 +75,21 @@ struct VEngineParams
      */
     enum class MemPath { bankedL1, bigL1D, directL2 };
     MemPath memPath = MemPath::bankedL1;
+
+    /** The engine's stat/track prefix and its lanes' stat prefix
+     *  (lane i uses "<lane><i>."), one row per MemPath: the memory
+     *  path names the machine (paper Table III). */
+    struct Names
+    {
+        const char *engine;
+        const char *lane;
+    };
+    static constexpr Names names[] = {
+        {"vlittle", "little"}, {"ivu", "ivu"}, {"dve", "dve"}};
+
+    const char *name() const { return names[unsigned(memPath)].engine; }
+    const char *lanePrefix() const
+    { return names[unsigned(memPath)].lane; }
 
     /** Hardware vector length presented to vsetvli (32-bit data). */
     unsigned
@@ -95,37 +106,47 @@ struct EnumNames<VEngineParams::MemPath>
                                             "directL2"};
 };
 
-class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
+/**
+ * The engine behind the big core's vector dispatch unit (paper Section
+ * III-A): a vector instruction waits there until it reaches the head
+ * of the ROB and the engine can accept it. Non-scalar-writing
+ * instructions commit on dispatch; scalar-writing instructions
+ * (vsetvli, vmv.x.s, vpopc, ...) hold the ROB head until the engine
+ * responds. Either way the engine reports each completion to the big
+ * core by ROB sequence number (BigCore::vecCompleted).
+ */
+class VlittleEngine : public Clocked
 {
   public:
+    /** @p fu: the little cores' FU latencies, which the lanes re-use
+     *  (paper Section III-C). */
     VlittleEngine(ClockDomain &cd, StatGroup &stats, MemSystem &mem,
-                  VEngineParams params = {});
+                  BigCore &core, const FuLatencies &fu,
+                  VEngineParams params);
 
-    // --- VectorEngine interface (big core side) ---
-    bool canAccept(const ExecTrace &trace) const override;
-    void dispatch(const ExecTrace &trace,
-                  std::function<void()> onDone) override;
-    bool idle() const override;
-    bool dispatchAtHead() const override
+    /**
+     * Can the engine take this instruction now? (Command queue space,
+     * plus a scalar-data queue slot if the instruction carries a
+     * scalar operand — paper Section III-B.)
+     */
+    bool canAccept(const ExecTrace &trace) const;
+    /** Take one (functionally already executed) vector instruction,
+     *  ROB entry @p robSeq of the big core. */
+    void dispatch(const ExecTrace &trace, SeqNum robSeq);
+    /** True when no work is in flight anywhere in the engine. */
+    bool idle() const;
+    /**
+     * Decoupled engines receive instructions only from the head of
+     * the ROB (paper Section III-A); the integrated unit executes in
+     * the pipeline and may receive them as soon as their scalar
+     * operands are ready (in program order among vector instructions).
+     */
+    bool dispatchAtHead() const
     { return p.memPath != VEngineParams::MemPath::bigL1D; }
 
     /** Leave vector mode (driver calls when a vector region ends). */
     void exitVectorMode();
     bool inVectorMode() const { return vectorMode; }
-
-    // --- LaneEnv interface (lane side) ---
-    bool loadDataReady(SeqNum vseq, unsigned lane, unsigned chime,
-                       unsigned needed) override;
-    void storeDataFromLane(SeqNum vseq, unsigned lane, unsigned chime,
-                           unsigned elems) override;
-    void indexFromLane(SeqNum vseq, unsigned lane, unsigned chime) override;
-    void vxSourceFromLane(SeqNum vseq, unsigned lane,
-                          unsigned chime) override;
-    bool vxDeliveryReady(SeqNum vseq) override;
-    bool vxReadsComplete(SeqNum vseq) override;
-    void retireUopAt(Tick readyTick, SeqNum vseq,
-                     unsigned chime) override;
-    bool vcuBlockedLockstep() const override { return lockstepBlocked; }
 
     const VEngineParams &params() const { return p; }
 
@@ -153,6 +174,32 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     bool tick() override;
 
   private:
+    /** The lanes call the lane-side services below directly. */
+    friend class VectorLane;
+
+    // --- lane side ---
+    /** Has the VLU delivered @p needed elements for this uop yet? */
+    bool loadDataReady(SeqNum vseq, unsigned lane, unsigned chime,
+                       unsigned needed);
+    /** A lane sends @p elems store-data elements to the VSU. */
+    void storeDataFromLane(SeqNum vseq, unsigned elems);
+    /** A lane sends a chime's worth of indices to the VMIU. */
+    void indexFromLane(SeqNum vseq);
+    /** A lane sends cross-element source values into the VXU ring. */
+    void vxSourceFromLane(SeqNum vseq, unsigned lane, unsigned chime);
+    /** Has the VXU finished shifting values for this instruction? */
+    bool vxDeliveryReady(SeqNum vseq);
+    /** Have all vxRead micro-ops of this instruction completed? */
+    bool vxReadsComplete(SeqNum vseq);
+    /**
+     * A lane micro-op of chime group @p chime writes back at
+     * @p readyTick; the engine retires it at the start of its tick at
+     * that time (DESIGN.md §11).
+     */
+    void retireUopAt(Tick readyTick, SeqNum vseq, unsigned chime);
+    /** Is the VCU currently blocked broadcasting by a busy peer? */
+    bool vcuBlockedLockstep() const { return lockstepBlocked; }
+
     /** The engine switches the little L1Ds into banked mode. */
     bool controlsL1Mode() const
     { return p.memPath == VEngineParams::MemPath::bankedL1; }
@@ -165,6 +212,7 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     struct VInstrState
     {
         SeqNum vseq = 0;
+        SeqNum robSeq = 0;            ///< the big core's ROB entry
         bool live = false;            ///< dispatched and not completed
         bool needsDataSlot = false;
 
@@ -192,7 +240,6 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     struct VInstr : VInstrState
     {
         ExecTrace trace;
-        std::function<void()> onDone;
         std::vector<VUop> plan;       ///< lane uops, broadcast in order
         std::vector<int> planTarget;  ///< -1 broadcast, else lane index
         /** Load elements delivered per (lane, chime). */
@@ -270,6 +317,7 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
 
     StatGroup &stats;
     MemSystem &mem;
+    BigCore &core;
     VEngineParams p;
     std::string sp;   ///< engine stat prefix "<name>."
     /** Interned counters (DESIGN.md §11). */

@@ -4,6 +4,7 @@
 #include <bit>
 #include <utility>
 
+#include "core/vlittle_engine.hh"
 #include "sim/check/check_context.hh"
 #include "sim/trace/tracer.hh"
 #include "sim/watchdog.hh"
@@ -390,22 +391,27 @@ BigCore::vecDispatchStage()
             trace->instant(TraceCat::big, traceTid, "vecDispatch",
                            clock().eventQueue().now(), std::move(args));
         }
-        if (in.traits().writesScalar) {
-            vengine->dispatch(inst->trace, [this, inst] {
-                --vecOutstanding;
-                completeInst(inst);
-            });
-        } else {
-            vengine->dispatch(inst->trace, [this] {
-                --vecOutstanding;
-                activate();
-                maybeFinish();
-            });
+        vengine->dispatch(inst->trace, inst->seq);
+        if (!in.traits().writesScalar)
             inst->complete = true;
-        }
         vecQueue.pop_front();
         // Only one dispatch per cycle (vector dispatch unit port).
         return;
+    }
+}
+
+void
+BigCore::vecCompleted(SeqNum seq, bool writesScalar)
+{
+    --vecOutstanding;
+    if (writesScalar) {
+        bvl_assert(robAt(seq).seq == seq, "big core: engine response "
+                   "for seq %llu, which left the ROB",
+                   (unsigned long long)seq);
+        completeInst(&robAt(seq));
+    } else {
+        activate();
+        maybeFinish();
     }
 }
 

@@ -10,7 +10,7 @@
  * redirect penalty (wrong-path fetch is not modelled; DESIGN.md §5).
  *
  * Vector instructions do not issue to FUs: they wait for the ROB head
- * and dispatch to the attached VectorEngine (paper Section III-A).
+ * and dispatch to the attached VlittleEngine (paper Section III-A).
  * Scalar-writing vector instructions complete (and wake dependents)
  * only when the engine responds.
  */
@@ -25,7 +25,6 @@
 #include "cpu/fetch_buffer.hh"
 #include "cpu/fu_params.hh"
 #include "cpu/program_core.hh"
-#include "cpu/vec_engine.hh"
 #include "mem/mem_system.hh"
 #include "sim/ring.hh"
 #include "sim/stats.hh"
@@ -35,6 +34,7 @@ namespace bvl
 
 class InvariantRegistry;
 class Tracer;
+class VlittleEngine;
 
 struct BigCoreParams
 {
@@ -62,7 +62,14 @@ class BigCore : public ProgramCore
             BigCoreParams params = {});
 
     /** Attach the vector engine vector instructions dispatch to. */
-    void setVectorEngine(VectorEngine *engine) { vengine = engine; }
+    void setVectorEngine(VlittleEngine *engine) { vengine = engine; }
+
+    /**
+     * The engine finished the vector instruction dispatched from ROB
+     * entry @p seq. A scalar-writing one still holds the ROB head, so
+     * @p seq names a live slot and its completion wakes dependents.
+     */
+    void vecCompleted(SeqNum seq, bool writesScalar);
 
     /** Branch predictor (checkpoint save/restore, DESIGN.md §15). */
     GsharePredictor *predictor() override { return &bpred; }
@@ -160,7 +167,7 @@ class BigCore : public ProgramCore
     /** Interned counters (DESIGN.md §11). */
     StatHandle sFetched, sRetired, sCycles, sMispredicts, sVecDispatched;
 
-    VectorEngine *vengine = nullptr;
+    VlittleEngine *vengine = nullptr;
     Tracer *trace = nullptr;
     unsigned traceTid = 0;
 

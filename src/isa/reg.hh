@@ -50,8 +50,9 @@ regName(RegId r)
 {
     if (r == regIdInvalid)
         return "-";
-    const char *prefix = isXReg(r) ? "x" : isFReg(r) ? "f" : "v";
-    return prefix + std::to_string(regIndex(r));
+    std::string name = isXReg(r) ? "x" : isFReg(r) ? "f" : "v";
+    name += std::to_string(regIndex(r));
+    return name;
 }
 
 } // namespace bvl

@@ -34,9 +34,11 @@ WsRuntime::progressDetail() const
                       " inFlight " + std::to_string(tasksInFlight) +
                       " pending " + std::to_string(pendingTasks) +
                       " workers";
-    for (const auto &w : workers)
-        out += " " + std::string(w.core == soc.big.get() ? "b" : "l") +
-               (w.idle ? "i" : "r") + std::to_string(w.deque.size());
+    for (const auto &w : workers) {
+        out += w.core == soc.big.get() ? " b" : " l";
+        out += w.idle ? "i" : "r";
+        out += std::to_string(w.deque.size());
+    }
     return out;
 }
 

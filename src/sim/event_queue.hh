@@ -81,9 +81,13 @@ class EventQueue
     EventQueue()
     {
         // Room for a busy system's in-flight events up front, so the
-        // heap and free list do not grow mid-run (DESIGN.md §11).
+        // heap and the closure pool do not grow mid-run (DESIGN.md §11).
         heap.reserve(initialEvents);
         freeClosures.reserve(initialEvents);
+        for (std::size_t i = 0; i < initialEvents; ++i) {
+            closurePool.emplace_back().owner = this;
+            freeClosures.push_back(&closurePool.back());
+        }
     }
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -285,8 +289,7 @@ class EventQueue
     acquireClosure()
     {
         if (freeClosures.empty()) {
-            closurePool.emplace_back();
-            closurePool.back().owner = this;
+            closurePool.emplace_back().owner = this;
             return &closurePool.back();
         }
         ClosureEvent *ev = freeClosures.back();
@@ -320,7 +323,9 @@ class EventQueue
      *  after purgeStale(), heap.front() is the earliest live event. */
     std::vector<HeapEntry> heap;
     /** Closure nodes live here for the queue's lifetime (deque: node
-     *  addresses are stable) and recycle through freeClosures. */
+     *  addresses are stable) and recycle through freeClosures. The
+     *  first initialEvents are made up front; more only if that many
+     *  closures are ever in flight at once. */
     std::deque<ClosureEvent> closurePool;
     std::vector<ClosureEvent *> freeClosures;
     std::size_t numLive = 0;

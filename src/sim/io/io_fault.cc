@@ -198,8 +198,11 @@ ioFaultPlanFromSpec(const std::string &spec)
         auto kind = enumFromName<IoFaultKind>(item.substr(0, at));
         if (!kind) {
             std::string legal;
-            for (const char *n : EnumNames<IoFaultKind>::names)
-                legal += (legal.empty() ? "" : "|") + std::string(n);
+            for (const char *n : EnumNames<IoFaultKind>::names) {
+                if (!legal.empty())
+                    legal += '|';
+                legal += n;
+            }
             fatal("BVL_IO_FAULT entry '%s': unknown kind '%s' (want %s)",
                   item.c_str(), item.substr(0, at).c_str(), legal.c_str());
         }

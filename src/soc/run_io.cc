@@ -71,24 +71,8 @@ fields(V &v, CheckpointOptions &c)
 
 template <class V>
 void
-fields(V &v, FuLatencies &f)
-{
-    v("intAlu", f.intAlu);
-    v("intMul", f.intMul);
-    v("intDiv", f.intDiv);
-    v("fpAdd", f.fpAdd);
-    v("fpMul", f.fpMul);
-    v("fpDiv", f.fpDiv);
-    v("mem", f.mem);
-    v("branch", f.branch);
-}
-
-template <class V>
-void
 fields(V &v, VEngineParams &p)
 {
-    v("name", p.name);
-    v("lanePrefix", p.lanePrefix);
     v("numLanes", p.numLanes);
     v("chimes", p.chimes);
     v("packed", p.packed);
@@ -102,7 +86,6 @@ fields(V &v, VEngineParams &p)
     v("storeCamEntries", p.storeCamEntries);
     v("coalesceWindow", p.coalesceWindow);
     v("switchPenalty", p.switchPenalty);
-    v("fu", p.fu);
     v("memPath", p.memPath);
 }
 

@@ -74,26 +74,26 @@ Soc::Soc(SocParams params)
         mem.setFaultInjector(injector.get());
     }
 
-    unsigned vlen = 64;
-    if (designHasVector(p.design)) {
-        VEngineParams ep = p.engineOverride ? *p.engineOverride
-                                            : defaultEngine(p.design);
-        ep.fu = p.littleParams.fu;
-        // Engine lanes run on the little-core clock for the VLITTLE
-        // engine, on the big-core clock for the integrated unit and
-        // the decoupled engine (paper Section VII methodology).
-        ClockDomain &engClk =
-            p.design == Design::d1b4VL ? littleClk : bigClk;
-        engine = std::make_unique<VlittleEngine>(engClk, stats, mem, ep);
-        if (injector)
-            engine->setFaultInjector(injector.get());
-        vlen = engine->params().vlenBits();
-    }
-
+    const bool vector = designHasVector(p.design);
+    VEngineParams ep;
+    if (vector)
+        ep = p.engineOverride ? *p.engineOverride : defaultEngine(p.design);
+    unsigned vlen = vector ? ep.vlenBits() : 64;
     big = std::make_unique<BigCore>(bigClk, stats, mem, backing, vlen,
                                     p.bigParams);
-    if (engine)
+    if (vector) {
+        // Engine lanes run on the little-core clock for the VLITTLE
+        // engine, on the big-core clock for the integrated unit and
+        // the decoupled engine (paper Section VII methodology). Every
+        // engine re-uses the little cores' FU latencies.
+        ClockDomain &engClk =
+            p.design == Design::d1b4VL ? littleClk : bigClk;
+        engine = std::make_unique<VlittleEngine>(
+            engClk, stats, mem, *big, p.littleParams.fu, ep);
+        if (injector)
+            engine->setFaultInjector(injector.get());
         big->setVectorEngine(engine.get());
+    }
 
     for (unsigned i = 0; i < p.numLittle; ++i)
         littles.push_back(std::make_unique<LittleCore>(

@@ -1,4 +1,4 @@
-#include "sim/check/minimize.hh"
+#include "sweep/minimize.hh"
 
 #include <algorithm>
 #include <future>

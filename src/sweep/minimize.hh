@@ -16,8 +16,8 @@
  * injection makes the failure disappear.
  */
 
-#ifndef BVL_SIM_CHECK_MINIMIZE_HH
-#define BVL_SIM_CHECK_MINIMIZE_HH
+#ifndef BVL_SWEEP_MINIMIZE_HH
+#define BVL_SWEEP_MINIMIZE_HH
 
 #include <cstddef>
 #include <vector>
@@ -60,4 +60,4 @@ MinimizeOutcome minimizeFaultPlan(const SweepJob &failing,
 
 } // namespace bvl
 
-#endif // BVL_SIM_CHECK_MINIMIZE_HH
+#endif // BVL_SWEEP_MINIMIZE_HH

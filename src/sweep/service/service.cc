@@ -151,7 +151,8 @@ SweepService::effectiveJob(const SweepJob &job,
     // two failing jobs can no longer race on the same report.
     if (!eff.opts.check.forensicsPath.empty()) {
         std::string p = eff.opts.check.forensicsPath;
-        std::string tag = "." + hash.substr(0, 16);
+        std::string tag = ".";
+        tag.append(hash, 0, 16);
         auto slash = p.find_last_of('/');
         auto dot = p.find_last_of('.');
         if (dot != std::string::npos &&
@@ -162,9 +163,6 @@ SweepService::effectiveJob(const SweepJob &job,
         eff.opts.check.forensicsPath = std::move(p);
     }
 
-    if (opts.jobDeadlineNs > 0.0 &&
-        (eff.opts.limitNs <= 0.0 || eff.opts.limitNs > opts.jobDeadlineNs))
-        eff.opts.limitNs = opts.jobDeadlineNs;
     if (opts.wallDeadlineSec > 0.0)
         eff.opts.wallDeadlineSec = opts.wallDeadlineSec;
     return eff;

@@ -79,8 +79,6 @@ struct SweepServiceOptions
     double backoffBaseMs = 10.0;
     /** Seed for the deterministic backoff jitter. */
     std::uint64_t backoffSeed = 0xb161764c;
-    /** Per-job simulated-time budget; clamps RunOptions::limitNs. */
-    double jobDeadlineNs = 0.0;
     /** Per-job wall-clock budget (watchdog hook / worker kill). */
     double wallDeadlineSec = 0.0;
     /** Fork one worker process per job (BVL_SWEEP_ISOLATE=1). */

@@ -29,8 +29,6 @@ inline VEngineParams
 vlittlePreset()
 {
     VEngineParams p;
-    p.name = "vlittle";
-    p.lanePrefix = "little";
     p.numLanes = 4;
     p.chimes = 2;
     p.packed = true;
@@ -50,8 +48,6 @@ inline VEngineParams
 integratedVuPreset()
 {
     VEngineParams p;
-    p.name = "ivu";
-    p.lanePrefix = "ivu";
     p.numLanes = 2;     // two shared big-core pipelines, 128-bit VLEN
     p.chimes = 1;
     p.packed = true;
@@ -71,8 +67,6 @@ inline VEngineParams
 decoupledVePreset()
 {
     VEngineParams p;
-    p.name = "dve";
-    p.lanePrefix = "dve";
     p.numLanes = 8;     // 8x 64-bit lanes = 16x 32-bit ops/cycle
     p.chimes = 4;
     p.packed = true;    // 2048-bit VLEN

@@ -14,7 +14,7 @@
 #include "sim/check/forensics.hh"
 #include "sim/check/invariants.hh"
 #include "sim/check/json.hh"
-#include "sim/check/minimize.hh"
+#include "sweep/minimize.hh"
 #include "soc/run_driver.hh"
 #include "soc/soc.hh"
 #include "workloads/workload.hh"

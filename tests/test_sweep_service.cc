@@ -99,6 +99,25 @@ TEST(SweepServiceTest, JobHashIsStableAndSensitive)
     EXPECT_NE(jobHashHex(other), h);
 }
 
+TEST(SweepServiceTest, JobHashIgnoresEngineSettingsTheSocDecides)
+{
+    // Older documents gave the engine override a name, a lane prefix
+    // and FU latencies. The SoC names the engine after its memory path
+    // and gives its lanes the little cores' latencies, so those keys
+    // change nothing simulated and must not change the hash.
+    auto hashOf = [](const std::string &engine) {
+        SweepJob job = vvaddJob();
+        job.opts = runOptionsFromJson(
+            Json::parse(R"({"engineOverride":)" + engine + "}"));
+        return jobHashHex(job);
+    };
+    std::string h = hashOf(R"({"chimes":2})");
+    EXPECT_EQ(hashOf(R"({"chimes":2,"fu":{"intAlu":3,"fpDiv":20}})"), h);
+    EXPECT_EQ(hashOf(R"({"name":"ablate","chimes":2})"), h);
+    EXPECT_EQ(hashOf(R"({"lanePrefix":"lane","chimes":2})"), h);
+    EXPECT_NE(hashOf(R"({"chimes":3})"), h);
+}
+
 TEST(SweepServiceTest, JobHashIgnoresOutputPathsAndWallDeadline)
 {
     SweepJob job = vvaddJob();
@@ -290,8 +309,6 @@ goldenOptions()
     o.bigGhz = 1.7;
     o.littleGhz = 0.6;
     VEngineParams p;
-    p.name = "ablate";
-    p.lanePrefix = "lane";
     p.numLanes = 8;
     p.chimes = 4;
     p.packed = false;
@@ -305,7 +322,6 @@ goldenOptions()
     p.storeCamEntries = 6;
     p.coalesceWindow = 2;
     p.switchPenalty = 250;
-    p.fu = {2, 4, 13, 5, 6, 14, 2, 3};
     p.memPath = VEngineParams::MemPath::directL2;
     o.engineOverride = p;
     o.limitNs = 2.5e6;
@@ -385,6 +401,37 @@ goldenResult()
 }
 
 const char *const kGoldenOptions =
+    R"({"bigGhz":1.7,"littleGhz":0.59999999999999998,)"
+    R"("limitNs":2500000,"verifyResult":false,"watchdog":false,)"
+    R"("watchdogIntervalNs":12345.5,)"
+    R"("wallDeadlineSec":0.10000000000000001,)"
+    R"("engineOverride":{"numLanes":8,"chimes":4,"packed":false,)"
+    R"("cmdQueueDepth":33,"uopQueueDepth":65,"dataQueueDepth":9,)"
+    R"("laneUopQueueDepth":5,"vmiuQueueDepth":17,"loadQueueLines":24,)"
+    R"("storeQueueLines":12,"storeCamEntries":6,"coalesceWindow":2,)"
+    R"("switchPenalty":250,"memPath":"directL2"},)"
+    R"("faults":{"enabled":true,"seed":16045690984503111693,)"
+    R"("memDelayProb":0.125,"memDelayCycles":51,)"
+    R"("cacheDelayProb":0.33333333333333331,"cacheDelayCycles":9,)"
+    R"("vcuStallProb":0.050000000000000003,"vcuStallCycles":21,)"
+    R"("vmuDropProb":0.01,"vmuMaxRetries":2,"vmuRetryDelay":65,)"
+    R"("script":[{"atTick":1000,"kind":"vmuDrop","cycles":0},)"
+    R"({"atTick":2500,"kind":"cacheDelay","cycles":30}]},)"
+    R"("check":{"lockstep":true,"invariants":true,"retireContext":16,)"
+    R"("invariantPeriod":32,"forensicsPath":"/tmp/report.json"},)"
+    R"("trace":{"path":"t.json","samplePath":"s.csv","startNs":10.5,)"
+    R"("stopNs":999.25,"categories":5,"sampleIntervalNs":250},)"
+    R"("sampling":{"ffInsts":20000,"warmupInsts":1000,)"
+    R"("detailInsts":4000,"periods":8},)"
+    R"("checkpoint":{"savePath":"a.bvl","restorePath":"b.bvl",)"
+    R"("ffInsts":777,"farm":true,"farmDir":"farm","strict":true}})";
+
+/**
+ * goldenOptions() as older builds wrote it, when the engine override
+ * also carried its name, lane prefix and FU latencies (the SoC decides
+ * all three). It must still load, to goldenOptions().
+ */
+const char *const kParentGoldenOptions =
     R"({"bigGhz":1.7,"littleGhz":0.59999999999999998,)"
     R"("limitNs":2500000,"verifyResult":false,"watchdog":false,)"
     R"("watchdogIntervalNs":12345.5,)"
@@ -482,6 +529,9 @@ TEST(SweepServiceTest, GoldenRunOptionsDocument)
               kGoldenOptions);
     EXPECT_EQ(runOptionsToJson(RunOptions{}).dump(0),
               kGoldenDefaultOptions);
+    EXPECT_EQ(reserialized(kParentGoldenOptions, runOptionsFromJson,
+                           runOptionsToJson),
+              kGoldenOptions);
 }
 
 TEST(SweepServiceTest, GoldenRunResultDocument)
