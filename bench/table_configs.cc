@@ -1,11 +1,13 @@
 /**
  * @file
- * Tables II/III/IV/V for reference: simulated core/memory parameters,
- * the seven evaluated systems, and the workload suite with sizes at
- * each scale.
+ * Tables II/III/IV/V for reference: the simulated core and memory
+ * parameters, the three vector engines, and the workloads of each
+ * suite (the Table IV/V apps and the mobile tier), all printed from
+ * the parameter structs and the workload table.
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.hh"
 #include "vector/engine_presets.hh"
@@ -25,11 +27,15 @@ printEngine(const char *label, const VEngineParams &p)
                 p.vlenBits(), p.cmdQueueDepth, p.uopQueueDepth,
                 p.dataQueueDepth, p.vmiuQueueDepth, p.loadQueueLines,
                 p.storeQueueLines, p.storeCamEntries,
-                (unsigned long long)p.switchPenalty,
-                p.memPath == VEngineParams::MemPath::bankedL1
-                    ? "banked-L1"
-                    : p.memPath == VEngineParams::MemPath::bigL1D
-                          ? "big-L1D" : "direct-L2");
+                (unsigned long long)p.switchPenalty, enumName(p.memPath));
+}
+
+/** "<name> <size>KB <assoc>-way" for one cache. */
+std::string
+cacheText(const CacheParams &c)
+{
+    return c.name + " " + std::to_string(c.sizeBytes / 1024) + "KB " +
+           std::to_string(c.assoc) + "-way";
 }
 
 } // namespace
@@ -57,10 +63,12 @@ main()
                 (unsigned long long)lp.fu.fpMul,
                 (unsigned long long)lp.fu.fpDiv);
     MemSystemParams mp;
-    std::printf("memory: 32KB 2-way L1I/L1D per little, 64KB 4-way "
-                "big L1s, %uKB %u-way shared L2, DRAM %.0fns / "
-                "%.1fGB/s\n",
-                mp.l2.sizeBytes / 1024, mp.l2.assoc, mp.dram.latencyNs,
+    std::printf("memory: %s + %s per little core, %s + %s, shared %s, "
+                "DRAM %.0fns / %.1fGB/s\n",
+                cacheText(mp.littleL1I).c_str(),
+                cacheText(mp.littleL1D).c_str(),
+                cacheText(mp.bigL1I).c_str(), cacheText(mp.bigL1D).c_str(),
+                cacheText(mp.l2).c_str(), mp.dram.latencyNs,
                 mp.dram.bandwidthGBps);
 
     std::printf("\nvector engines:\n");
@@ -68,13 +76,17 @@ main()
     printEngine("1bDV", decoupledVePreset());
     printEngine("1b-4VL", vlittlePreset());
 
-    std::printf("\n# Tables IV/V: workload suite\n");
-    std::printf("data-parallel:");
-    for (const auto &n : workloadNames(Suite::dataParallel))
-        std::printf(" %s", n.c_str());
-    std::printf("\ntask-parallel:");
-    for (const auto &n : workloadNames(Suite::taskParallel))
-        std::printf(" %s", n.c_str());
-    std::printf("\n");
+    std::printf("\n# Tables IV/V: workload suites\n");
+    const std::pair<const char *, Suite> suites[] = {
+        {"data-parallel", Suite::dataParallel},
+        {"task-parallel", Suite::taskParallel},
+        {"mobile", Suite::mobile},
+    };
+    for (const auto &[label, suite] : suites) {
+        std::printf("%s:", label);
+        for (const auto &n : workloadNames(suite))
+            std::printf(" %s", n.c_str());
+        std::printf("\n");
+    }
     return 0;
 }

@@ -1,9 +1,10 @@
 /**
  * @file
- * Writing your own workload: implement the Workload interface (data
- * init, scalar + vector programs, task decomposition, verification)
- * and run it on any of the seven systems through the standard driver.
- * The example computes a dot product with a vector reduction.
+ * Writing your own workload: derive from RangeWorkload, which builds
+ * each program once, on first request, from the loop you write over
+ * [x10, x11); add data init and verification, and run it on any of the
+ * seven systems through the standard driver. The example computes a
+ * dot product with a vector reduction.
  *
  *   $ ./example_custom_workload
  */
@@ -19,19 +20,18 @@ namespace
 {
 
 /** dot = sum a[i] * b[i] over int32 vectors. */
-class DotProductWorkload : public WorkloadBase
+class DotProductWorkload : public RangeWorkload
 {
   public:
-    explicit DotProductWorkload(unsigned n) : n(n) {}
+    explicit DotProductWorkload(unsigned n) : RangeWorkload(0, n) {}
 
-    std::string name() const override { return "dotprod"; }
-    bool isDataParallel() const override { return true; }
+    std::string name() const override { return "dot"; }
 
     void
     init(BackingStore &mem) override
     {
         want = 0;
-        for (unsigned i = 0; i < n; ++i) {
+        for (unsigned i = 0; i < hi; ++i) {
             std::int32_t a = (i * 7) % 100, b = (i * 13) % 50;
             mem.writeT<std::int32_t>(regionA + 4ull * i, a);
             mem.writeT<std::int32_t>(regionB + 4ull * i, b);
@@ -39,10 +39,9 @@ class DotProductWorkload : public WorkloadBase
         }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        Asm a("dot.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(20), 0);
         emitScalarRangeLoop(a, xreg(5), "loop", [&] {
             a.slli(xreg(6), xreg(5), 2)
@@ -51,18 +50,16 @@ class DotProductWorkload : public WorkloadBase
              .mul(xreg(8), xreg(8), xreg(9))
              .add(xreg(20), xreg(20), xreg(8));
         });
-        a.li(xreg(28), regionE).sd(xreg(20), xreg(28)).halt();
-        return finishProg(a);
+        a.li(xreg(28), regionE).sd(xreg(20), xreg(28));
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
         // Per strip: elementwise multiply, vector reduction, scalar
         // accumulate. Exercises vredsum -> vmv.x.s (a scalar-writing
         // vector instruction that holds the big core's ROB head until
         // the engine responds over the ring).
-        Asm a("dot.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(20), 0);
         emitStripmineLoop(a, 4, "loop", [&] {
             a.slli(xreg(28), xreg(14), 2)
@@ -74,26 +71,17 @@ class DotProductWorkload : public WorkloadBase
              .vmv_x_s(xreg(8), vreg(5))
              .add(xreg(20), xreg(20), xreg(8));
         });
-        a.li(xreg(28), regionE).sd(xreg(20), xreg(28)).halt();
-        return finishProg(a);
+        a.li(xreg(28), regionE).sd(xreg(20), xreg(28));
     }
-
-    ProgArgs fullRangeArgs() const override
-    { return {{xreg(10), 0}, {xreg(11), n}}; }
 
     TaskGraph
     taskGraph() override
     {
         // Chunked partial sums would need an accumulation phase; for
-        // the example, a single task keeps it simple.
-        TaskGraph g;
-        g.phases.emplace_back();
-        Task t;
-        t.scalar = scalarProgram();
-        t.vector = vectorProgram();
-        t.args = fullRangeArgs();
-        g.phases.back().tasks.push_back(std::move(t));
-        return g;
+        // the example, one task over the whole range keeps it simple.
+        ProgramPtr scalar = scalarProgram();
+        ProgramPtr vector_ = vectorProgram();
+        return rangeChunks(scalar, vector_, hi, 1);
     }
 
     bool
@@ -104,7 +92,6 @@ class DotProductWorkload : public WorkloadBase
     }
 
   private:
-    unsigned n;
     std::int64_t want = 0;
 };
 

@@ -24,7 +24,9 @@
 # gated), smoke the mobile kernel tier (fig_mobile BVL_JOBS=1 vs 4
 # byte-identical, its journal gated, and its simulated-time /
 # access-pattern table gated against the pinned BENCH_mobile.json via
-# scripts/check_bench.py --mobile), gate the sampled-simulation
+# scripts/check_bench.py --mobile), run every other figure and table
+# binary (BVL_JOBS=1 vs 4 byte-identical, sweep journals gated), gate
+# the sampled-simulation
 # cycle-error bound against full detail (fig04_sampled +
 # scripts/check_bench.py --sampled), and gate the kernel
 # microbenchmarks against the pinned baseline (scripts/check_bench.py).
@@ -133,6 +135,25 @@ python3 scripts/check_bench.py \
 # Simulated time and VMU access-pattern counts are machine-independent,
 # so the default tight tolerance applies even on CI.
 python3 scripts/check_bench.py --mobile build/mobile.json
+
+echo "=== other figure binaries (BVL_JOBS=1 vs 4, journals gated) ==="
+# Every figure and table binary runs somewhere in CI; these are the
+# ones no leg above covers. The first three sweep, so their journals
+# are gated too.
+for fig in fig07_breakdown fig08_buffering ablation_engine \
+           table06_area table_configs; do
+    rm -rf "build/$fig.j1" "build/$fig.j4"
+    BVL_SCALE=tiny BVL_JOBS=1 BVL_SWEEP_DIR="build/$fig.j1" \
+        "./build/bench/$fig" > "build/$fig.out.j1"
+    BVL_SCALE=tiny BVL_JOBS=4 BVL_SWEEP_DIR="build/$fig.j4" \
+        "./build/bench/$fig" > "build/$fig.out.j4"
+    cmp "build/$fig.out.j1" "build/$fig.out.j4"
+done
+for fig in fig07_breakdown fig08_buffering ablation_engine; do
+    python3 scripts/check_bench.py \
+        --journal "build/$fig.j1/$fig.journal.jsonl"
+done
+echo "figure binaries are byte-identical across thread counts"
 
 echo "=== armed-trace determinism (BVL_TRACE_DIR, BVL_JOBS=1 vs 4) ==="
 rm -rf build/traces.j1 build/traces.j4 build/sweep.tj1 build/sweep.tj4

@@ -158,9 +158,9 @@ Cache::access(Addr addr, bool isWrite, MemCallback done)
     Addr lineNum = lineOf(lineAlign(addr));
     auto &eq = clock.eventQueue();
 
-    // Tag-port occupancy: portsPerCycle lookups per cycle.
+    // Tag-port occupancy: one lookup per clock period.
     Tick start = std::max(eq.now(), portNextFree);
-    portNextFree = start + clock.periodPs() / p.portsPerCycle;
+    portNextFree = start + clock.periodPs();
 
     Tick tagDone = start + clock.cyclesToTicks(p.hitLatency);
     sAccesses++;

@@ -40,8 +40,6 @@ struct CacheParams
     unsigned assoc = 2;
     Cycles hitLatency = 2;
     unsigned numMshrs = 8;
-    /** Requests the cache can accept per cycle (L2 of 1bDV uses >1). */
-    unsigned portsPerCycle = 1;
     /** Number of banks used when indexing in vectorBanked mode. */
     unsigned numBanks = 4;
 };

@@ -35,11 +35,11 @@ struct MemSystemParams
 {
     unsigned numLittle = 4;
 
-    CacheParams littleL1I{"l1i", 32 * 1024, 2, 2, 4, 1, 4};
-    CacheParams littleL1D{"l1d", 32 * 1024, 2, 2, 8, 1, 4};
-    CacheParams bigL1I{"bigl1i", 64 * 1024, 4, 2, 8, 1, 4};
-    CacheParams bigL1D{"bigl1d", 64 * 1024, 4, 2, 16, 1, 4};
-    CacheParams l2{"l2", 2 * 1024 * 1024, 16, 20, 32, 1, 4};
+    CacheParams littleL1I{"l1i", 32 * 1024, 2, 2, 4, 4};
+    CacheParams littleL1D{"l1d", 32 * 1024, 2, 2, 8, 4};
+    CacheParams bigL1I{"bigl1i", 64 * 1024, 4, 2, 8, 4};
+    CacheParams bigL1D{"bigl1d", 64 * 1024, 4, 2, 16, 4};
+    CacheParams l2{"l2", 2 * 1024 * 1024, 16, 20, 32, 4};
     DramParams dram{};
 
     /** Extra L2 cycles charged when a write miss invalidates sharers. */

@@ -106,12 +106,7 @@ runFastForwarded(Soc &soc, Workload &workload, const RunOptions &opts)
                                  std::uint64_t markFetch = 0) -> bool {
         bool done = false;
         core.runWindow(prog, maxFetch, [&] { done = true; }, markFetch);
-        bool fin = soc.runUntil(done, limit);
-        if (!fin) {
-            out.finished = false;
-            out.queueDrained = soc.eq.empty();
-        }
-        return fin;
+        return soc.runUntil(done, limit);
     };
 
     // --- checkpoint save / restore / farm / plain fast-forward ------

@@ -63,9 +63,6 @@ struct FfRunOutcome
 {
     /** The workload ran (or fast-forwarded) to completion. */
     bool finished = false;
-    /** When !finished: the event queue drained (lost wakeup) rather
-     *  than the simulated-time limit expiring. */
-    bool queueDrained = false;
     /** Extrapolated runtime of a sampled run (ns); unset when the run
      *  was timed end-to-end (checkpoint save/restore). */
     std::optional<double> estimatedNs;

@@ -24,18 +24,15 @@ namespace
 // backprop: out[j] = sigmoid(sum_i in[i] * W[i][j])
 // ------------------------------------------------------------------
 
-class BackpropWorkload : public WorkloadBase
+class BackpropWorkload : public RangeWorkload
 {
   public:
     explicit BackpropWorkload(Scale scale)
-    {
-        ni = scale == Scale::tiny ? 16 : 64;
-        no = scale == Scale::tiny ? 128 :
-             scale == Scale::small ? 2048 : 8192;
-    }
+        : RangeWorkload(0, byScale(scale, 128, 2048, 8192)),
+          ni(scale == Scale::tiny ? 16 : 64)
+    {}
 
     std::string name() const override { return "backprop"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -43,20 +40,17 @@ class BackpropWorkload : public WorkloadBase
         for (unsigned i = 0; i < ni; ++i)
             mem.writeT<float>(regionA + 4 * i, inVal(i));
         for (unsigned i = 0; i < ni; ++i)
-            for (unsigned j = 0; j < no; ++j)
+            for (unsigned j = 0; j < hi; ++j)
                 mem.writeT<float>(wAddr(i, j), wVal(i, j));
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (sProg)
-            return sProg;
-        Asm a("backprop.scalar");
         a.li(xreg(2), regionA)      // in
          .li(xreg(3), regionB)      // W
          .li(xreg(4), regionC)      // out
-         .li(xreg(9), no)
+         .li(xreg(9), hi)
          .li(xreg(8), ni);
         emitScalarRangeLoop(a, xreg(5), "jloop", [&] {
             a.li(xreg(29), 0)
@@ -79,20 +73,15 @@ class BackpropWorkload : public WorkloadBase
              .add(xreg(29), xreg(29), xreg(4))
              .fsw(freg(4), xreg(29));
         });
-        a.halt();
-        return sProg = finishProg(a);
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vProg)
-            return vProg;
-        Asm a("backprop.vector");
         a.li(xreg(2), regionA)
          .li(xreg(3), regionB)
          .li(xreg(4), regionC)
-         .li(xreg(9), no)
+         .li(xreg(9), hi)
          .li(xreg(8), ni);
         emitStripmineLoop(a, 4, "strip", [&] {
             // v3 = 0 accumulator
@@ -120,27 +109,12 @@ class BackpropWorkload : public WorkloadBase
              .add(xreg(29), xreg(29), xreg(4))
              .vse(vreg(4), xreg(29), 4);
         });
-        a.halt();
-        return vProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), no}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), no,
-                           defaultChunks);
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
-        for (unsigned j = 0; j < no; ++j) {
+        for (unsigned j = 0; j < hi; ++j) {
             float acc = 0.0f;
             for (unsigned i = 0; i < ni; ++i)
                 acc = static_cast<float>(
@@ -160,49 +134,42 @@ class BackpropWorkload : public WorkloadBase
     float wVal(unsigned i, unsigned j) const
     { return 0.01f * (((i * 13 + j * 7) % 64) - 32); }
     Addr wAddr(unsigned i, unsigned j) const
-    { return regionB + 4ull * (i * no + j); }
+    { return regionB + 4ull * (i * hi + j); }
 
-    unsigned ni, no;
-    ProgramPtr sProg, vProg;
+    const unsigned ni;
 };
 
 // ------------------------------------------------------------------
 // kmeans: one assignment step over feature-major points
 // ------------------------------------------------------------------
 
-class KmeansWorkload : public WorkloadBase
+class KmeansWorkload : public RangeWorkload
 {
   public:
     explicit KmeansWorkload(Scale scale)
-    {
-        n = scale == Scale::tiny ? 256 :
-            scale == Scale::small ? 4096 : 16384;
-    }
+        : RangeWorkload(0, byScale(scale, 256, 4096, 16384))
+    {}
 
     std::string name() const override { return "kmeans"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
         for (unsigned f = 0; f < d; ++f)
-            for (std::uint64_t pnt = 0; pnt < n; ++pnt)
+            for (std::uint64_t pnt = 0; pnt < hi; ++pnt)
                 mem.writeT<float>(fAddr(f, pnt), feat(f, pnt));
         for (unsigned c = 0; c < k; ++c)
             for (unsigned f = 0; f < d; ++f)
                 mem.writeT<float>(cAddr(c, f), cent(c, f));
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (sProg)
-            return sProg;
-        Asm a("kmeans.scalar");
         a.li(xreg(2), regionA)      // features
          .li(xreg(3), regionB)      // centroids
          .li(xreg(4), regionC)      // assignment out
-         .li(xreg(8), n)
+         .li(xreg(8), hi)
          .li(xreg(9), d);
         emitScalarRangeLoop(a, xreg(5), "ploop", [&] {
             emitFloatConst(a, freg(4), xreg(28), 1e30f);  // bestDist
@@ -244,20 +211,15 @@ class KmeansWorkload : public WorkloadBase
              .add(xreg(29), xreg(29), xreg(4))
              .sw(xreg(7), xreg(29));
         });
-        a.halt();
-        return sProg = finishProg(a);
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vProg)
-            return vProg;
-        Asm a("kmeans.vector");
         a.li(xreg(2), regionA)
          .li(xreg(3), regionB)
          .li(xreg(4), regionC)
-         .li(xreg(8), n)
+         .li(xreg(8), hi)
          .li(xreg(9), d);
         emitStripmineLoop(a, 4, "strip", [&] {
             emitFloatConst(a, freg(4), xreg(28), 1e30f);
@@ -299,27 +261,12 @@ class KmeansWorkload : public WorkloadBase
              .add(xreg(29), xreg(29), xreg(4))
              .vse(vreg(6), xreg(29), 4);
         });
-        a.halt();
-        return vProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), n}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), n,
-                           defaultChunks);
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
-        for (std::uint64_t pnt = 0; pnt < n; ++pnt) {
+        for (std::uint64_t pnt = 0; pnt < hi; ++pnt) {
             auto got = mem.readT<std::int32_t>(regionC + 4 * pnt);
             if (got < 0 || got >= static_cast<std::int32_t>(k))
                 return false;
@@ -353,14 +300,12 @@ class KmeansWorkload : public WorkloadBase
         return acc;
     }
     Addr fAddr(unsigned f, std::uint64_t pnt) const
-    { return regionA + 4ull * (f * n + pnt); }
+    { return regionA + 4ull * (f * hi + pnt); }
     Addr cAddr(unsigned c, unsigned f) const
     { return regionB + 4ull * (c * d + f); }
 
     static constexpr unsigned d = 8;
     static constexpr unsigned k = 8;
-    std::uint64_t n;
-    ProgramPtr sProg, vProg;
 };
 
 // ------------------------------------------------------------------
@@ -369,34 +314,28 @@ class KmeansWorkload : public WorkloadBase
 // d1 = (r + v^2/2) T / (v sqrt(T)); d2 = d1 - v sqrt(T)
 // ------------------------------------------------------------------
 
-class BlackscholesWorkload : public WorkloadBase
+class BlackscholesWorkload : public RangeWorkload
 {
   public:
     explicit BlackscholesWorkload(Scale scale)
-    {
-        n = scale == Scale::tiny ? 256 :
-            scale == Scale::small ? 4096 : 16384;
-    }
+        : RangeWorkload(0, byScale(scale, 256, 4096, 16384))
+    {}
 
     std::string name() const override { return "blackscholes"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             mem.writeT<float>(regionA + 4 * i, sVal(i));
             mem.writeT<float>(regionB + 4 * i, tVal(i));
             mem.writeT<float>(regionC + 4 * i, vVal(i));
         }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (sProg)
-            return sProg;
-        Asm a("blackscholes.scalar");
         a.li(xreg(2), regionA)   // S
          .li(xreg(3), regionB)   // T
          .li(xreg(4), regionC)   // v
@@ -432,16 +371,11 @@ class BlackscholesWorkload : public WorkloadBase
              .add(xreg(7), xreg(9), xreg(6))
              .fsw(freg(8), xreg(7));
         });
-        a.halt();
-        return sProg = finishProg(a);
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vProg)
-            return vProg;
-        Asm a("blackscholes.vector");
         a.li(xreg(2), regionA)
          .li(xreg(3), regionB)
          .li(xreg(4), regionC)
@@ -479,27 +413,12 @@ class BlackscholesWorkload : public WorkloadBase
              .add(xreg(28), xreg(9), xreg(29))
              .vse(vreg(8), xreg(28), 4);
         });
-        a.halt();
-        return vProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), n}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), n,
-                           defaultChunks);
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             float S = sVal(i), T = tVal(i), v = vVal(i);
             float vsq = v * std::sqrt(T);
             float d1 = (rRate + 0.5f * v * v) * T / vsq;
@@ -520,30 +439,25 @@ class BlackscholesWorkload : public WorkloadBase
     float tVal(std::uint64_t i) const { return 0.2f + 0.05f * (i % 16); }
     float vVal(std::uint64_t i) const { return 0.2f + 0.02f * (i % 10); }
 
-    std::uint64_t n;
-    ProgramPtr sProg, vProg;
 };
 
 // ------------------------------------------------------------------
 // particlefilter: likelihood update, normalization, resample gather
 // ------------------------------------------------------------------
 
-class ParticlefilterWorkload : public WorkloadBase
+class ParticlefilterWorkload : public RangeWorkload
 {
   public:
     explicit ParticlefilterWorkload(Scale scale)
-    {
-        n = scale == Scale::tiny ? 256 :
-            scale == Scale::small ? 4096 : 16384;
-    }
+        : RangeWorkload(0, byScale(scale, 256, 4096, 16384))
+    {}
 
     std::string name() const override { return "particlefilter"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             mem.writeT<float>(regionA + 4 * i, xVal(i));      // particle
             // Resampling gather indices as byte offsets (the
             // systematic-resampling selection itself is host
@@ -551,93 +465,44 @@ class ParticlefilterWorkload : public WorkloadBase
             // across the particle array — is what matters here).
             mem.writeT<std::uint32_t>(
                 regionD + 4 * i,
-                static_cast<std::uint32_t>(((i * 31 + 7) % n) * 4));
+                static_cast<std::uint32_t>(((i * 31 + 7) % hi) * 4));
         }
     }
 
     // Stage emitters shared by scalar/vector whole programs and tasks.
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (sProg)
-            return sProg;
-        Asm a("particlefilter.scalar");
         emitScalarStages(a, true, true, true);
-        a.halt();
-        return sProg = finishProg(a);
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vProg)
-            return vProg;
-        Asm a("particlefilter.vector");
         emitVectorStages(a, true, true, true);
-        a.halt();
-        return vProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), n}};
     }
 
     TaskGraph
     taskGraph() override
     {
         // Phase 1: chunked weight update. Phase 2: one task reduces
-        // the weight sum. Phase 3: chunked normalize + resample.
-        if (!tUpdateS) {
-            {
-                Asm a("particlefilter.update.s");
-                emitScalarStages(a, true, false, false);
-                a.halt();
-                tUpdateS = finishProg(a);
-            }
-            {
-                Asm a("particlefilter.update.v");
-                emitVectorStages(a, true, false, false);
-                a.halt();
-                tUpdateV = finishProg(a);
-            }
-            {
-                Asm a("particlefilter.sum.s");
-                emitScalarStages(a, false, true, false);
-                a.halt();
-                tSumS = finishProg(a);
-            }
-            {
-                Asm a("particlefilter.sum.v");
-                emitVectorStages(a, false, true, false);
-                a.halt();
-                tSumV = finishProg(a);
-            }
-            {
-                Asm a("particlefilter.norm.s");
-                emitScalarStages(a, false, false, true);
-                a.halt();
-                tNormS = finishProg(a);
-            }
-            {
-                Asm a("particlefilter.norm.v");
-                emitVectorStages(a, false, false, true);
-                a.halt();
-                tNormV = finishProg(a);
-            }
-        }
+        // the weight sum. Phase 3: chunked normalize + resample. Each
+        // stage's scalar program is built before its vector one.
+        static const char *const stages[] = {"update", "sum", "norm"};
         TaskGraph g;
-        g.phases.resize(3);
-        auto chunks = rangeChunks(tUpdateS, tUpdateV, n, defaultChunks);
-        g.phases[0] = chunks.phases[0];
-        Task sum;
-        sum.scalar = tSumS;
-        sum.vector = tSumV;
-        sum.args = {{xreg(10), 0}, {xreg(11), n}};
-        g.phases[1].tasks.push_back(sum);
-        auto norm = rangeChunks(tNormS, tNormV, n, defaultChunks);
-        g.phases[2] = norm.phases[0];
+        for (int st = 0; st < 3; ++st) {
+            std::string stem = std::string("particlefilter.") + stages[st];
+            bool update = st == 0, sum = st == 1, norm = st == 2;
+            ProgramPtr scalar = program(
+                stageProgs[st][0], stem + ".s",
+                [&](Asm &a) { emitScalarStages(a, update, sum, norm); });
+            ProgramPtr vector_ = program(
+                stageProgs[st][1], stem + ".v",
+                [&](Asm &a) { emitVectorStages(a, update, sum, norm); });
+            g.phases.push_back(std::move(
+                rangeChunks(scalar, vector_, hi, sum ? 1 : defaultChunks)
+                    .phases[0]));
+        }
         return g;
     }
 
@@ -645,17 +510,17 @@ class ParticlefilterWorkload : public WorkloadBase
     verify(const BackingStore &mem) const override
     {
         // Recompute reference weights and sum.
-        std::vector<float> w(n);
+        std::vector<float> w(hi);
         float sum = 0.0f;
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             float x = xVal(i);
             w[i] = hostPolyExp(-x * x);
             sum += w[i];
         }
         if (!closeEnough(mem.readT<float>(regionE), sum, 1e-2f))
             return false;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::uint64_t src = (i * 31 + 7) % n;
+        for (std::uint64_t i = 0; i < hi; ++i) {
+            std::uint64_t src = (i * 31 + 7) % hi;
             float want = xVal(src) + w[i] / sum;
             if (!closeEnough(mem.readT<float>(regionC + 4 * i), want,
                              1e-2f)) {
@@ -774,9 +639,7 @@ class ParticlefilterWorkload : public WorkloadBase
     float xVal(std::uint64_t i) const
     { return 0.002f * ((i * 13) % 1000) - 1.0f; }
 
-    std::uint64_t n;
-    ProgramPtr sProg, vProg;
-    ProgramPtr tUpdateS, tUpdateV, tSumS, tSumV, tNormS, tNormV;
+    ProgramPtr stageProgs[3][2];   ///< [stage][vectorized]
 };
 
 } // namespace

@@ -57,17 +57,14 @@ satU(std::int64_t v, unsigned bytes)
 // saturate to int16.
 // ------------------------------------------------------------------
 
-class Idct8Workload : public WorkloadBase
+class Idct8Workload : public RangeWorkload
 {
   public:
     explicit Idct8Workload(Scale scale)
-    {
-        nb = scale == Scale::tiny ? 16 :
-             scale == Scale::small ? 96 : 256;
-    }
+        : RangeWorkload(0, byScale(scale, 16, 96, 256))
+    {}
 
     std::string name() const override { return "idct8"; }
-    bool isDataParallel() const override { return true; }
 
     /** Basis value M[x][u], fixed-point scale 128. */
     static std::int16_t
@@ -101,7 +98,7 @@ class Idct8Workload : public WorkloadBase
         // Coefficients in zigzag order; most high-frequency entries
         // zero, like real quantized JPEG blocks.
         Rng rng(11);
-        for (std::uint64_t b = 0; b < nb; ++b) {
+        for (std::uint64_t b = 0; b < hi; ++b) {
             for (unsigned z = 0; z < 64; ++z) {
                 std::int16_t c = 0;
                 if (z < 16 || rng.below(4) == 0)
@@ -123,12 +120,9 @@ class Idct8Workload : public WorkloadBase
                 mem.writeT<std::int16_t>(mTab + 2 * (x * 8 + u), mval(x, u));
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (scalarProg)
-            return scalarProg;
-        Asm a("idct8.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(4), regionC)
          .li(xreg(8), regionD).li(xreg(9), zzTab).li(xreg(15), mTab)
          .mv(xreg(5), xreg(10))                 // b
@@ -155,17 +149,12 @@ class Idct8Workload : public WorkloadBase
         emitPass(a, "row", xreg(3), xreg(4), true);
         emitPass(a, "col", xreg(4), xreg(8), false);
         a.addi(xreg(5), xreg(5), 1)
-         .blt(xreg(5), xreg(11), "bloop")
-         .halt();
-        return scalarProg = finishProg(a);
+         .blt(xreg(5), xreg(11), "bloop");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vectorProg)
-            return vectorProg;
-        Asm a("idct8.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(4), regionC)
          .li(xreg(8), regionD).li(xreg(9), zzTab).li(xreg(15), mTab)
          .li(xreg(16), 128)                     // block stride (bytes)
@@ -194,27 +183,12 @@ class Idct8Workload : public WorkloadBase
         // passes 2/3: vectorized across blocks (stride-128 columns)
         emitVecPass(a, "row", xreg(3), xreg(4), true);
         emitVecPass(a, "col", xreg(4), xreg(8), false);
-        a.halt();
-        return vectorProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), nb}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), nb,
-                           std::min<unsigned>(defaultChunks, nb));
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
-        for (std::uint64_t b = 0; b < nb; ++b) {
+        for (std::uint64_t b = 0; b < hi; ++b) {
             std::int64_t nat[64], tmp[64];
             for (unsigned z = 0; z < 64; ++z)
                 nat[zigNat(z)] = mem.readT<std::int16_t>(zigAt(b, z));
@@ -370,8 +344,6 @@ class Idct8Workload : public WorkloadBase
          .bne(xreg(12), xreg(0), tag + "_strip");
     }
 
-    std::uint64_t nb;
-    ProgramPtr scalarProg, vectorProg;
 };
 
 // ------------------------------------------------------------------
@@ -384,23 +356,20 @@ class Idct8Workload : public WorkloadBase
 // the bytes, then a two-step unsigned vnclip2 clamps to [0, 255].
 // ------------------------------------------------------------------
 
-class YcbcrWorkload : public WorkloadBase
+class YcbcrWorkload : public RangeWorkload
 {
   public:
     explicit YcbcrWorkload(Scale scale)
-    {
-        n = scale == Scale::tiny ? 1024 :
-            scale == Scale::small ? 16384 : 65536;
-    }
+        : RangeWorkload(0, byScale(scale, 1024, 16384, 65536))
+    {}
 
     std::string name() const override { return "ycbcr"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
         Rng rng(23);
-        for (std::uint64_t i = 0; i < 3 * n; ++i)
+        for (std::uint64_t i = 0; i < 3 * hi; ++i)
             mem.writeT<std::uint8_t>(
                 regionA + i, static_cast<std::uint8_t>(rng.below(256)));
     }
@@ -413,12 +382,9 @@ class YcbcrWorkload : public WorkloadBase
         return static_cast<std::uint8_t>(satU(satU(v >> 8, 2), 1));
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (scalarProg)
-            return scalarProg;
-        Asm a("ycbcr.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB)
          .li(xreg(4), 298).li(xreg(5), 409).li(xreg(6), 100)
          .li(xreg(7), 208).li(xreg(8), 516)
@@ -463,17 +429,12 @@ class YcbcrWorkload : public WorkloadBase
          .min_(xreg(31), xreg(31), xreg(15))
          .store(xreg(31), xreg(30), 2, 1)
          .addi(xreg(9), xreg(9), 1)
-         .blt(xreg(9), xreg(11), "loop")
-         .halt();
-        return scalarProg = finishProg(a);
+         .blt(xreg(9), xreg(11), "loop");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vectorProg)
-            return vectorProg;
-        Asm a("ycbcr.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB)
          .li(xreg(4), 298).li(xreg(5), 409).li(xreg(6), 100)
          .li(xreg(7), 208).li(xreg(15), 516)
@@ -531,31 +492,16 @@ class YcbcrWorkload : public WorkloadBase
              .addi(xreg(30), xreg(31), 2)
              .vsse(vreg(5), xreg(30), xreg(8), 1);
         });
-        a.halt();
-        return vectorProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), n}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), n,
-                           defaultChunks);
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
         Rng rng(23);
-        std::vector<std::uint8_t> in(3 * n);
+        std::vector<std::uint8_t> in(3 * hi);
         for (auto &b : in)
             b = static_cast<std::uint8_t>(rng.below(256));
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             std::int64_t y = in[3 * i] - 16;
             std::int64_t cb = in[3 * i + 1] - 128;
             std::int64_t cr = in[3 * i + 2] - 128;
@@ -571,8 +517,6 @@ class YcbcrWorkload : public WorkloadBase
     }
 
   private:
-    std::uint64_t n;
-    ProgramPtr scalarProg, vectorProg;
 };
 
 // ------------------------------------------------------------------
@@ -586,25 +530,21 @@ class YcbcrWorkload : public WorkloadBase
 // reads neighbours produced by other chunks).
 // ------------------------------------------------------------------
 
-class Conv2dWorkload : public WorkloadBase
+class Conv2dWorkload : public RangeWorkload
 {
   public:
     explicit Conv2dWorkload(Scale scale)
-    {
-        w = scale == Scale::tiny ? 64 :
-            scale == Scale::small ? 160 : 320;
-        h = scale == Scale::tiny ? 24 :
-            scale == Scale::small ? 64 : 128;
-    }
+        : RangeWorkload(0, byScale(scale, 24, 64, 128)),
+          w(byScale(scale, 64, 160, 320))
+    {}
 
     std::string name() const override { return "conv2d"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
         Rng rng(5);
-        for (std::uint64_t i = 0; i < w * h; ++i)
+        for (std::uint64_t i = 0; i < w * hi; ++i)
             mem.writeT<std::int16_t>(
                 regionA + 2 * i,
                 static_cast<std::int16_t>(
@@ -617,34 +557,20 @@ class Conv2dWorkload : public WorkloadBase
         return satS((a + 2 * b + c + 2) >> 2, 2);
     }
 
-    ProgramPtr scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (scalarProg)
-            return scalarProg;
-        Asm a("conv2d.scalar");
         emitScalarH(a);
         a.li(xreg(10), 0).li(xreg(11), w);
         emitScalarV(a);
-        a.halt();
-        return scalarProg = finishProg(a);
     }
 
-    ProgramPtr vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vectorProg)
-            return vectorProg;
-        Asm a("conv2d.vector");
         emitVectorH(a);
         a.li(xreg(10), 0).li(xreg(11), w);
         emitVectorV(a);
-        a.halt();
-        return vectorProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), h}};
     }
 
     TaskGraph
@@ -652,21 +578,19 @@ class Conv2dWorkload : public WorkloadBase
     {
         // Phase 1 chunks rows (horizontal pass), phase 2 chunks
         // columns (vertical pass) — a barrier separates them.
-        if (!hScalarProg) {
-            { Asm a("conv2d.hpass.scalar"); emitScalarH(a); a.halt();
-              hScalarProg = finishProg(a); }
-            { Asm a("conv2d.hpass.vector"); emitVectorH(a); a.halt();
-              hVectorProg = finishProg(a); }
-            { Asm a("conv2d.vpass.scalar"); emitScalarV(a); a.halt();
-              vScalarProg = finishProg(a); }
-            { Asm a("conv2d.vpass.vector"); emitVectorV(a); a.halt();
-              vVectorProg = finishProg(a); }
-        }
+        ProgramPtr hScalar = program(hScalarProg, "conv2d.hpass.scalar",
+                                     [this](Asm &a) { emitScalarH(a); });
+        ProgramPtr hVector = program(hVectorProg, "conv2d.hpass.vector",
+                                     [this](Asm &a) { emitVectorH(a); });
+        ProgramPtr vScalar = program(vScalarProg, "conv2d.vpass.scalar",
+                                     [this](Asm &a) { emitScalarV(a); });
+        ProgramPtr vVector = program(vVectorProg, "conv2d.vpass.vector",
+                                     [this](Asm &a) { emitVectorV(a); });
         TaskGraph g;
-        auto p1 = rangeChunks(hScalarProg, hVectorProg, h,
-                              std::min<unsigned>(defaultChunks, h));
-        auto p2 = rangeChunks(vScalarProg, vVectorProg, w,
-                              std::min<unsigned>(defaultChunks, w));
+        auto p1 = rangeChunks(hScalar, hVector, hi,
+                              std::min<std::uint64_t>(defaultChunks, hi));
+        auto p2 = rangeChunks(vScalar, vVector, w,
+                              std::min<std::uint64_t>(defaultChunks, w));
         g.phases.push_back(std::move(p1.phases[0]));
         g.phases.push_back(std::move(p2.phases[0]));
         return g;
@@ -676,10 +600,10 @@ class Conv2dWorkload : public WorkloadBase
     verify(const BackingStore &mem) const override
     {
         Rng rng(5);
-        std::vector<std::int64_t> img(w * h), tmp(w * h);
+        std::vector<std::int64_t> img(w * hi), tmp(w * hi);
         for (auto &v : img)
             v = static_cast<std::int64_t>(rng.below(2000)) - 1000;
-        for (std::uint64_t y = 0; y < h; ++y) {
+        for (std::uint64_t y = 0; y < hi; ++y) {
             tmp[y * w] = img[y * w];
             tmp[y * w + w - 1] = img[y * w + w - 1];
             for (std::uint64_t x = 1; x + 1 < w; ++x)
@@ -689,10 +613,10 @@ class Conv2dWorkload : public WorkloadBase
         for (std::uint64_t x = 0; x < w; ++x) {
             if (mem.readT<std::int16_t>(regionC + 2 * x) != tmp[x])
                 return false;
-            std::uint64_t last = (h - 1) * w + x;
+            std::uint64_t last = (hi - 1) * w + x;
             if (mem.readT<std::int16_t>(regionC + 2 * last) != tmp[last])
                 return false;
-            for (std::uint64_t y = 1; y + 1 < h; ++y) {
+            for (std::uint64_t y = 1; y + 1 < hi; ++y) {
                 auto want = static_cast<std::int16_t>(
                     tap(tmp[(y - 1) * w + x], tmp[y * w + x],
                         tmp[(y + 1) * w + x]));
@@ -755,8 +679,8 @@ class Conv2dWorkload : public WorkloadBase
          .add(xreg(7), xreg(28), xreg(3))       // &out(0, x)
          .load(xreg(29), xreg(6), 0, 2, true)
          .store(xreg(29), xreg(7), 0, 2)
-         .load(xreg(29), xreg(6), 2 * w * (h - 1), 2, true)
-         .store(xreg(29), xreg(7), 2 * w * (h - 1), 2)
+         .load(xreg(29), xreg(6), 2 * w * (hi - 1), 2, true)
+         .store(xreg(29), xreg(7), 2 * w * (hi - 1), 2)
          .li(xreg(8), 1)                        // y
          .label("v_y")
          .mul(xreg(28), xreg(8), xreg(9))
@@ -773,7 +697,7 @@ class Conv2dWorkload : public WorkloadBase
          .add(xreg(29), xreg(7), xreg(28))
          .store(xreg(16), xreg(29), 0, 2)
          .addi(xreg(8), xreg(8), 1)
-         .li(xreg(28), h - 1)
+         .li(xreg(28), hi - 1)
          .blt(xreg(8), xreg(28), "v_y")
          .addi(xreg(5), xreg(5), 1)
          .blt(xreg(5), xreg(11), "v_col");
@@ -835,9 +759,9 @@ class Conv2dWorkload : public WorkloadBase
          .add(xreg(7), xreg(28), xreg(3))
          .load(xreg(29), xreg(6), 0, 2, true)
          .store(xreg(29), xreg(7), 0, 2)
-         .load(xreg(29), xreg(6), 2 * w * (h - 1), 2, true)
-         .store(xreg(29), xreg(7), 2 * w * (h - 1), 2)
-         .li(xreg(12), h - 2)                   // remaining
+         .load(xreg(29), xreg(6), 2 * w * (hi - 1), 2, true)
+         .store(xreg(29), xreg(7), 2 * w * (hi - 1), 2)
+         .li(xreg(12), hi - 2)                   // remaining
          .li(xreg(14), 1)                       // y
          .label("v_strip")
          .vsetvli(xreg(13), xreg(12), 4)
@@ -865,8 +789,7 @@ class Conv2dWorkload : public WorkloadBase
          .blt(xreg(5), xreg(11), "v_col");
     }
 
-    std::uint64_t w, h;
-    ProgramPtr scalarProg, vectorProg;
+    const std::uint64_t w;
     ProgramPtr hScalarProg, hVectorProg, vScalarProg, vVectorProg;
 };
 
@@ -878,23 +801,20 @@ class Conv2dWorkload : public WorkloadBase
 // extended twice up to 32-bit lanes before the multiply-accumulate.
 // ------------------------------------------------------------------
 
-class Gemm8Workload : public WorkloadBase
+class Gemm8Workload : public RangeWorkload
 {
   public:
     explicit Gemm8Workload(Scale scale)
-    {
-        dim = scale == Scale::tiny ? 16 :
-              scale == Scale::small ? 48 : 96;
-    }
+        : RangeWorkload(0, byScale(scale, 16, 48, 96))
+    {}
 
     std::string name() const override { return "gemm8"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
         Rng rng(31);
-        for (std::uint64_t i = 0; i < dim * dim; ++i) {
+        for (std::uint64_t i = 0; i < hi * hi; ++i) {
             mem.writeT<std::int8_t>(
                 regionA + i, static_cast<std::int8_t>(
                     static_cast<std::int64_t>(rng.below(256)) - 128));
@@ -904,14 +824,11 @@ class Gemm8Workload : public WorkloadBase
         }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (scalarProg)
-            return scalarProg;
-        Asm a("gemm8.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(4), regionC)
-         .li(xreg(9), dim)
+         .li(xreg(9), hi)
          .li(xreg(15), 127).li(xreg(16), -128)
          .mv(xreg(5), xreg(10))                 // i
          .label("iloop")
@@ -943,22 +860,17 @@ class Gemm8Workload : public WorkloadBase
          .addi(xreg(6), xreg(6), 1)
          .blt(xreg(6), xreg(9), "jloop")
          .addi(xreg(5), xreg(5), 1)
-         .blt(xreg(5), xreg(11), "iloop")
-         .halt();
-        return scalarProg = finishProg(a);
+         .blt(xreg(5), xreg(11), "iloop");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vectorProg)
-            return vectorProg;
-        Asm a("gemm8.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(4), regionC)
-         .li(xreg(9), dim)
+         .li(xreg(9), hi)
          .mv(xreg(5), xreg(10))                 // i
          .label("iloop")
-         .li(xreg(12), dim)                     // remaining j
+         .li(xreg(12), hi)                     // remaining j
          .li(xreg(14), 0)                       // j0
          .label("jstrip")
          .vsetvli(xreg(13), xreg(12), 4)
@@ -990,50 +902,33 @@ class Gemm8Workload : public WorkloadBase
          .sub(xreg(12), xreg(12), xreg(13))
          .bne(xreg(12), xreg(0), "jstrip")
          .addi(xreg(5), xreg(5), 1)
-         .blt(xreg(5), xreg(11), "iloop")
-         .halt();
-        return vectorProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), dim}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), dim,
-                           std::min<unsigned>(defaultChunks, dim));
+         .blt(xreg(5), xreg(11), "iloop");
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
         Rng rng(31);
-        std::vector<std::int64_t> av(dim * dim), bv(dim * dim);
-        for (std::uint64_t i = 0; i < dim * dim; ++i) {
+        std::vector<std::int64_t> av(hi * hi), bv(hi * hi);
+        for (std::uint64_t i = 0; i < hi * hi; ++i) {
             // Same draw order as init: A and B interleaved per element.
             av[i] = static_cast<std::int64_t>(rng.below(256)) - 128;
             bv[i] = static_cast<std::int64_t>(rng.below(256)) - 128;
         }
-        for (std::uint64_t i = 0; i < dim; ++i)
-            for (std::uint64_t j = 0; j < dim; ++j) {
+        for (std::uint64_t i = 0; i < hi; ++i)
+            for (std::uint64_t j = 0; j < hi; ++j) {
                 std::int64_t acc = 0;
-                for (std::uint64_t k = 0; k < dim; ++k)
-                    acc += av[i * dim + k] * bv[k * dim + j];
+                for (std::uint64_t k = 0; k < hi; ++k)
+                    acc += av[i * hi + k] * bv[k * hi + j];
                 auto want = static_cast<std::int8_t>(
                     satS(satS((acc + 32) >> 6, 2), 1));
-                if (mem.readT<std::int8_t>(regionC + i * dim + j) != want)
+                if (mem.readT<std::int8_t>(regionC + i * hi + j) != want)
                     return false;
             }
         return true;
     }
 
   private:
-    std::uint64_t dim;
-    ProgramPtr scalarProg, vectorProg;
 };
 
 // ------------------------------------------------------------------
@@ -1048,32 +943,28 @@ class Gemm8Workload : public WorkloadBase
 // is about.
 // ------------------------------------------------------------------
 
-class BytescanWorkload : public WorkloadBase
+class BytescanWorkload : public RangeWorkload
 {
   public:
     explicit BytescanWorkload(Scale scale)
-    {
-        nrec = scale == Scale::tiny ? 48 :
-               scale == Scale::small ? 192 : 384;
-        len = scale == Scale::tiny ? 64 :
-              scale == Scale::small ? 192 : 384;
-    }
+        : RangeWorkload(0, byScale(scale, 48, 192, 384)),
+          len(byScale(scale, 64, 192, 384))
+    {}
 
     std::string name() const override { return "bytescan"; }
-    bool isDataParallel() const override { return true; }
 
     void
     fill(std::vector<std::uint8_t> &a, std::vector<std::uint8_t> &b) const
     {
         Rng rng(47);
-        a.resize(nrec * len);
+        a.resize(hi * len);
         for (auto &v : a)
             v = static_cast<std::uint8_t>(1 + rng.below(255));
-        for (std::uint64_t r = 0; r < nrec; ++r)
+        for (std::uint64_t r = 0; r < hi; ++r)
             if (rng.below(4) != 0)          // 3/4 records get a delimiter
                 a[r * len + rng.below(len)] = 0;
         b = a;
-        for (std::uint64_t r = 0; r < nrec; ++r)
+        for (std::uint64_t r = 0; r < hi; ++r)
             if (rng.below(2) == 0) {        // half the records mismatch
                 std::uint64_t p = rng.below(len);
                 b[r * len + p] =
@@ -1092,12 +983,9 @@ class BytescanWorkload : public WorkloadBase
         }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (scalarProg)
-            return scalarProg;
-        Asm a("bytescan.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB)
          .li(xreg(4), regionC).li(xreg(8), regionD)
          .li(xreg(9), len)
@@ -1144,17 +1032,12 @@ class BytescanWorkload : public WorkloadBase
          .add(xreg(28), xreg(28), xreg(8))
          .store(xreg(15), xreg(28), 0, 4)
          .addi(xreg(5), xreg(5), 1)
-         .blt(xreg(5), xreg(11), "rec")
-         .halt();
-        return scalarProg = finishProg(a);
+         .blt(xreg(5), xreg(11), "rec");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vectorProg)
-            return vectorProg;
-        Asm a("bytescan.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB)
          .li(xreg(4), regionC).li(xreg(8), regionD)
          .li(xreg(9), len)
@@ -1216,22 +1099,7 @@ class BytescanWorkload : public WorkloadBase
          .add(xreg(28), xreg(28), xreg(8))
          .store(xreg(15), xreg(28), 0, 4)
          .addi(xreg(5), xreg(5), 1)
-         .blt(xreg(5), xreg(11), "rec")
-         .halt();
-        return vectorProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), nrec}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), nrec,
-                           std::min<unsigned>(defaultChunks, nrec));
+         .blt(xreg(5), xreg(11), "rec");
     }
 
     bool
@@ -1239,7 +1107,7 @@ class BytescanWorkload : public WorkloadBase
     {
         std::vector<std::uint8_t> a, b;
         fill(a, b);
-        for (std::uint64_t r = 0; r < nrec; ++r) {
+        for (std::uint64_t r = 0; r < hi; ++r) {
             std::int32_t chr = -1;
             for (std::uint64_t p = 0; p < len; ++p)
                 if (a[r * len + p] == 0) {
@@ -1262,8 +1130,7 @@ class BytescanWorkload : public WorkloadBase
     }
 
   private:
-    std::uint64_t nrec, len;
-    ProgramPtr scalarProg, vectorProg;
+    const std::uint64_t len;
 };
 
 } // namespace

@@ -19,18 +19,16 @@ namespace
 // jacobi-2d
 // ------------------------------------------------------------------
 
-class Jacobi2dWorkload : public WorkloadBase
+class Jacobi2dWorkload : public RangeWorkload
 {
   public:
+    /** The programs cover the interior rows [1, rows - 1). */
     explicit Jacobi2dWorkload(Scale scale)
-    {
-        rows = scale == Scale::tiny ? 16 : 64;
-        cols = scale == Scale::tiny ? 64 :
-               scale == Scale::small ? 512 : 1024;
-    }
+        : RangeWorkload(1, (scale == Scale::tiny ? 16 : 64) - 1),
+          rows(hi + 1), cols(byScale(scale, 64, 512, 1024))
+    {}
 
     std::string name() const override { return "jacobi-2d"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -43,13 +41,10 @@ class Jacobi2dWorkload : public WorkloadBase
             }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (sProg)
-            return sProg;
         // Full T iterations with buffer swap; row range in x10/x11.
-        Asm a("jacobi2d.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB)
          .li(xreg(9), cols)
          .li(xreg(8), iters)
@@ -61,17 +56,12 @@ class Jacobi2dWorkload : public WorkloadBase
          .mv(xreg(2), xreg(3))
          .mv(xreg(3), xreg(28))
          .addi(xreg(7), xreg(7), 1)
-         .blt(xreg(7), xreg(8), "tloop")
-         .halt();
-        return sProg = finishProg(a);
+         .blt(xreg(7), xreg(8), "tloop");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vProg)
-            return vProg;
-        Asm a("jacobi2d.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB)
          .li(xreg(9), cols)
          .li(xreg(8), iters)
@@ -83,31 +73,21 @@ class Jacobi2dWorkload : public WorkloadBase
          .mv(xreg(2), xreg(3))
          .mv(xreg(3), xreg(28))
          .addi(xreg(7), xreg(7), 1)
-         .blt(xreg(7), xreg(8), "tloop")
-         .halt();
-        return vProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 1}, {xreg(11), rows - 1}};
+         .blt(xreg(7), xreg(8), "tloop");
     }
 
     TaskGraph
     taskGraph() override
     {
         // Per-iteration phases; even iterations A->B, odd B->A.
-        if (!tEvenS) {
-            tEvenS = singleSweep(false, false);
-            tEvenV = singleSweep(false, true);
-            tOddS = singleSweep(true, false);
-            tOddV = singleSweep(true, true);
-        }
+        ProgramPtr evenS = singleSweep(false, false);
+        ProgramPtr evenV = singleSweep(false, true);
+        ProgramPtr oddS = singleSweep(true, false);
+        ProgramPtr oddV = singleSweep(true, true);
         TaskGraph g;
         for (unsigned t = 0; t < iters; ++t) {
-            auto ph = rangeChunks(t % 2 ? tOddS : tEvenS,
-                                  t % 2 ? tOddV : tEvenV, rows - 1, 8);
+            auto ph = rangeChunks(t % 2 ? oddS : evenS,
+                                  t % 2 ? oddV : evenV, rows - 1, 8);
             // rangeChunks splits [0, rows-1); shift to [1, rows-1).
             Phase phase;
             for (auto &task : ph.phases[0].tasks) {
@@ -152,18 +132,19 @@ class Jacobi2dWorkload : public WorkloadBase
     ProgramPtr
     singleSweep(bool odd, bool vectorized)
     {
-        Asm a(std::string("jacobi2d.sweep.") + (odd ? "o" : "e") +
-              (vectorized ? ".v" : ".s"));
-        a.li(xreg(2), odd ? regionB : regionA)
-         .li(xreg(3), odd ? regionA : regionB)
-         .li(xreg(9), cols);
-        emitFloatConst(a, freg(9), xreg(28), 0.25f);
-        if (vectorized)
-            emitRowLoopVector(a, "i");
-        else
-            emitRowLoopScalar(a, "i");
-        a.halt();
-        return finishProg(a);
+        return program(sweepProgs[odd][vectorized],
+                       std::string("jacobi2d.sweep.") + (odd ? "o" : "e") +
+                           (vectorized ? ".v" : ".s"),
+                       [&](Asm &a) {
+            a.li(xreg(2), odd ? regionB : regionA)
+             .li(xreg(3), odd ? regionA : regionB)
+             .li(xreg(9), cols);
+            emitFloatConst(a, freg(9), xreg(28), 0.25f);
+            if (vectorized)
+                emitRowLoopVector(a, "i");
+            else
+                emitRowLoopScalar(a, "i");
+        });
     }
 
     /** Scalar interior sweep of rows [x10, x11); in x2, out x3. */
@@ -248,54 +229,47 @@ class Jacobi2dWorkload : public WorkloadBase
     { return 0.01f * ((i * 31 + j * 7) % 97); }
 
     static constexpr unsigned iters = 4;
-    unsigned rows, cols;
-    ProgramPtr sProg, vProg;
-    ProgramPtr tEvenS, tEvenV, tOddS, tOddV;
+    const unsigned rows, cols;
+    ProgramPtr sweepProgs[2][2];   ///< [odd][vectorized]
 };
 
 // ------------------------------------------------------------------
 // pathfinder: DP over grid rows, next[j] = grid[r][j] + min3(prev)
 // ------------------------------------------------------------------
 
-class PathfinderWorkload : public WorkloadBase
+class PathfinderWorkload : public RangeWorkload
 {
   public:
     explicit PathfinderWorkload(Scale scale)
-    {
-        rows = scale == Scale::tiny ? 4 : 8;
-        cols = scale == Scale::tiny ? 256 :
-               scale == Scale::small ? 8192 : 32768;
-    }
+        : RangeWorkload(0, byScale(scale, 256, 8192, 32768)),
+          rows(scale == Scale::tiny ? 4 : 8)
+    {}
 
     std::string name() const override { return "pathfinder"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
         for (unsigned r = 0; r < rows; ++r)
-            for (unsigned j = 0; j < cols; ++j)
+            for (unsigned j = 0; j < hi; ++j)
                 mem.writeT<std::int32_t>(gridAddr(r, j), gridVal(r, j));
         // DP buffers with one-cell pads on both ends (value huge).
         constexpr std::int32_t big = 1 << 28;
         for (Addr base : {Addr(regionB), Addr(regionC)}) {
             mem.writeT<std::int32_t>(base, big);
-            mem.writeT<std::int32_t>(base + 4 * (cols + 1), big);
+            mem.writeT<std::int32_t>(base + 4 * (hi + 1), big);
         }
-        for (unsigned j = 0; j < cols; ++j)
+        for (unsigned j = 0; j < hi; ++j)
             mem.writeT<std::int32_t>(regionB + 4 * (j + 1), 0);
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (sProg)
-            return sProg;
-        Asm a("pathfinder.scalar");
         a.li(xreg(2), regionB + 4)    // prev (cell 0)
          .li(xreg(3), regionC + 4)    // next
          .li(xreg(4), regionA)
-         .li(xreg(9), cols)
+         .li(xreg(9), hi)
          .li(xreg(8), rows)
          .li(xreg(7), 0);             // r
         a.label("rloop");
@@ -304,21 +278,16 @@ class PathfinderWorkload : public WorkloadBase
          .mv(xreg(2), xreg(3))
          .mv(xreg(3), xreg(28))
          .addi(xreg(7), xreg(7), 1)
-         .blt(xreg(7), xreg(8), "rloop")
-         .halt();
-        return sProg = finishProg(a);
+         .blt(xreg(7), xreg(8), "rloop");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vProg)
-            return vProg;
-        Asm a("pathfinder.vector");
         a.li(xreg(2), regionB + 4)
          .li(xreg(3), regionC + 4)
          .li(xreg(4), regionA)
-         .li(xreg(9), cols)
+         .li(xreg(9), hi)
          .li(xreg(8), rows)
          .li(xreg(7), 0);
         a.label("rloop");
@@ -327,15 +296,7 @@ class PathfinderWorkload : public WorkloadBase
          .mv(xreg(2), xreg(3))
          .mv(xreg(3), xreg(28))
          .addi(xreg(7), xreg(7), 1)
-         .blt(xreg(7), xreg(8), "rloop")
-         .halt();
-        return vProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), cols}};
+         .blt(xreg(7), xreg(8), "rloop");
     }
 
     TaskGraph
@@ -343,16 +304,14 @@ class PathfinderWorkload : public WorkloadBase
     {
         // One phase per DP row; chunks over columns. The row index
         // and buffer direction are baked per phase via x7 args.
-        if (!tEvenS) {
-            tEvenS = singleRow(false, false);
-            tEvenV = singleRow(false, true);
-            tOddS = singleRow(true, false);
-            tOddV = singleRow(true, true);
-        }
+        ProgramPtr evenS = singleRow(false, false);
+        ProgramPtr evenV = singleRow(false, true);
+        ProgramPtr oddS = singleRow(true, false);
+        ProgramPtr oddV = singleRow(true, true);
         TaskGraph g;
         for (unsigned r = 0; r < rows; ++r) {
-            auto ph = rangeChunks(r % 2 ? tOddS : tEvenS,
-                                  r % 2 ? tOddV : tEvenV, cols, 8);
+            auto ph = rangeChunks(r % 2 ? oddS : evenS,
+                                  r % 2 ? oddV : evenV, hi, 8);
             for (auto &task : ph.phases[0].tasks)
                 task.args.push_back({xreg(7), r});
             g.phases.push_back(std::move(ph.phases[0]));
@@ -363,20 +322,20 @@ class PathfinderWorkload : public WorkloadBase
     bool
     verify(const BackingStore &mem) const override
     {
-        std::vector<std::int64_t> prev(cols, 0), next(cols);
+        std::vector<std::int64_t> prev(hi, 0), next(hi);
         for (unsigned r = 0; r < rows; ++r) {
-            for (unsigned j = 0; j < cols; ++j) {
+            for (unsigned j = 0; j < hi; ++j) {
                 std::int64_t m = prev[j];
                 if (j > 0)
                     m = std::min(m, prev[j - 1]);
-                if (j + 1 < cols)
+                if (j + 1 < hi)
                     m = std::min(m, prev[j + 1]);
                 next[j] = gridVal(r, j) + m;
             }
             std::swap(prev, next);
         }
         Addr base = rows % 2 ? regionC + 4 : regionB + 4;
-        for (unsigned j = 0; j < cols; ++j) {
+        for (unsigned j = 0; j < hi; ++j) {
             if (mem.readT<std::int32_t>(base + 4 * j) !=
                 static_cast<std::int32_t>(prev[j])) {
                 return false;
@@ -442,53 +401,51 @@ class PathfinderWorkload : public WorkloadBase
          .bne(xreg(12), xreg(0), tag + "jstrip");
     }
 
+    /** One DP row over columns [x10, x11), buffers by parity. */
     ProgramPtr
     singleRow(bool odd, bool vectorized)
     {
-        Asm a(std::string("pathfinder.row.") + (odd ? "o" : "e") +
-              (vectorized ? ".v" : ".s"));
-        a.li(xreg(2), (odd ? regionC : regionB) + 4)
-         .li(xreg(3), (odd ? regionB : regionC) + 4)
-         .li(xreg(4), regionA)
-         .li(xreg(9), cols);
-        if (vectorized)
-            emitRowVector(a, "r");
-        else
-            emitRowScalar(a, "r");
-        a.halt();
-        return finishProg(a);
+        return program(rowProgs[odd][vectorized],
+                       std::string("pathfinder.row.") + (odd ? "o" : "e") +
+                           (vectorized ? ".v" : ".s"),
+                       [&](Asm &a) {
+            a.li(xreg(2), (odd ? regionC : regionB) + 4)
+             .li(xreg(3), (odd ? regionB : regionC) + 4)
+             .li(xreg(4), regionA)
+             .li(xreg(9), hi);
+            if (vectorized)
+                emitRowVector(a, "r");
+            else
+                emitRowScalar(a, "r");
+        });
     }
 
     Addr gridAddr(unsigned r, unsigned j) const
-    { return regionA + 4ull * (r * cols + j); }
+    { return regionA + 4ull * (r * hi + j); }
     std::int32_t gridVal(unsigned r, unsigned j) const
     { return static_cast<std::int32_t>((r * 131 + j * 17) % 10); }
 
-    unsigned rows, cols;
-    ProgramPtr sProg, vProg;
-    ProgramPtr tEvenS, tEvenV, tOddS, tOddV;
+    const unsigned rows;
+    ProgramPtr rowProgs[2][2];   ///< [odd][vectorized]
 };
 
 // ------------------------------------------------------------------
 // lavamd: neighbour-list force kernel (indexed gathers + FP chain)
 // ------------------------------------------------------------------
 
-class LavamdWorkload : public WorkloadBase
+class LavamdWorkload : public RangeWorkload
 {
   public:
     explicit LavamdWorkload(Scale scale)
-    {
-        n = scale == Scale::tiny ? 128 :
-            scale == Scale::small ? 1024 : 4096;
-    }
+        : RangeWorkload(0, byScale(scale, 128, 1024, 4096))
+    {}
 
     std::string name() const override { return "lavamd"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             mem.writeT<float>(posAddr(0, i), coord(0, i));
             mem.writeT<float>(posAddr(1, i), coord(1, i));
             mem.writeT<float>(posAddr(2, i), coord(2, i));
@@ -499,18 +456,15 @@ class LavamdWorkload : public WorkloadBase
         }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (sProg)
-            return sProg;
-        Asm a("lavamd.scalar");
         a.li(xreg(2), posAddr(0, 0))
          .li(xreg(3), posAddr(1, 0))
          .li(xreg(4), posAddr(2, 0))
          .li(xreg(7), regionD)        // idx
          .li(xreg(9), regionC)        // out fx/fy/fz
-         .li(xreg(8), n);
+         .li(xreg(8), hi);
         emitScalarRangeLoop(a, xreg(5), "ploop", [&] {
             a.slli(xreg(6), xreg(5), 2)
              .add(xreg(29), xreg(2), xreg(6)).flw(freg(1), xreg(29))
@@ -547,26 +501,21 @@ class LavamdWorkload : public WorkloadBase
              .bne(xreg(29), xreg(0), "kloop")
              // store forces
              .add(xreg(29), xreg(9), xreg(6)).fsw(freg(4), xreg(29));
-            a.li(xreg(30), 4 * n)
+            a.li(xreg(30), 4 * hi)
              .add(xreg(29), xreg(29), xreg(30)).fsw(freg(5), xreg(29))
              .add(xreg(29), xreg(29), xreg(30)).fsw(freg(6), xreg(29));
         });
-        a.halt();
-        return sProg = finishProg(a);
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vProg)
-            return vProg;
-        Asm a("lavamd.vector");
         a.li(xreg(2), posAddr(0, 0))
          .li(xreg(3), posAddr(1, 0))
          .li(xreg(4), posAddr(2, 0))
          .li(xreg(7), regionD)
          .li(xreg(9), regionC)
-         .li(xreg(8), n);
+         .li(xreg(8), hi);
         emitStripmineLoop(a, 4, "pstrip", [&] {
             a.slli(xreg(29), xreg(14), 2)
              .add(xreg(28), xreg(2), xreg(29)).vle(vreg(1), xreg(28), 4)
@@ -607,33 +556,18 @@ class LavamdWorkload : public WorkloadBase
              .slli(xreg(29), xreg(14), 2)
              .add(xreg(28), xreg(9), xreg(29))
              .vse(vreg(4), xreg(28), 4)
-             .li(xreg(30), 4 * n)
+             .li(xreg(30), 4 * hi)
              .add(xreg(28), xreg(28), xreg(30))
              .vse(vreg(5), xreg(28), 4)
              .add(xreg(28), xreg(28), xreg(30))
              .vse(vreg(6), xreg(28), 4);
         });
-        a.halt();
-        return vProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), n}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), n,
-                           defaultChunks);
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             float fx = 0, fy = 0, fz = 0;
             for (unsigned k = 0; k < nb; ++k) {
                 std::uint64_t j = neighbor(k, i);
@@ -647,9 +581,9 @@ class LavamdWorkload : public WorkloadBase
             }
             if (!closeEnough(mem.readT<float>(regionC + 4 * i), fx,
                              2e-2f) ||
-                !closeEnough(mem.readT<float>(regionC + 4 * (n + i)),
+                !closeEnough(mem.readT<float>(regionC + 4 * (hi + i)),
                              fy, 2e-2f) ||
-                !closeEnough(mem.readT<float>(regionC + 4 * (2 * n + i)),
+                !closeEnough(mem.readT<float>(regionC + 4 * (2 * hi + i)),
                              fz, 2e-2f)) {
                 return false;
             }
@@ -661,15 +595,13 @@ class LavamdWorkload : public WorkloadBase
     float coord(unsigned axis, std::uint64_t i) const
     { return 0.001f * ((i * (axis + 3) * 131) % 997); }
     std::uint64_t neighbor(unsigned k, std::uint64_t i) const
-    { return (i + 1 + k * 37) % n; }
+    { return (i + 1 + k * 37) % hi; }
     Addr posAddr(unsigned axis, std::uint64_t i) const
-    { return regionA + 4ull * (axis * n + i); }
+    { return regionA + 4ull * (axis * hi + i); }
     Addr idxAddr(unsigned k, std::uint64_t i) const
-    { return regionD + 4ull * (k * n + i); }
+    { return regionD + 4ull * (k * hi + i); }
 
     static constexpr unsigned nb = 16;
-    std::uint64_t n;
-    ProgramPtr sProg, vProg;
 };
 
 } // namespace

@@ -18,23 +18,20 @@ namespace
 // vvadd: c[i] = a[i] + b[i] (int32)
 // ------------------------------------------------------------------
 
-class VvaddWorkload : public WorkloadBase
+class VvaddWorkload : public RangeWorkload
 {
   public:
     explicit VvaddWorkload(Scale scale)
-    {
-        n = scale == Scale::tiny ? 512 :
-            scale == Scale::small ? 16384 : 65536;
-    }
+        : RangeWorkload(0, byScale(scale, 512, 16384, 65536))
+    {}
 
     std::string name() const override { return "vvadd"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
         Rng rng(1);
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             auto av = static_cast<std::int32_t>(rng.below(1000));
             auto bv = static_cast<std::int32_t>(rng.below(1000));
             mem.writeT<std::int32_t>(regionA + 4 * i, av);
@@ -42,14 +39,11 @@ class VvaddWorkload : public WorkloadBase
         }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (scalarProg)
-            return scalarProg;
         // Pointer-increment loop (what a compiler emits after
         // strength reduction): pa/pb/pc walk, end-pointer compare.
-        Asm a("vvadd.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(4), regionC)
          .slli(xreg(6), xreg(10), 2)
          .add(xreg(2), xreg(2), xreg(6))
@@ -68,17 +62,12 @@ class VvaddWorkload : public WorkloadBase
          .addi(xreg(3), xreg(3), 4)
          .addi(xreg(4), xreg(4), 4)
          .blt(xreg(2), xreg(7), "loop")
-         .label("done")
-         .halt();
-        return scalarProg = finishProg(a);
+         .label("done");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vectorProg)
-            return vectorProg;
-        Asm a("vvadd.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(4), regionC);
         emitStripmineLoop(a, 4, "loop", [&] {
             a.slli(xreg(28), xreg(14), 2)
@@ -90,28 +79,13 @@ class VvaddWorkload : public WorkloadBase
              .add(xreg(29), xreg(4), xreg(28))
              .vse(vreg(3), xreg(29), 4);
         });
-        a.halt();
-        return vectorProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), n}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), n,
-                           defaultChunks);
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
         Rng rng(1);
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             auto av = static_cast<std::int32_t>(rng.below(1000));
             auto bv = static_cast<std::int32_t>(rng.below(1000));
             if (mem.readT<std::int32_t>(regionC + 4 * i) != av + bv)
@@ -119,43 +93,33 @@ class VvaddWorkload : public WorkloadBase
         }
         return true;
     }
-
-  private:
-    std::uint64_t n;
-    ProgramPtr scalarProg, vectorProg;
 };
 
 // ------------------------------------------------------------------
 // saxpy: y[i] = a * x[i] + y[i] (float)
 // ------------------------------------------------------------------
 
-class SaxpyWorkload : public WorkloadBase
+class SaxpyWorkload : public RangeWorkload
 {
   public:
     explicit SaxpyWorkload(Scale scale)
-    {
-        n = scale == Scale::tiny ? 512 :
-            scale == Scale::small ? 16384 : 65536;
-    }
+        : RangeWorkload(0, byScale(scale, 512, 16384, 65536))
+    {}
 
     std::string name() const override { return "saxpy"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             mem.writeT<float>(regionA + 4 * i, 0.5f * i);
             mem.writeT<float>(regionB + 4 * i, 100.0f - 0.25f * i);
         }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (scalarProg)
-            return scalarProg;
-        Asm a("saxpy.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB);
         emitFloatConst(a, freg(1), xreg(28), alpha);
         a.slli(xreg(6), xreg(10), 2)
@@ -173,17 +137,12 @@ class SaxpyWorkload : public WorkloadBase
          .addi(xreg(2), xreg(2), 4)
          .addi(xreg(3), xreg(3), 4)
          .blt(xreg(2), xreg(7), "loop")
-         .label("done")
-         .halt();
-        return scalarProg = finishProg(a);
+         .label("done");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vectorProg)
-            return vectorProg;
-        Asm a("saxpy.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB);
         emitFloatConst(a, freg(1), xreg(28), alpha);
         emitStripmineLoop(a, 4, "loop", [&] {
@@ -195,27 +154,12 @@ class SaxpyWorkload : public WorkloadBase
              .vf(Op::vfmacc, vreg(2), vreg(1), freg(1))
              .vse(vreg(2), xreg(30), 4);
         });
-        a.halt();
-        return vectorProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), n}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), n,
-                           defaultChunks);
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
-        for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t i = 0; i < hi; ++i) {
             float x = 0.5f * i;
             float y = 100.0f - 0.25f * i;
             float want = alpha * x + y;
@@ -227,31 +171,26 @@ class SaxpyWorkload : public WorkloadBase
 
   private:
     static constexpr float alpha = 2.5f;
-    std::uint64_t n;
-    ProgramPtr scalarProg, vectorProg;
 };
 
 // ------------------------------------------------------------------
 // mmult: C = A * B (float, square, row range parallelized)
 // ------------------------------------------------------------------
 
-class MmultWorkload : public WorkloadBase
+class MmultWorkload : public RangeWorkload
 {
   public:
     explicit MmultWorkload(Scale scale)
-    {
-        dim = scale == Scale::tiny ? 16 :
-              scale == Scale::small ? 48 : 96;
-    }
+        : RangeWorkload(0, byScale(scale, 16, 48, 96))
+    {}
 
     std::string name() const override { return "mmult"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
     {
-        for (unsigned i = 0; i < dim; ++i) {
-            for (unsigned j = 0; j < dim; ++j) {
+        for (unsigned i = 0; i < hi; ++i) {
+            for (unsigned j = 0; j < hi; ++j) {
                 mem.writeT<float>(addrOf(regionA, i, j),
                                   0.01f * ((i * 7 + j) % 32));
                 mem.writeT<float>(addrOf(regionB, i, j),
@@ -261,15 +200,12 @@ class MmultWorkload : public WorkloadBase
         }
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (scalarProg)
-            return scalarProg;
         // for i in [x10, x11): for j: acc = 0; for k: acc += A[i][k]*B[k][j]
-        Asm a("mmult.scalar");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(4), regionC)
-         .li(xreg(9), dim)
+         .li(xreg(9), hi)
          .mv(xreg(5), xreg(10))              // i
          .label("iloop")
          .li(xreg(6), 0)                     // j
@@ -302,23 +238,18 @@ class MmultWorkload : public WorkloadBase
          .addi(xreg(6), xreg(6), 1)
          .blt(xreg(6), xreg(9), "jloop")
          .addi(xreg(5), xreg(5), 1)
-         .blt(xreg(5), xreg(11), "iloop")
-         .halt();
-        return scalarProg = finishProg(a);
+         .blt(xreg(5), xreg(11), "iloop");
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vectorProg)
-            return vectorProg;
         // for i in [x10, x11):
         //   for k:
         //     f1 = A[i][k]
         //     stripmine j: C[i][j..] += f1 * B[k][j..]
-        Asm a("mmult.vector");
         a.li(xreg(2), regionA).li(xreg(3), regionB).li(xreg(4), regionC)
-         .li(xreg(9), dim)
+         .li(xreg(9), hi)
          .mv(xreg(5), xreg(10))              // i
          .label("iloop")
          .li(xreg(7), 0)                     // k
@@ -336,7 +267,7 @@ class MmultWorkload : public WorkloadBase
          .mul(xreg(31), xreg(5), xreg(9))
          .slli(xreg(31), xreg(31), 2)
          .add(xreg(31), xreg(31), xreg(4))
-         .mv(xreg(12), xreg(9))              // remaining = dim
+         .mv(xreg(12), xreg(9))              // remaining = hi
          .label("jloop")
          .vsetvli(xreg(13), xreg(12), 4)
          .vle(vreg(1), xreg(30), 4)          // B[k][j..]
@@ -351,31 +282,16 @@ class MmultWorkload : public WorkloadBase
          .addi(xreg(7), xreg(7), 1)
          .blt(xreg(7), xreg(9), "kloop")
          .addi(xreg(5), xreg(5), 1)
-         .blt(xreg(5), xreg(11), "iloop")
-         .halt();
-        return vectorProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), dim}};
-    }
-
-    TaskGraph
-    taskGraph() override
-    {
-        return rangeChunks(scalarProgram(), vectorProgram(), dim,
-                           std::min<unsigned>(defaultChunks, dim));
+         .blt(xreg(5), xreg(11), "iloop");
     }
 
     bool
     verify(const BackingStore &mem) const override
     {
-        for (unsigned i = 0; i < dim; ++i) {
-            for (unsigned j = 0; j < dim; ++j) {
+        for (unsigned i = 0; i < hi; ++i) {
+            for (unsigned j = 0; j < hi; ++j) {
                 float acc = 0.0f;
-                for (unsigned k = 0; k < dim; ++k) {
+                for (unsigned k = 0; k < hi; ++k) {
                     float av = 0.01f * ((i * 7 + k) % 32);
                     float bv = 0.02f * ((k * 3 + j) % 16);
                     acc = static_cast<float>(
@@ -394,11 +310,9 @@ class MmultWorkload : public WorkloadBase
     Addr
     addrOf(Addr base, unsigned i, unsigned j) const
     {
-        return base + 4ull * (i * dim + j);
+        return base + 4ull * (i * hi + j);
     }
 
-    unsigned dim;
-    ProgramPtr scalarProg, vectorProg;
 };
 
 } // namespace

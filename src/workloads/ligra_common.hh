@@ -37,12 +37,9 @@ class GraphWorkloadBase : public WorkloadBase
 
   protected:
     explicit GraphWorkloadBase(Scale scale)
-    {
-        unsigned n = scale == Scale::tiny ? 256 :
-                     scale == Scale::small ? 2048 : 8192;
-        unsigned deg = scale == Scale::tiny ? 4 : 8;
-        g = HostGraph::random(n, deg);
-    }
+        : g(HostGraph::random(byScale(scale, 256, 2048, 8192),
+                              scale == Scale::tiny ? 4 : 8))
+    {}
 
     static constexpr Addr outOffsBase = regionA;
     static constexpr Addr outTgtsBase = regionA + 0x100000;

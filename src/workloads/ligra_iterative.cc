@@ -39,13 +39,13 @@ class ComponentsWorkload : public GraphWorkloadBase
     TaskGraph
     taskGraph() override
     {
-        if (!prog)
-            prog = makeSweep();
+        ProgramPtr sweep = program(sweepProg, "components.sweep",
+                                   [this](Asm &a) { emitSweep(a); });
         std::vector<std::pair<ProgramPtr, ProgArgs>> phases;
         for (unsigned t = 0; t < iters; ++t) {
             Addr cur = t % 2 ? regionC : regionB;
             Addr next = t % 2 ? regionB : regionC;
-            phases.push_back({prog, {{xreg(8), cur}, {xreg(9), next}}});
+            phases.push_back({sweep, {{xreg(8), cur}, {xreg(9), next}}});
         }
         return vertexPhases(phases);
     }
@@ -63,11 +63,10 @@ class ComponentsWorkload : public GraphWorkloadBase
     }
 
   private:
-    ProgramPtr
-    makeSweep()
+    void
+    emitSweep(Asm &a)
     {
         // next[v] = min(cur[v], min over in/out neighbours cur[u])
-        Asm a("components.sweep");
         emitGraphBases(a);
         emitVertexLoop(a, "cc", [&] {
             a.slli(xreg(29), xreg(6), 2)
@@ -89,13 +88,11 @@ class ComponentsWorkload : public GraphWorkloadBase
              .add(xreg(29), xreg(29), xreg(9))
              .sw(xreg(20), xreg(29));
         });
-        a.halt();
-        return finishProg(a);
     }
 
     std::vector<std::uint32_t> refLabels;
     unsigned iters = 0;
-    ProgramPtr prog;
+    ProgramPtr sweepProg;
 };
 
 // ------------------------------------------------------------------
@@ -126,13 +123,13 @@ class PagerankWorkload : public GraphWorkloadBase
     TaskGraph
     taskGraph() override
     {
-        if (!prog)
-            prog = makeSweep();
+        ProgramPtr sweep = program(sweepProg, "pagerank.sweep",
+                                   [this](Asm &a) { emitSweep(a); });
         std::vector<std::pair<ProgramPtr, ProgArgs>> phases;
         for (unsigned t = 0; t < iters; ++t) {
             Addr cur = t % 2 ? regionC : regionB;
             Addr next = t % 2 ? regionB : regionC;
-            phases.push_back({prog, {{xreg(8), cur}, {xreg(9), next}}});
+            phases.push_back({sweep, {{xreg(8), cur}, {xreg(9), next}}});
         }
         return vertexPhases(phases);
     }
@@ -150,10 +147,9 @@ class PagerankWorkload : public GraphWorkloadBase
     }
 
   private:
-    ProgramPtr
-    makeSweep()
+    void
+    emitSweep(Asm &a)
     {
-        Asm a("pagerank.sweep");
         emitGraphBases(a);
         a.li(xreg(7), regionD);                       // 1/deg array
         emitFloatConst(a, freg(2), xreg(28), 0.85f);
@@ -175,13 +171,11 @@ class PagerankWorkload : public GraphWorkloadBase
              .add(xreg(29), xreg(29), xreg(9))
              .fsw(freg(1), xreg(29));
         });
-        a.halt();
-        return finishProg(a);
     }
 
     static constexpr unsigned iters = 5;
     std::vector<float> refRank;
-    ProgramPtr prog;
+    ProgramPtr sweepProg;
 };
 
 // ------------------------------------------------------------------
@@ -214,14 +208,14 @@ class MisWorkload : public GraphWorkloadBase
     TaskGraph
     taskGraph() override
     {
-        if (!joinProg) {
-            joinProg = makeJoin();
-            applyProg = makeApply();
-        }
+        ProgramPtr join = program(joinProg, "mis.join",
+                                  [this](Asm &a) { emitJoin(a); });
+        ProgramPtr apply = program(applyProg, "mis.apply",
+                                   [this](Asm &a) { emitApply(a); });
         std::vector<std::pair<ProgramPtr, ProgArgs>> phases;
         for (unsigned r = 0; r < rounds; ++r) {
-            phases.push_back({joinProg, {}});
-            phases.push_back({applyProg, {}});
+            phases.push_back({join, {}});
+            phases.push_back({apply, {}});
         }
         return vertexPhases(phases);
     }
@@ -239,10 +233,9 @@ class MisWorkload : public GraphWorkloadBase
 
   private:
     /** joined[v] = undecided(v) && priority minimal in neighbourhood. */
-    ProgramPtr
-    makeJoin()
+    void
+    emitJoin(Asm &a)
     {
-        Asm a("mis.join");
         emitGraphBases(a);
         a.li(xreg(8), regionB)    // status
          .li(xreg(9), regionC)    // joined
@@ -289,15 +282,12 @@ class MisWorkload : public GraphWorkloadBase
              .sw(xreg(23), xreg(30))              // joined[v] = minimal
              .label("mj.skip");
         });
-        a.halt();
-        return finishProg(a);
     }
 
     /** Apply join results; exclude neighbours of new members. */
-    ProgramPtr
-    makeApply()
+    void
+    emitApply(Asm &a)
     {
-        Asm a("mis.apply");
         emitGraphBases(a);
         a.li(xreg(8), regionB)
          .li(xreg(9), regionC);
@@ -330,8 +320,6 @@ class MisWorkload : public GraphWorkloadBase
              .sw(xreg(24), xreg(28))              // excluded
              .label("ma.skip");
         });
-        a.halt();
-        return finishProg(a);
     }
 
     /**
@@ -385,13 +373,13 @@ class KcoreWorkload : public GraphWorkloadBase
     TaskGraph
     taskGraph() override
     {
-        if (!roundProg)
-            roundProg = makeRound();
+        ProgramPtr round = program(roundProg, "kcore.round",
+                                   [this](Asm &a) { emitRound(a); });
         std::vector<std::pair<ProgramPtr, ProgArgs>> phases;
         for (unsigned r = 0; r < schedule.size(); ++r) {
             Addr cur = r % 2 ? regionC : regionB;
             Addr next = r % 2 ? regionB : regionC;
-            phases.push_back({roundProg,
+            phases.push_back({round,
                               {{xreg(8), cur},
                                {xreg(9), next},
                                {xreg(7), schedule[r]}}});
@@ -443,10 +431,9 @@ class KcoreWorkload : public GraphWorkloadBase
     /** One peeling round at threshold k (x7): recompute live degree
      *  from cur (x8); write aliveness to next (x9); dying vertices
      *  record coreness k-1. */
-    ProgramPtr
-    makeRound()
+    void
+    emitRound(Asm &a)
     {
-        Asm a("kcore.round");
         emitGraphBases(a);
         a.li(xreg(17), regionD);          // coreness
         emitVertexLoop(a, "kc", [&] {
@@ -475,8 +462,6 @@ class KcoreWorkload : public GraphWorkloadBase
              .sw(xreg(24), xreg(30))
              .label("kc.skip");
         });
-        a.halt();
-        return finishProg(a);
     }
 
     static constexpr unsigned maxK = 8;

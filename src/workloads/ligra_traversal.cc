@@ -14,18 +14,70 @@ namespace bvl
 namespace
 {
 
+/**
+ * Base of the apps that walk BFS levels from the root (bfs, bc). The
+ * frontiers lie in memory one after another from regionD; a level's
+ * phase splits its frontier into 8 tasks, each passed the frontier's
+ * address in x8.
+ */
+class FrontierWorkloadBase : public GraphWorkloadBase
+{
+  protected:
+    explicit FrontierWorkloadBase(Scale scale)
+        : GraphWorkloadBase(scale), frontiers(g.bfsFrontiers(root))
+    {
+        // Fixed by the frontiers alone, so taskGraph() needs no init().
+        Addr p = regionD;
+        for (const auto &f : frontiers) {
+            frontierAddrs.push_back(p);
+            p += 4 * f.size();
+        }
+    }
+
+    void
+    writeFrontiers(BackingStore &mem) const
+    {
+        for (std::size_t l = 0; l < frontiers.size(); ++l)
+            for (std::size_t i = 0; i < frontiers[l].size(); ++i)
+                mem.writeT<std::uint32_t>(frontierAddrs[l] + 4 * i,
+                                          frontiers[l][i]);
+    }
+
+    /** Append a phase running @p prog over level @p l, x7 = @p x7. */
+    void
+    addLevelPhase(TaskGraph &graph, const ProgramPtr &prog, std::size_t l,
+                  std::uint64_t x7) const
+    {
+        Phase ph;
+        std::uint64_t cnt = frontiers[l].size();
+        std::uint64_t per = std::max<std::uint64_t>(1, (cnt + 7) / 8);
+        for (std::uint64_t s = 0; s < cnt; s += per) {
+            Task t;
+            t.scalar = prog;
+            t.args = {{xreg(10), s},
+                      {xreg(11), std::min(cnt, s + per)},
+                      {xreg(8), frontierAddrs[l]},
+                      {xreg(7), x7}};
+            ph.tasks.push_back(std::move(t));
+        }
+        graph.phases.push_back(std::move(ph));
+    }
+
+    static constexpr unsigned root = 0;
+    const std::vector<std::vector<std::uint32_t>> frontiers;
+    std::vector<Addr> frontierAddrs;
+};
+
 // ------------------------------------------------------------------
 // bfs
 // ------------------------------------------------------------------
 
-class BfsWorkload : public GraphWorkloadBase
+class BfsWorkload : public FrontierWorkloadBase
 {
   public:
-    explicit BfsWorkload(Scale scale) : GraphWorkloadBase(scale)
-    {
-        frontiers = g.bfsFrontiers(root);
-        refLevels = g.bfsLevels(root);
-    }
+    explicit BfsWorkload(Scale scale)
+        : FrontierWorkloadBase(scale), refLevels(g.bfsLevels(root))
+    {}
 
     std::string name() const override { return "bfs"; }
 
@@ -36,39 +88,17 @@ class BfsWorkload : public GraphWorkloadBase
         for (unsigned v = 0; v < g.n; ++v)
             mem.writeT<std::int32_t>(regionB + 4ull * v, -1);
         mem.writeT<std::int32_t>(regionB + 4ull * root, 0);
-        // Concatenated frontier arrays.
-        Addr p = frontierBase;
-        for (const auto &f : frontiers) {
-            frontierAddrs.push_back(p);
-            for (auto v : f) {
-                mem.writeT<std::uint32_t>(p, v);
-                p += 4;
-            }
-        }
+        writeFrontiers(mem);
     }
 
     TaskGraph
     taskGraph() override
     {
-        if (!stepProg)
-            stepProg = makeStep();
+        ProgramPtr step = program(stepProg, "bfs.step",
+                                  [this](Asm &a) { emitStep(a); });
         TaskGraph graph;
-        for (std::size_t l = 0; l + 1 < frontiers.size(); ++l) {
-            Phase ph;
-            std::uint64_t cnt = frontiers[l].size();
-            std::uint64_t per = std::max<std::uint64_t>(1,
-                                                        (cnt + 7) / 8);
-            for (std::uint64_t s = 0; s < cnt; s += per) {
-                Task t;
-                t.scalar = stepProg;
-                t.args = {{xreg(10), s},
-                          {xreg(11), std::min(cnt, s + per)},
-                          {xreg(8), frontierAddrs[l]},
-                          {xreg(7), l + 1}};
-                ph.tasks.push_back(std::move(t));
-            }
-            graph.phases.push_back(std::move(ph));
-        }
+        for (std::size_t l = 0; l + 1 < frontiers.size(); ++l)
+            addLevelPhase(graph, step, l, l + 1);
         return graph;
     }
 
@@ -85,10 +115,9 @@ class BfsWorkload : public GraphWorkloadBase
 
   private:
     /** Process frontier slice [x10,x11): relax unvisited out-edges. */
-    ProgramPtr
-    makeStep()
+    void
+    emitStep(Asm &a)
     {
-        Asm a("bfs.step");
         emitGraphBases(a);
         a.li(xreg(9), regionB);   // level array
         emitVertexLoop(a, "bf", [&] {
@@ -117,15 +146,9 @@ class BfsWorkload : public GraphWorkloadBase
              .blt(xreg(15), xreg(16), "bf.eloop")
              .label("bf.edone");
         });
-        a.halt();
-        return finishProg(a);
     }
 
-    static constexpr unsigned root = 0;
-    static constexpr Addr frontierBase = regionD;
-    std::vector<std::vector<std::uint32_t>> frontiers;
-    std::vector<std::int32_t> refLevels;
-    std::vector<Addr> frontierAddrs;
+    const std::vector<std::int32_t> refLevels;
     ProgramPtr stepProg;
 };
 
@@ -133,13 +156,12 @@ class BfsWorkload : public GraphWorkloadBase
 // bc: path counting + dependency accumulation over BFS levels
 // ------------------------------------------------------------------
 
-class BcWorkload : public GraphWorkloadBase
+class BcWorkload : public FrontierWorkloadBase
 {
   public:
-    explicit BcWorkload(Scale scale) : GraphWorkloadBase(scale)
+    explicit BcWorkload(Scale scale)
+        : FrontierWorkloadBase(scale), levels(g.bfsLevels(root))
     {
-        frontiers = g.bfsFrontiers(root);
-        levels = g.bfsLevels(root);
         computeReference();
     }
 
@@ -155,45 +177,21 @@ class BcWorkload : public GraphWorkloadBase
             mem.writeT<float>(depBase + 4ull * v, 0.0f);
         }
         mem.writeT<float>(npBase + 4ull * root, 1.0f);
-        Addr p = frontierBase;
-        for (const auto &f : frontiers) {
-            frontierAddrs.push_back(p);
-            for (auto v : f) {
-                mem.writeT<std::uint32_t>(p, v);
-                p += 4;
-            }
-        }
+        writeFrontiers(mem);
     }
 
     TaskGraph
     taskGraph() override
     {
-        if (!fwdProg) {
-            fwdProg = makeFwd();
-            bwdProg = makeBwd();
-        }
+        ProgramPtr fwd = program(fwdProg, "bc.fwd",
+                                 [this](Asm &a) { emitFwd(a); });
+        ProgramPtr bwd = program(bwdProg, "bc.bwd",
+                                 [this](Asm &a) { emitBwd(a); });
         TaskGraph graph;
-        auto addPhase = [&](ProgramPtr prog, std::size_t l,
-                            std::uint64_t extra) {
-            Phase ph;
-            std::uint64_t cnt = frontiers[l].size();
-            std::uint64_t per = std::max<std::uint64_t>(1,
-                                                        (cnt + 7) / 8);
-            for (std::uint64_t s = 0; s < cnt; s += per) {
-                Task t;
-                t.scalar = prog;
-                t.args = {{xreg(10), s},
-                          {xreg(11), std::min(cnt, s + per)},
-                          {xreg(8), frontierAddrs[l]},
-                          {xreg(7), extra}};
-                ph.tasks.push_back(std::move(t));
-            }
-            graph.phases.push_back(std::move(ph));
-        };
         for (std::size_t l = 1; l < frontiers.size(); ++l)
-            addPhase(fwdProg, l, l - 1);
+            addLevelPhase(graph, fwd, l, l - 1);
         for (std::size_t l = frontiers.size() - 1; l-- > 0;)
-            addPhase(bwdProg, l, l + 1);
+            addLevelPhase(graph, bwd, l, l + 1);
         return graph;
     }
 
@@ -244,10 +242,9 @@ class BcWorkload : public GraphWorkloadBase
     }
 
     /** np[v] = sum of np[u] over in-neighbours at level x7. */
-    ProgramPtr
-    makeFwd()
+    void
+    emitFwd(Asm &a)
     {
-        Asm a("bc.fwd");
         emitGraphBases(a);
         a.li(xreg(9), levelBase)
          .li(xreg(17), npBase);
@@ -282,16 +279,13 @@ class BcWorkload : public GraphWorkloadBase
              .add(xreg(28), xreg(28), xreg(17))
              .fsw(freg(1), xreg(28));
         });
-        a.halt();
-        return finishProg(a);
     }
 
     /** dep[v] = sum over out-neighbours at level x7 of
      *  np[v]/np[w] * (1+dep[w]). */
-    ProgramPtr
-    makeBwd()
+    void
+    emitBwd(Asm &a)
     {
-        Asm a("bc.bwd");
         emitGraphBases(a);
         a.li(xreg(9), levelBase)
          .li(xreg(17), npBase)
@@ -334,20 +328,14 @@ class BcWorkload : public GraphWorkloadBase
              .add(xreg(28), xreg(28), xreg(18))
              .fsw(freg(1), xreg(28));
         });
-        a.halt();
-        return finishProg(a);
     }
 
-    static constexpr unsigned root = 0;
     static constexpr Addr levelBase = regionB;
     static constexpr Addr npBase = regionC;
     static constexpr Addr depBase = regionB + 0x100000;
-    static constexpr Addr frontierBase = regionD;
 
-    std::vector<std::vector<std::uint32_t>> frontiers;
-    std::vector<std::int32_t> levels;
+    const std::vector<std::int32_t> levels;
     std::vector<float> refNp, refDep;
-    std::vector<Addr> frontierAddrs;
     ProgramPtr fwdProg, bwdProg;
 };
 
@@ -377,14 +365,14 @@ class TcWorkload : public GraphWorkloadBase
     TaskGraph
     taskGraph() override
     {
-        if (!countProg) {
-            countProg = makeCount();
-            reduceProg = makeReduce();
-        }
-        TaskGraph graph = vertexPhases({{countProg, {}}});
+        ProgramPtr count = program(countProg, "tc.count",
+                                   [this](Asm &a) { emitCount(a); });
+        ProgramPtr reduce = program(reduceProg, "tc.reduce",
+                                    [this](Asm &a) { emitReduce(a); });
+        TaskGraph graph = vertexPhases({{count, {}}});
         Phase fin;
         Task t;
-        t.scalar = reduceProg;
+        t.scalar = reduce;
         t.args = {{xreg(10), 0}, {xreg(11), g.n}};
         fin.tasks.push_back(std::move(t));
         graph.phases.push_back(std::move(fin));
@@ -398,10 +386,9 @@ class TcWorkload : public GraphWorkloadBase
     }
 
   private:
-    ProgramPtr
-    makeCount()
+    void
+    emitCount(Asm &a)
     {
-        Asm a("tc.count");
         emitGraphBases(a);
         a.li(xreg(9), regionB);   // per-vertex counts
         emitVertexLoop(a, "tc", [&] {
@@ -443,14 +430,11 @@ class TcWorkload : public GraphWorkloadBase
              .add(xreg(28), xreg(28), xreg(9))
              .sw(xreg(20), xreg(28));
         });
-        a.halt();
-        return finishProg(a);
     }
 
-    ProgramPtr
-    makeReduce()
+    void
+    emitReduce(Asm &a)
     {
-        Asm a("tc.reduce");
         a.li(xreg(2), regionB)
          .li(xreg(20), 0);
         emitScalarRangeLoop(a, xreg(5), "loop", [&] {
@@ -460,9 +444,7 @@ class TcWorkload : public GraphWorkloadBase
              .add(xreg(20), xreg(20), xreg(29));
         });
         a.li(xreg(28), regionE)
-         .sd(xreg(20), xreg(28))
-         .halt();
-        return finishProg(a);
+         .sd(xreg(20), xreg(28));
     }
 
     std::uint64_t refTotal = 0;
@@ -506,13 +488,13 @@ class RadiiWorkload : public GraphWorkloadBase
     TaskGraph
     taskGraph() override
     {
-        if (!sweepProg)
-            sweepProg = makeSweep();
+        ProgramPtr sweep = program(sweepProg, "radii.sweep",
+                                   [this](Asm &a) { emitSweep(a); });
         std::vector<std::pair<ProgramPtr, ProgArgs>> phases;
         for (unsigned t = 0; t < iters; ++t) {
             Addr cur = t % 2 ? regionC : regionB;
             Addr next = t % 2 ? regionB : regionC;
-            phases.push_back({sweepProg, {{xreg(8), cur},
+            phases.push_back({sweep, {{xreg(8), cur},
                                           {xreg(9), next},
                                           {xreg(7), t + 1}}});
         }
@@ -531,10 +513,9 @@ class RadiiWorkload : public GraphWorkloadBase
     }
 
   private:
-    ProgramPtr
-    makeSweep()
+    void
+    emitSweep(Asm &a)
     {
-        Asm a("radii.sweep");
         emitGraphBases(a);
         a.li(xreg(17), regionD);
         emitVertexLoop(a, "rd", [&] {
@@ -556,8 +537,6 @@ class RadiiWorkload : public GraphWorkloadBase
              .sw(xreg(7), xreg(28))
              .label("rd.same");
         });
-        a.halt();
-        return finishProg(a);
     }
 
     static constexpr unsigned numSources = 8;

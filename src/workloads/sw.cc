@@ -24,17 +24,16 @@ namespace bvl
 namespace
 {
 
-class SwWorkload : public WorkloadBase
+class SwWorkload : public RangeWorkload
 {
   public:
+    /** The whole alignment is one range element: [0, 1). */
     explicit SwWorkload(Scale scale)
-    {
-        qLen = rLen = scale == Scale::tiny ? 32 :
-                      scale == Scale::small ? 96 : 192;
-    }
+        : RangeWorkload(0, 1), qLen(byScale(scale, 32, 96, 192)),
+          rLen(qLen)
+    {}
 
     std::string name() const override { return "sw"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -45,12 +44,9 @@ class SwWorkload : public WorkloadBase
             mem.writeT<std::int32_t>(regionB + 4 * i, qryCh(i));
     }
 
-    ProgramPtr
-    scalarProgram() override
+    void
+    emitScalar(Asm &a) override
     {
-        if (sProg)
-            return sProg;
-        Asm a("sw.scalar");
         // prev row at regionC, cur row at regionC + 4*(R+1); both all
         // zeros initially (backing store default).
         a.li(xreg(2), regionA)
@@ -106,17 +102,12 @@ class SwWorkload : public WorkloadBase
          .li(xreg(28), regionE)
          .sw(xreg(20), xreg(28));
         emitBandedRescan(a);
-        a.halt();
-        return sProg = finishProg(a);
     }
 
-    ProgramPtr
-    vectorProgram() override
+    void
+    emitVector(Asm &a) override
     {
-        if (vProg)
-            return vProg;
         const unsigned bufStride = 4 * (qLen + 2);
-        Asm a("sw.vector");
         a.li(xreg(2), regionA)
          .li(xreg(3), regionB)
          .li(xreg(4), regionC)                    // Hcur
@@ -212,24 +203,16 @@ class SwWorkload : public WorkloadBase
          .li(xreg(28), regionE)
          .sw(xreg(20), xreg(28));
         emitBandedRescan(a);
-        a.halt();
-        return vProg = finishProg(a);
-    }
-
-    ProgArgs
-    fullRangeArgs() const override
-    {
-        return {{xreg(10), 0}, {xreg(11), 1}};
     }
 
     TaskGraph
     taskGraph() override
     {
         // Block wavefront over the full H matrix at regionD.
-        if (!blockProg) {
-            blockProg = makeBlockProgram();
-            reduceProg = makeReduceProgram();
-        }
+        ProgramPtr block = program(blockProg, "sw.block",
+                                   [this](Asm &a) { emitBlock(a); });
+        ProgramPtr reduce = program(reduceProg, "sw.reduce",
+                                    [this](Asm &a) { emitReduce(a); });
         TaskGraph g;
         const unsigned qb = qLen / blocksPerSide;
         const unsigned rb = rLen / blocksPerSide;
@@ -240,7 +223,7 @@ class SwWorkload : public WorkloadBase
                     continue;
                 unsigned bj = wave - bi;
                 Task t;
-                t.scalar = blockProg;
+                t.scalar = block;
                 t.args = {{xreg(8), 1 + bi * qb},
                           {xreg(9), 1 + (bi + 1) * qb},
                           {xreg(10), 1 + bj * rb},
@@ -252,20 +235,15 @@ class SwWorkload : public WorkloadBase
         }
         Phase fin;
         Task t;
-        t.scalar = reduceProg;
+        t.scalar = reduce;
         t.args = {{xreg(10), 0},
                   {xreg(11), blocksPerSide * blocksPerSide}};
         fin.tasks.push_back(std::move(t));
         g.phases.push_back(std::move(fin));
-        if (!bandProg) {
-            Asm a("sw.band");
-            emitBandedRescan(a);
-            a.halt();
-            bandProg = finishProg(a);
-        }
         Phase band;
         Task bt;
-        bt.scalar = bandProg;
+        bt.scalar = program(bandProg, "sw.band",
+                            [this](Asm &a) { emitBandedRescan(a); });
         band.tasks.push_back(std::move(bt));
         g.phases.push_back(std::move(band));
         return g;
@@ -294,12 +272,11 @@ class SwWorkload : public WorkloadBase
     }
 
   private:
-    ProgramPtr
-    makeBlockProgram()
+    void
+    emitBlock(Asm &a)
     {
         // DP over block [x8, x9) x [x10, x11) on the full H matrix;
         // partial max written to the block's slot (block id in x7).
-        Asm a("sw.block");
         a.li(xreg(2), regionA)
          .li(xreg(3), regionB)
          .li(xreg(4), regionD)
@@ -348,15 +325,12 @@ class SwWorkload : public WorkloadBase
          .slli(xreg(28), xreg(7), 2)
          .li(xreg(29), regionE + 64)
          .add(xreg(29), xreg(29), xreg(28))
-         .sw(xreg(20), xreg(29))
-         .halt();
-        return finishProg(a);
+         .sw(xreg(20), xreg(29));
     }
 
-    ProgramPtr
-    makeReduceProgram()
+    void
+    emitReduce(Asm &a)
     {
-        Asm a("sw.reduce");
         a.li(xreg(2), regionE + 64)
          .li(xreg(20), 0);
         emitScalarRangeLoop(a, xreg(5), "loop", [&] {
@@ -366,9 +340,7 @@ class SwWorkload : public WorkloadBase
              .max_(xreg(20), xreg(20), xreg(29));
         });
         a.li(xreg(28), regionE)
-         .sw(xreg(20), xreg(28))
-         .halt();
-        return finishProg(a);
+         .sw(xreg(20), xreg(28));
     }
 
     /**
@@ -476,8 +448,8 @@ class SwWorkload : public WorkloadBase
     std::int32_t qryCh(unsigned i) const { return (i * 37 + 3) % 4; }
 
     static constexpr unsigned blocksPerSide = 4;
-    unsigned qLen, rLen;
-    ProgramPtr sProg, vProg, blockProg, reduceProg, bandProg;
+    const unsigned qLen, rLen;
+    ProgramPtr blockProg, reduceProg, bandProg;
 };
 
 } // namespace

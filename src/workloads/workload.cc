@@ -12,14 +12,6 @@ std::span<const WorkloadRow> genomicsRows();
 std::span<const WorkloadRow> traversalGraphRows();
 std::span<const WorkloadRow> iterativeGraphRows();
 
-Addr
-Workload::nextTextBase()
-{
-    Addr base = nextText;
-    nextText += 0x10000;
-    return base;
-}
-
 std::span<const WorkloadRow>
 workloadTable()
 {

@@ -71,23 +71,6 @@ class Workload
 
     /** Check the output in @p mem against the host reference. */
     virtual bool verify(const BackingStore &mem) const = 0;
-
-  protected:
-    /**
-     * Allocate a text-segment base for the next program this workload
-     * builds. The allocator is per-instance, so a workload's program
-     * addresses depend only on the order it builds its own programs —
-     * never on what else the process (or another thread) has
-     * constructed. Each Soc has a private address space and runs one
-     * workload, so instances never collide.
-     */
-    Addr nextTextBase();
-
-  private:
-    /** Text segments live far above all data regions and are spaced a
-     *  page apart so instruction lines of different programs never
-     *  alias in confusing ways. */
-    Addr nextText = 0x40000000;
 };
 
 using WorkloadPtr = std::unique_ptr<Workload>;

@@ -4,9 +4,10 @@
  *
  * The heart of the reproduction's validation: every workload runs
  * functionally correctly under full timing simulation on every
- * design (parameterized over the 19-workload x 7-design matrix at
- * tiny scale), plus host-reference checks of the shared polynomial
- * approximations and graph substrate.
+ * design (parameterized over the workload x 7-design matrix at tiny
+ * scale), a pinned digest of every workload's program layout, plus
+ * host-reference checks of the shared polynomial approximations and
+ * graph substrate.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include <set>
 
 #include "soc/run_driver.hh"
+#include "soc/run_io.hh"
+#include "sweep/service/digest.hh"
 #include "workloads/graph.hh"
 #include "workloads/progutil.hh"
 
@@ -215,6 +218,97 @@ TEST(WorkloadShapeTest, BoostingBigCoreHelpsSwMoreThanVvadd)
     double vvGain = gainFromBigBoost("vvadd");
     EXPECT_GT(swGain, 1.05);
     EXPECT_GT(swGain, vvGain);
+}
+
+// ------------------------------------------------------------------
+// Program layout: the name, text base and code of every program the
+// driver can ask any workload for, at every scale. A text base picks
+// the L2 set of every instruction fetch, so the order a workload
+// builds its programs in is part of the simulated result. Each entry
+// point gets a fresh, initialized instance, as in a driver run.
+// ------------------------------------------------------------------
+
+/** Append @p prog to @p text the first time it is seen. */
+void
+appendProgram(std::string &text, std::set<const Program *> &seen,
+              const ProgramPtr &prog)
+{
+    if (!prog || !seen.insert(prog.get()).second)
+        return;
+    text += prog->name() + " @" + std::to_string(prog->textBase()) +
+            "\n" + prog->toString();
+}
+
+/** Append each task's programs and argument registers. */
+void
+appendTaskGraph(std::string &text, std::set<const Program *> &seen,
+                const TaskGraph &graph)
+{
+    for (const auto &phase : graph.phases) {
+        text += "phase\n";
+        for (const auto &task : phase.tasks) {
+            appendProgram(text, seen, task.scalar);
+            appendProgram(text, seen, task.vector);
+            for (const auto &[reg, value] : task.args)
+                text += regName(reg) + "=" + std::to_string(value) + " ";
+            text += "\n";
+        }
+    }
+}
+
+TEST(WorkloadLayoutTest, EveryProgramOfEveryWorkloadIsPinned)
+{
+    Sha256 sha;
+    for (Scale scale : {Scale::tiny, Scale::small, Scale::medium}) {
+        for (const auto &row : workloadTable()) {
+            for (int entry = 0; entry < 3; ++entry) {
+                auto w = row.make(scale);
+                BackingStore mem;
+                w->init(mem);
+                std::string text = std::string(row.name) + " " +
+                                   scaleName(scale) + " " +
+                                   std::to_string(entry) + "\n";
+                std::set<const Program *> seen;
+                if (entry == 0)
+                    appendProgram(text, seen, w->scalarProgram());
+                else if (entry == 1)
+                    appendProgram(text, seen, w->vectorProgram());
+                else
+                    appendTaskGraph(text, seen, w->taskGraph());
+                sha.update(text.data(), text.size());
+            }
+        }
+    }
+    EXPECT_EQ(
+        sha.hex(),
+        "ecbc1ce5e22465b617dc395745c674461d160e36c518542ece76ce6552e1311e");
+}
+
+// bfs and bc keep per-level frontier addresses; a driver may ask for
+// the task graph of a workload it has not initialized yet (or has
+// initialized more than once), and must get the same tasks.
+TEST(WorkloadTaskGraphTest, FrontierAppsNeedNoInitBeforeTaskGraph)
+{
+    for (const char *name : {"bfs", "bc"}) {
+        auto w = makeWorkload(name, Scale::tiny);
+        TaskGraph before = w->taskGraph();
+        BackingStore mem;
+        w->init(mem);
+        w->init(mem);
+        TaskGraph after = w->taskGraph();
+        ASSERT_EQ(before.phases.size(), after.phases.size()) << name;
+        ASSERT_GT(before.totalTasks(), 0u) << name;
+        for (std::size_t p = 0; p < before.phases.size(); ++p) {
+            const auto &tb = before.phases[p].tasks;
+            const auto &ta = after.phases[p].tasks;
+            ASSERT_EQ(tb.size(), ta.size()) << name << " phase " << p;
+            for (std::size_t t = 0; t < tb.size(); ++t) {
+                EXPECT_EQ(tb[t].scalar, ta[t].scalar) << name;
+                EXPECT_EQ(tb[t].args, ta[t].args)
+                    << name << " phase " << p << " task " << t;
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------------
