@@ -45,7 +45,7 @@ BigCore::BigCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
       sMispredicts(sg.handle(prefix + "mispredicts")),
       sVecDispatched(sg.handle(prefix + "vecDispatched")),
       bpred(params.bpredIndexBits), fetchBuf(ms, id, sg, prefix),
-      vecQueue(p.robEntries)
+      vecQueue(p.robEntries), pendingHits(p.lsqLoads + p.lsqStores)
 {
     std::size_t slots = 64;
     while (slots < p.robEntries)
@@ -86,6 +86,8 @@ BigCore::beginWindow()
     unpipedBusyUntil.fill(0);
     loadsInFlight = 0;
     storesInFlight = 0;
+    missesInFlight = 0;
+    pendingHits.clear();
     vecOutstanding = 0;
     vecQueue.clear();
 }
@@ -278,20 +280,8 @@ BigCore::issueStage()
             readyBits[w] &= ~slotBit(inst->seq);
             ++issued;
 
-            if (in.op == Op::load) {
-                ++loadsInFlight;
-                mem.accessData(id, inst->trace.addr, false,
-                               [this, inst] {
-                    --loadsInFlight;
-                    completeInst(inst);
-                });
-            } else if (in.op == Op::store) {
-                ++storesInFlight;
-                mem.accessData(id, inst->trace.addr, true,
-                               [this, inst] {
-                    --storesInFlight;
-                    completeInst(inst);
-                });
+            if (in.op == Op::load || in.op == Op::store) {
+                issueMem(inst);
             } else {
                 Cycles lat = p.fu.latency(fu);
                 inst->doneAt = now + clock().cyclesToTicks(lat);
@@ -299,6 +289,30 @@ BigCore::issueStage()
             }
         }
     }
+}
+
+void
+BigCore::issueMem(RobInst *inst)
+{
+    bool isStore = inst->trace.inst->op == Op::store;
+    ++(isStore ? storesInFlight : loadsInFlight);
+    Tick ready = mem.accessDataTick(id, inst->trace.addr, isStore,
+                                    [this, inst] {
+        --missesInFlight;
+        memDone(inst, clock().eventQueue().now());
+        activate();
+    });
+    if (ready == maxTick)
+        ++missesInFlight;
+    else
+        pendingHits.push(clock().eventQueue(), ready, inst);
+}
+
+void
+BigCore::memDone(RobInst *inst, Tick at)
+{
+    --(inst->trace.inst->op == Op::store ? storesInFlight : loadsInFlight);
+    resolveInst(inst, at);
 }
 
 void
@@ -315,7 +329,7 @@ BigCore::drainDone()
                        (unsigned long long)inst->seq,
                        (unsigned long long)inst->doneAt,
                        (unsigned long long)now);
-            resolveInst(inst);
+            resolveInst(inst, now);
         }
     }
 }
@@ -323,23 +337,22 @@ BigCore::drainDone()
 void
 BigCore::completeInst(RobInst *inst)
 {
-    resolveInst(inst);
+    resolveInst(inst, clock().eventQueue().now());
     activate();
 }
 
 void
-BigCore::resolveInst(RobInst *inst)
+BigCore::resolveInst(RobInst *inst, Tick at)
 {
     if (inst->complete)
         return;
     inst->complete = true;
     if (trace)
-        inst->completeTick = clock().eventQueue().now();
+        inst->completeTick = at;
 
     if (inst->predictedWrong && blockingBranch == inst) {
         blockingBranch = nullptr;
-        fetchStallUntil = clock().eventQueue().now() +
-                          clock().cyclesToTicks(p.redirectPenalty);
+        fetchStallUntil = at + clock().cyclesToTicks(p.redirectPenalty);
     }
 
     std::uint64_t *consumers = consumersOf(*inst);
@@ -528,6 +541,10 @@ BigCore::registerInvariants(InvariantRegistry &reg)
         }
         return "";
     });
+    reg.add("big.mem.pending", [this]() -> std::string {
+        return pendingHits.check(loadsInFlight + storesInFlight -
+                                 missesInFlight);
+    });
     reg.add("big.lsq.bound", [this]() -> std::string {
         if (loadsInFlight <= p.lsqLoads && storesInFlight <= p.lsqStores)
             return "";
@@ -597,6 +614,8 @@ BigCore::maybeFinish()
 {
     if (!running || !(haltSeen || fetchLimitHit()) || robSize() != 0)
         return;
+    // A pending hit's instruction holds the ROB, so with the ROB empty
+    // none is left: the window never waits for a hit's slot.
     if (loadsInFlight != 0 || storesInFlight != 0 || vecOutstanding != 0)
         return;
     if (vengine && !vengine->idle())
@@ -609,6 +628,11 @@ BigCore::tick()
 {
     if (!running)
         return false;
+    // Hits first: their closures used to run before this tick.
+    pendingHits.applyAtTick(clock().eventQueue(),
+                            [this](const auto &hit) {
+        memDone(hit.what, hit.due);
+    });
     sCycles++;
     drainDone();
     vecDispatchStage();

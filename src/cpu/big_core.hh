@@ -24,6 +24,7 @@
 #include "cpu/bpred.hh"
 #include "cpu/fetch_buffer.hh"
 #include "cpu/fu_params.hh"
+#include "cpu/pending_hits.hh"
 #include "cpu/program_core.hh"
 #include "mem/mem_system.hh"
 #include "sim/ring.hh"
@@ -126,16 +127,21 @@ class BigCore : public ProgramCore
     void vecDispatchStage();
     void commitStage();
     /**
-     * Mark @p inst complete and wake its consumers. Does not arm the
-     * tick event, so the completion drain may call it mid-tick
-     * (DESIGN.md §11).
+     * Mark @p inst complete at tick @p at and wake its consumers.
+     * Does not arm the tick event, so the completion drains may call
+     * it mid-tick (DESIGN.md §11).
      */
-    void resolveInst(RobInst *inst);
+    void resolveInst(RobInst *inst, Tick at);
     /** resolveInst() for a completion delivered by another component
      *  (memory, vector engine), then make sure the core ticks. */
     void completeInst(RobInst *inst);
     /** Resolve the fixed-latency FU ops due this cycle. */
     void drainDone();
+    /** Issue a scalar load or store to the L1D. */
+    void issueMem(RobInst *inst);
+    /** Complete scalar load or store @p inst, a hit or a miss, at
+     *  tick @p at. */
+    void memDone(RobInst *inst, Tick at);
 
     std::size_t robSize() const { return nextSeq - robHeadSeq; }
     RobInst &robAt(SeqNum seq) { return robSlots[seq & robMask]; }
@@ -218,8 +224,12 @@ class BigCore : public ProgramCore
     std::array<unsigned, 16> fuInUseThisCycle{};
     Tick fuCycleTick = 0;                 ///< cycle the counters refer to
     std::array<Tick, 16> unpipedBusyUntil{};
+    /** Scalar loads and stores in flight, hits and misses. */
     unsigned loadsInFlight = 0;
     unsigned storesInFlight = 0;
+    /** Of those, the misses: the rest are in pendingHits. */
+    unsigned missesInFlight = 0;
+    PendingHits<RobInst *> pendingHits;
     unsigned vecOutstanding = 0;
 };
 

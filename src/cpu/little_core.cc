@@ -17,7 +17,8 @@ LittleCore::LittleCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
       sFetched(sg.handle(prefix + "fetched")),
       sRetired(sg.handle(prefix + "retired")),
       sCycles(sg.handle(prefix + "cycles")),
-      fetchSlots(p.fetchQueueDepth), fetchBuf(ms, core_id, sg, prefix)
+      fetchSlots(p.fetchQueueDepth), fetchBuf(ms, core_id, sg, prefix),
+      pendingHits(2 * p.lsqEntries)
 {
     for (unsigned c = 0; c < numStallCauses; ++c)
         sStall[c] = sg.handle(prefix + "stall." +
@@ -25,6 +26,12 @@ LittleCore::LittleCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
     regReadyAt.fill(0);
     regProducer.fill(ProducerKind::none);
     fuBusyUntil.fill(0);
+}
+
+LittleCore::~LittleCore()
+{
+    if (hitDrain.scheduled())
+        clock().eventQueue().deschedule(hitDrain);
 }
 
 void
@@ -40,6 +47,10 @@ LittleCore::beginWindow()
     fuBusyUntil.fill(0);
     outstandingLoads = 0;
     outstandingStores = 0;
+    missesInFlight = 0;
+    pendingHits.clear();
+    if (hitDrain.scheduled())
+        clock().eventQueue().deschedule(hitDrain);
 }
 
 void
@@ -134,27 +145,8 @@ LittleCore::issueStage()
 
     if (in.op == Op::halt) {
         haltIssued = true;
-    } else if (in.op == Op::load) {
-        RegId rd = in.rd;
-        regReadyAt[rd] = maxTick;
-        regProducer[rd] = ProducerKind::memory;
-        ++outstandingLoads;
-        ++regGen[rd];
-        std::uint32_t gen = regGen[rd];
-        mem.accessData(id, t.addr, false, [this, rd, gen] {
-            --outstandingLoads;
-            if (regGen[rd] == gen)
-                regReadyAt[rd] = clock().eventQueue().now();
-            activate();
-            maybeFinish();
-        });
-    } else if (in.op == Op::store) {
-        ++outstandingStores;
-        mem.accessData(id, t.addr, true, [this] {
-            --outstandingStores;
-            activate();
-            maybeFinish();
-        });
+    } else if (in.op == Op::load || in.op == Op::store) {
+        issueMem(in, t.addr);
     } else if (in.rd != regIdInvalid && in.rd < 64) {
         Cycles lat = p.fu.latency(fu);
         regReadyAt[in.rd] = now + clock().cyclesToTicks(lat);
@@ -189,6 +181,54 @@ LittleCore::issueStage()
 }
 
 void
+LittleCore::issueMem(const Instr &in, Addr addr)
+{
+    HitTarget target;
+    if (in.op == Op::load) {
+        RegId rd = in.rd;
+        regReadyAt[rd] = maxTick;
+        regProducer[rd] = ProducerKind::memory;
+        ++outstandingLoads;
+        target = HitTarget{rd, ++regGen[rd], false};
+    } else {
+        ++outstandingStores;
+        target.store = true;
+    }
+    Tick ready = mem.accessDataTick(id, addr, target.store,
+                                    [this, target] {
+        --missesInFlight;
+        memDone(target, clock().eventQueue().now());
+        activate();
+        maybeFinish();
+    });
+    if (ready == maxTick)
+        ++missesInFlight;
+    else
+        pendingHits.push(clock().eventQueue(), ready, target);
+}
+
+void
+LittleCore::memDone(const HitTarget &t, Tick at)
+{
+    if (t.store) {
+        --outstandingStores;
+    } else {
+        --outstandingLoads;
+        if (regGen[t.rd] == t.gen)
+            regReadyAt[t.rd] = at;
+    }
+}
+
+void
+LittleCore::HitDrainEvent::process()
+{
+    core.pendingHits.applyAll([this](const auto &hit) {
+        core.memDone(hit.what, hit.due);
+    });
+    core.maybeFinish();
+}
+
+void
 LittleCore::setTracer(Tracer *t)
 {
     trace = t;
@@ -202,6 +242,18 @@ LittleCore::maybeFinish()
     bool windowDone = fetchLimitHit() && fetchCount == 0;
     if (!running || !(haltIssued || windowDone))
         return;
+    auto &eq = clock().eventQueue();
+    pendingHits.applyDue(eq, [this](const auto &hit) {
+        memDone(hit.what, hit.due);
+    });
+    if (!pendingHits.empty()) {
+        // Nothing issues any more, so the youngest hit is the last:
+        // the window can end no earlier than its slot.
+        if (!hitDrain.scheduled())
+            eq.scheduleAt(hitDrain, pendingHits.back().due,
+                          pendingHits.back().seq);
+        return;
+    }
     if (outstandingLoads != 0 || outstandingStores != 0)
         return;
     finishWindow();
@@ -212,6 +264,10 @@ LittleCore::tick()
 {
     if (!running)
         return false;
+    pendingHits.applyAtTick(clock().eventQueue(),
+                            [this](const auto &hit) {
+        memDone(hit.what, hit.due);
+    });
     sCycles++;
     fetchStage();
     if (!haltIssued)
@@ -231,6 +287,10 @@ LittleCore::registerInvariants(InvariantRegistry &reg)
         return "fetch queue holds " +
                std::to_string(fetchCount) + " entries, depth " +
                std::to_string(p.fetchQueueDepth);
+    });
+    reg.add(prefix + "mem.pending", [this]() -> std::string {
+        return pendingHits.check(outstandingLoads + outstandingStores -
+                                 missesInFlight);
     });
     reg.add(prefix + "lsq.bound", [this]() -> std::string {
         if (outstandingLoads <= p.lsqEntries &&

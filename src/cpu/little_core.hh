@@ -22,6 +22,7 @@
 
 #include "cpu/fetch_buffer.hh"
 #include "cpu/fu_params.hh"
+#include "cpu/pending_hits.hh"
 #include "cpu/program_core.hh"
 #include "mem/mem_system.hh"
 #include "sim/stats.hh"
@@ -46,6 +47,7 @@ class LittleCore : public ProgramCore
     LittleCore(ClockDomain &cd, StatGroup &stats, MemSystem &mem,
                BackingStore &backing, unsigned coreId, unsigned vlenBits,
                LittleCoreParams params = {});
+    ~LittleCore() override;
 
     /** Register fetch-queue/LSQ structural invariants. */
     void registerInvariants(InvariantRegistry &reg);
@@ -76,10 +78,35 @@ class LittleCore : public ProgramCore
                           ? slot : slot - p.fetchQueueDepth];
     }
 
+    /** What a cache hit completes: a load's destination register
+     *  and write generation, or a store. */
+    struct HitTarget
+    {
+        RegId rd = regIdInvalid;
+        std::uint32_t gen = 0;
+        bool store = false;
+    };
+
+    /**
+     * Ends a window whose last cache hits are still pending, at the
+     * youngest one's reserved slot: where that hit's closure used to
+     * run and finish the window.
+     */
+    struct HitDrainEvent final : Event
+    {
+        explicit HitDrainEvent(LittleCore &c) : core(c) {}
+        void process() override;
+        LittleCore &core;
+    };
+
     void beginWindow() override;
 
     void fetchStage();
     bool issueStage();
+    /** Issue a load or store to the L1D. */
+    void issueMem(const Instr &in, Addr addr);
+    /** Complete load or store @p t, a hit or a miss, at tick @p at. */
+    void memDone(const HitTarget &t, Tick at);
     void recordStall(StallCause cause);
     void maybeFinish();
 
@@ -114,8 +141,13 @@ class LittleCore : public ProgramCore
      *  destination ready if no younger producer overwrote it. */
     std::array<std::uint32_t, 64> regGen{};
     std::array<Tick, 16> fuBusyUntil{};          // per FuClass
+    /** Loads and stores in flight, hits and misses. */
     unsigned outstandingLoads = 0;
     unsigned outstandingStores = 0;
+    /** Of those, the misses: the rest are in pendingHits. */
+    unsigned missesInFlight = 0;
+    PendingHits<HitTarget> pendingHits;
+    HitDrainEvent hitDrain{*this};
 };
 
 } // namespace bvl

@@ -155,6 +155,15 @@ Cache::mshrReport() const
 void
 Cache::access(Addr addr, bool isWrite, MemCallback done)
 {
+    // accessTick() takes done only on a miss; a hit leaves it here.
+    Tick ready = accessTick(addr, isWrite, std::move(done));
+    if (ready != maxTick && done)
+        clock.eventQueue().scheduleAt(ready, std::move(done));
+}
+
+Tick
+Cache::accessTick(Addr addr, bool isWrite, MemCallback &&onMiss)
+{
     Addr lineNum = lineOf(lineAlign(addr));
     auto &eq = clock.eventQueue();
 
@@ -169,13 +178,12 @@ Cache::access(Addr addr, bool isWrite, MemCallback done)
         way->lastUse = eq.now();
         way->dirty |= isWrite;
         sHits++;
-        if (done)
-            eq.scheduleAt(tagDone, std::move(done));
-        return;
+        return tagDone;
     }
 
     sMisses++;
-    handleMiss(lineNum, isWrite, std::move(done), tagDone);
+    handleMiss(lineNum, isWrite, std::move(onMiss), tagDone);
+    return maxTick;
 }
 
 int

@@ -91,6 +91,15 @@ class Cache
      */
     void access(Addr addr, bool isWrite, MemCallback done);
 
+    /**
+     * access() for a requester that completes its own hits
+     * (DESIGN.md §11): a hit schedules nothing and returns the tick
+     * the line is ready at; a miss returns maxTick, and @p onMiss
+     * fires when the line is present, as access()'s @p done would.
+     * @p onMiss is moved from only on a miss.
+     */
+    Tick accessTick(Addr addr, bool isWrite, MemCallback &&onMiss);
+
     /** Switch set-indexing mode (vector-mode entry/exit). */
     void setIndexMode(IndexMode mode) { indexMode = mode; }
     IndexMode getIndexMode() const { return indexMode; }

@@ -192,6 +192,16 @@ class MemSystem
     void accessData(unsigned coreId, Addr addr, bool isWrite,
                     MemCallback done);
 
+    /** accessData() for a core that completes its own hits: see
+     *  Cache::accessTick(). */
+    Tick
+    accessDataTick(unsigned coreId, Addr addr, bool isWrite,
+                   MemCallback onMiss)
+    {
+        sDataReqs++;
+        return l1d(coreId).accessTick(addr, isWrite, std::move(onMiss));
+    }
+
     /**
      * Vector-mode access through L1D bank @p bank of the logically
      * shared multi-bank cache (VMSU path).

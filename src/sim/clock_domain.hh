@@ -92,7 +92,7 @@ class ClockDomain
  *
  * Each Clocked owns one intrusive TickEvent that activate() re-arms,
  * so the steady-state tick loop never allocates: no closure is built
- * per cycle and the heap only shuffles 24-byte entries.
+ * per cycle and re-arming links the event into its tick's bucket.
  */
 class Clocked
 {
@@ -102,7 +102,7 @@ class Clocked
     {}
 
     /** Components are destroyed before their EventQueue, so disarm
-     *  the tick event rather than leave a dangling heap entry. */
+     *  the tick event rather than leave it linked into a bucket. */
     virtual ~Clocked() { deactivate(); }
 
     ClockDomain &clock() { return _clock; }
@@ -153,8 +153,11 @@ class Clocked
         void
         process() override
         {
-            if (owner.tick())
-                owner.activate();
+            // A tick fires on its own clock's edge (activate() aligns
+            // the first one), so the next edge is one period on.
+            if (owner.tick() && !scheduled())
+                owner._clock.eventQueue().schedule(
+                    *this, owner._clock.periodPs());
         }
         Clocked &owner;
     };

@@ -4,11 +4,23 @@
  *
  * Time is measured in picosecond Ticks so that clock domains with
  * different frequencies (the big-core and little-core clusters under
- * DVFS) can coexist in one queue. Events scheduled for the same tick
- * fire in FIFO order of their scheduling, which keeps the simulation
- * deterministic.
+ * DVFS) can coexist in one queue. Events fire in (tick, seq) order,
+ * where seq is a FIFO sequence number drawn when the event is
+ * scheduled, so events scheduled for the same tick fire in the order
+ * they were scheduled, which keeps the simulation deterministic.
  *
- * Two scheduling paths share one heap and one FIFO sequence space:
+ * Pending events live in one FIFO bucket per distinct pending tick.
+ * A bucket is an intrusive doubly linked list threaded through the
+ * events themselves; a min-heap over the buckets' ticks finds the
+ * earliest one, and a tick -> bucket hash map finds the bucket a
+ * schedule appends to when it is not the previous schedule's, the
+ * front one or a new latest tick. Sequence numbers are handed out in
+ * append order, so appending keeps each bucket sorted by seq and the
+ * firing order is (tick, seq) by construction. Only a new distinct
+ * tick touches the heap (O(log ticks)); schedule, deschedule and step
+ * are otherwise O(1), and nothing scans the pending ticks.
+ *
+ * Two scheduling paths share the buckets and one sequence space:
  *
  *  - intrusive Events (gem5 style): a component owns the event object
  *    and re-arms it via schedule()/deschedule()/reschedule(). Nothing
@@ -18,8 +30,11 @@
  *    moved into a pooled event node, so the steady state allocates
  *    nothing here either.
  *
- * Both paths draw FIFO sequence numbers from the same counter at
- * schedule time, so mixing them cannot perturb same-tick ordering.
+ * A component that completes work without an event (a scalar cache
+ * hit, DESIGN.md §11) reserves the sequence number the event would
+ * have drawn (reserveSeq()), compares it with the running event's
+ * (runningSeq()), and may later arm an event at exactly that
+ * (tick, seq) slot; such an event is sorted into its bucket.
  */
 
 #ifndef BVL_SIM_EVENT_QUEUE_HH
@@ -30,6 +45,7 @@
 #include <deque>
 #include <vector>
 
+#include "sim/addr_map.hh"
 #include "sim/logging.hh"
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
@@ -43,8 +59,8 @@ using EventFn = SmallFn;
 /**
  * An intrusive, reschedulable event. Components embed one (e.g. the
  * Clocked tick event) and arm it through the EventQueue; the queue
- * never owns it. Descheduling is O(1): the heap entry is left behind
- * and lazily skipped, identified by a stale sequence stamp.
+ * never owns it. While armed it is linked into its tick's bucket, so
+ * descheduling unlinks it in O(1).
  */
 class Event
 {
@@ -66,23 +82,35 @@ class Event
   private:
     friend class EventQueue;
     Tick _when = 0;
-    /** Sequence stamp of the live heap entry (staleness check). */
-    std::uint64_t _stamp = 0;
+    /** FIFO sequence number of the current (or last) arming. */
+    std::uint64_t _seq = 0;
+    /** Neighbours in the bucket while armed. */
+    Event *_prev = nullptr;
+    Event *_next = nullptr;
+    /** Index of the bucket it is linked into while armed. */
+    std::uint32_t _bucket = 0;
     bool _scheduled = false;
 };
 
 /**
- * A min-heap of timestamped events. One EventQueue exists per
- * simulated system; components hold a reference to it.
+ * The pending events of one simulated system in (tick, seq) order.
+ * One EventQueue exists per simulated system; components hold a
+ * reference to it.
  */
 class EventQueue
 {
   public:
     EventQueue()
     {
-        // Room for a busy system's in-flight events up front, so the
-        // heap and the closure pool do not grow mid-run (DESIGN.md §11).
-        heap.reserve(initialEvents);
+        // Room for a busy system's in-flight events and pending ticks
+        // up front, so the pools do not grow mid-run (DESIGN.md §11).
+        buckets.reserve(initialTicks);
+        freeBuckets.reserve(initialTicks);
+        tickHeap.reserve(initialTicks);
+        // Bucket 0 starts on the free list, so lastBucket always
+        // names a bucket.
+        buckets.emplace_back();
+        freeBuckets.push_back(0);
         freeClosures.reserve(initialEvents);
         for (std::size_t i = 0; i < initialEvents; ++i) {
             closurePool.emplace_back().owner = this;
@@ -103,15 +131,44 @@ class EventQueue
     void
     scheduleAt(Event &ev, Tick when)
     {
-        bvl_assert(when >= _now, "event scheduled in the past "
-                   "(when=%llu now=%llu)",
-                   (unsigned long long)when, (unsigned long long)_now);
+        checkNotPast(when);
         bvl_assert(!ev._scheduled, "event double-scheduled");
         ev._when = when;
-        ev._stamp = nextSeq;
+        ev._seq = nextSeq++;
+        Bucket &b = bucketFor(when, ev);
+        ev._prev = b.tail;
+        ev._next = nullptr;
+        (b.tail ? b.tail->_next : b.head) = &ev;
+        b.tail = &ev;
         ev._scheduled = true;
-        heap.push_back(HeapEntry{when, nextSeq++, &ev});
-        std::push_heap(heap.begin(), heap.end(), LaterThan{});
+        ++numLive;
+    }
+
+    /**
+     * Arm @p ev at the slot (@p when, @p seq) of a sequence number
+     * taken earlier with reserveSeq(), as if it had been scheduled
+     * then. The slot must lie after the running event's.
+     */
+    void
+    scheduleAt(Event &ev, Tick when, std::uint64_t seq)
+    {
+        checkNotPast(when);
+        bvl_assert(!ev._scheduled, "event double-scheduled");
+        bvl_assert(seq < nextSeq && (when > _now || seq > _runningSeq),
+                   "reserved slot (%llu, %llu) is not pending",
+                   (unsigned long long)when, (unsigned long long)seq);
+        ev._when = when;
+        ev._seq = seq;
+        Bucket &b = bucketFor(when, ev);
+        // Younger entries sit at the tail: walk back past them.
+        Event *after = b.tail;
+        while (after && after->_seq > seq)
+            after = after->_prev;
+        ev._prev = after;
+        ev._next = after ? after->_next : b.head;
+        (ev._next ? ev._next->_prev : b.tail) = &ev;
+        (after ? after->_next : b.head) = &ev;
+        ev._scheduled = true;
         ++numLive;
     }
 
@@ -120,13 +177,17 @@ class EventQueue
     { scheduleAt(ev, _now + delay); }
 
     /**
-     * Disarm a pending event. O(1): the stale heap entry is skipped
-     * when it surfaces. The event can be re-armed immediately.
+     * Disarm a pending event. O(1): it is unlinked from its bucket,
+     * and an emptied bucket is dropped when it reaches the front.
+     * The event can be re-armed immediately.
      */
     void
     deschedule(Event &ev)
     {
         bvl_assert(ev._scheduled, "deschedule of an idle event");
+        Bucket &b = buckets[ev._bucket];
+        (ev._prev ? ev._prev->_next : b.head) = ev._next;
+        (ev._next ? ev._next->_prev : b.tail) = ev._prev;
         ev._scheduled = false;
         --numLive;
     }
@@ -149,9 +210,7 @@ class EventQueue
     void
     scheduleAt(Tick when, EventFn fn)
     {
-        bvl_assert(when >= _now, "event scheduled in the past "
-                   "(when=%llu now=%llu)",
-                   (unsigned long long)when, (unsigned long long)_now);
+        checkNotPast(when);
         ClosureEvent *ev = acquireClosure();
         ev->fn = std::move(fn);
         scheduleAt(*ev, when);
@@ -160,6 +219,26 @@ class EventQueue
     /** Schedule @p fn to run @p delay ticks from now. */
     void schedule(Tick delay, EventFn fn)
     { scheduleAt(_now + delay, std::move(fn)); }
+
+    // ---------------------------------------------------------------
+    // Reserved slots: work completed without an event.
+    // ---------------------------------------------------------------
+
+    /** Draw the sequence number a schedule made now would get. */
+    std::uint64_t reserveSeq() { return nextSeq++; }
+
+    /** Sequence number of the event running (or last run). */
+    std::uint64_t runningSeq() const { return _runningSeq; }
+
+    /**
+     * True if the slot (@p when, @p seq) comes before the running
+     * event's: an event armed there would already have fired.
+     */
+    bool
+    before(Tick when, std::uint64_t seq) const
+    {
+        return when < _now || (when == _now && seq < _runningSeq);
+    }
 
     // ---------------------------------------------------------------
 
@@ -173,8 +252,8 @@ class EventQueue
     Tick
     nextEventTick()
     {
-        purgeStale();
-        return heap.empty() ? maxTick : heap.front().when;
+        Event *ev = front();
+        return ev ? ev->_when : maxTick;
     }
 
     /**
@@ -184,18 +263,10 @@ class EventQueue
     bool
     step()
     {
-        purgeStale();
-        if (heap.empty())
+        Event *ev = front();
+        if (!ev)
             return false;
-        HeapEntry top = heap.front();
-        popFront();
-        --numLive;
-        _now = top.when;
-        // Disarm before process() so the handler may re-arm itself;
-        // a closure node returns to the pool the same way.
-        top.ev->_scheduled = false;
-        top.ev->process();
-        ++_executed;
+        fire(*ev);
         return true;
     }
 
@@ -208,12 +279,12 @@ class EventQueue
     run(Tick limit = maxTick)
     {
         for (;;) {
-            purgeStale();
-            if (heap.empty())
+            Event *ev = front();
+            if (!ev)
                 return true;
-            if (heap.front().when > limit)
+            if (ev->_when > limit)
                 return false;
-            step();
+            fire(*ev);
         }
     }
 
@@ -227,10 +298,10 @@ class EventQueue
     runUntil(const bool &stop, Tick limit = maxTick)
     {
         while (!stop) {
-            purgeStale();
-            if (heap.empty() || heap.front().when > limit)
+            Event *ev = front();
+            if (!ev || ev->_when > limit)
                 return false;
-            step();
+            fire(*ev);
         }
         return true;
     }
@@ -239,16 +310,38 @@ class EventQueue
     std::uint64_t executed() const { return _executed; }
 
   private:
-    /**
-     * 24-byte heap entry: the heap stores (when, seq, event pointer)
-     * only, so sift operations move small trivially-copyable values
-     * and never touch a callable.
-     */
-    struct HeapEntry
+    /** The events pending at one tick, oldest seq first. */
+    struct Bucket
+    {
+        Tick when = 0;
+        Event *head = nullptr;
+        Event *tail = nullptr;
+        /** Listed in tickHeap (not on the free list). */
+        bool inUse = false;
+        /** Listed in bucketAt (see bucketFor()). */
+        bool inMap = false;
+    };
+
+    /** 16-byte min-heap entry: a pending tick and its bucket. */
+    struct TickEntry
     {
         Tick when;
-        std::uint64_t seq;
-        Event *ev;
+        std::uint32_t bucket;
+    };
+
+    /**
+     * Min-heap comparator over distinct ticks: the standard heap
+     * algorithms build a max-heap, so "greater" puts the earliest
+     * tick at the front. A stateless functor, so push_heap/pop_heap
+     * inline the comparison.
+     */
+    struct LaterThan
+    {
+        bool
+        operator()(const TickEntry &a, const TickEntry &b) const
+        {
+            return a.when > b.when;
+        }
     };
 
     /** Pooled node backing one one-shot closure event. */
@@ -268,22 +361,163 @@ class EventQueue
         }
     };
 
-    /**
-     * Min-heap comparator: the standard heap algorithms build a
-     * max-heap, so "greater" puts the earliest event at the front. A
-     * stateless functor rather than a function pointer, so
-     * push_heap/pop_heap inline the comparison.
-     */
-    struct LaterThan
+    void
+    checkNotPast(Tick when) const
     {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
+        bvl_assert(when >= _now, "event scheduled in the past "
+                   "(when=%llu now=%llu)",
+                   (unsigned long long)when, (unsigned long long)_now);
+    }
+
+    /**
+     * The bucket of tick @p when, made if none is pending; records it
+     * as @p ev's.
+     *
+     * A schedule mostly targets the tick of the previous one (a clock
+     * edge several components re-arm for, a burst of same-tick
+     * closures), the front tick, or a tick later than any pending
+     * one, so the tick -> bucket map is kept lazily: a bucket enters
+     * it only when it stops being both the last one used and the
+     * front, the two found without it. A lone clock re-arming at
+     * now + period then never touches the map.
+     */
+    Bucket &
+    bucketFor(Tick when, Event &ev)
+    {
+        Bucket *b = &buckets[lastBucket];
+        if (b->when != when || !b->inUse) {
+            std::uint32_t idx = findOrOpen(when);
+            if (idx != lastBucket)
+                index(lastBucket);
+            lastBucket = idx;
+            b = &buckets[idx];
         }
-    };
+        ev._bucket = lastBucket;
+        return *b;
+    }
+
+    /** The pending bucket of tick @p when, or a new one. */
+    std::uint32_t
+    findOrOpen(Tick when)
+    {
+        if (!tickHeap.empty() && tickHeap.front().when == when)
+            return tickHeap.front().bucket;
+        if (when <= latestTick) {
+            // The map stores index + 1: AddrMap reads 0 as absent.
+            if (std::uint32_t found = bucketAt.get(when))
+                return found - 1;
+        }
+        return retargetFront(when) ? tickHeap.front().bucket
+                                   : openBucket(when);
+    }
+
+    /**
+     * Move the front bucket to tick @p when, which has none, if it is
+     * drained and @p when still comes before every other pending
+     * tick: a lone clock re-arming from its own tick event then
+     * reuses its bucket in place instead of opening one and
+     * releasing the other.
+     */
+    bool
+    retargetFront(Tick when)
+    {
+        if (tickHeap.empty())
+            return false;
+        TickEntry &top = tickHeap.front();
+        Bucket &b = buckets[top.bucket];
+        if (b.head)
+            return false;
+        std::size_t n = tickHeap.size();
+        if ((n > 1 && tickHeap[1].when < when) ||
+            (n > 2 && tickHeap[2].when < when))
+            return false;
+        if (b.inMap) {
+            bucketAt.set(b.when, 0);
+            b.inMap = false;
+        }
+        b.when = top.when = when;
+        latestTick = std::max(latestTick, when);
+        return true;
+    }
+
+    /** List pending bucket @p idx in the map unless it is there or
+     *  is the front. */
+    void
+    index(std::uint32_t idx)
+    {
+        Bucket &b = buckets[idx];
+        if (!b.inUse || b.inMap || tickHeap.front().bucket == idx)
+            return;
+        bucketAt.set(b.when, idx + 1);
+        b.inMap = true;
+    }
+
+    /** Start an empty bucket for tick @p when; returns its index. */
+    std::uint32_t
+    openBucket(Tick when)
+    {
+        std::uint32_t idx;
+        if (freeBuckets.empty()) {
+            idx = static_cast<std::uint32_t>(buckets.size());
+            buckets.emplace_back();
+        } else {
+            idx = freeBuckets.back();
+            freeBuckets.pop_back();
+        }
+        Bucket &b = buckets[idx];
+        b.when = when;
+        b.head = b.tail = nullptr;
+        b.inUse = true;
+        b.inMap = false;
+        latestTick = std::max(latestTick, when);
+        std::uint32_t oldFront =
+            tickHeap.empty() ? idx : tickHeap.front().bucket;
+        tickHeap.push_back(TickEntry{when, idx});
+        std::push_heap(tickHeap.begin(), tickHeap.end(), LaterThan{});
+        // A bucket that stops being the front must be findable.
+        index(oldFront);
+        return idx;
+    }
+
+    /**
+     * The earliest armed event, or null if none. Empty buckets at
+     * the front (drained, or emptied by deschedule) are released on
+     * the way.
+     */
+    Event *
+    front()
+    {
+        while (!tickHeap.empty()) {
+            std::uint32_t idx = tickHeap.front().bucket;
+            Bucket &b = buckets[idx];
+            if (b.head)
+                return b.head;
+            std::pop_heap(tickHeap.begin(), tickHeap.end(), LaterThan{});
+            tickHeap.pop_back();
+            if (b.inMap)
+                bucketAt.set(b.when, 0);
+            b.inUse = false;
+            freeBuckets.push_back(idx);
+        }
+        return nullptr;
+    }
+
+    /** Unlink the front event @p ev, advance time and run it. */
+    void
+    fire(Event &ev)
+    {
+        Bucket &b = buckets[ev._bucket];
+        b.head = ev._next;
+        (b.head ? b.head->_prev : b.tail) = nullptr;
+        --numLive;
+        _now = ev._when;
+        _runningSeq = ev._seq;
+        // Disarm before process() so the handler may re-arm itself;
+        // a closure node returns to the pool the same way.
+        ev._scheduled = false;
+        ev.process();
+        ++_executed;
+    }
 
     ClosureEvent *
     acquireClosure()
@@ -297,31 +531,21 @@ class EventQueue
         return ev;
     }
 
-    /** Drop stale heap entries (descheduled or rescheduled events)
-     *  off the top so heap.front() is the earliest live event. */
-    void
-    purgeStale()
-    {
-        while (!heap.empty()) {
-            const HeapEntry &top = heap.front();
-            if (top.ev->_scheduled && top.ev->_stamp == top.seq)
-                return;
-            popFront();
-        }
-    }
-
-    void
-    popFront()
-    {
-        std::pop_heap(heap.begin(), heap.end(), LaterThan{});
-        heap.pop_back();
-    }
-
     static constexpr std::size_t initialEvents = 1024;
+    static constexpr std::size_t initialTicks = 512;
 
-    /** Binary min-heap maintained with std::push_heap/std::pop_heap;
-     *  after purgeStale(), heap.front() is the earliest live event. */
-    std::vector<HeapEntry> heap;
+    /** Bucket pool; indices are stable, free ones are recycled. */
+    std::vector<Bucket> buckets;
+    std::vector<std::uint32_t> freeBuckets;
+    /** Min-heap of the pending ticks, one entry per bucket in use. */
+    std::vector<TickEntry> tickHeap;
+    /** Pending tick -> its bucket index + 1, for every pending
+     *  bucket but lastBucket and the front (bucketFor()). */
+    AddrMap<std::uint32_t> bucketAt{2 * initialTicks};
+    /** Bucket of the most recent schedule (may since be released). */
+    std::uint32_t lastBucket = 0;
+    /** No bucket is pending at a later tick than this. */
+    Tick latestTick = 0;
     /** Closure nodes live here for the queue's lifetime (deque: node
      *  addresses are stable) and recycle through freeClosures. The
      *  first initialEvents are made up front; more only if that many
@@ -331,6 +555,7 @@ class EventQueue
     std::size_t numLive = 0;
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
+    std::uint64_t _runningSeq = 0;
     std::uint64_t _executed = 0;
 };
 

@@ -80,6 +80,7 @@ class SmallFn
         void (*invoke)(void *);
         /** Move the callable from src into dst, leaving src empty. */
         void (*relocate)(void *src, void *dst);
+        /** Destroy the callable; null when there is nothing to do. */
         void (*destroy)(void *);
     };
 
@@ -104,7 +105,9 @@ class SmallFn
             from->~D();
         }
         static void destroy(void *p) { static_cast<D *>(p)->~D(); }
-        static constexpr Ops table{&invoke, &relocate, &destroy};
+        static constexpr Ops table{
+            &invoke, &relocate,
+            std::is_trivially_destructible_v<D> ? nullptr : &destroy};
     };
 
     template <typename D>
@@ -141,7 +144,8 @@ class SmallFn
     reset()
     {
         if (ops) {
-            ops->destroy(buf);
+            if (ops->destroy)
+                ops->destroy(buf);
             ops = nullptr;
         }
     }

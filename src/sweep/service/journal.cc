@@ -99,9 +99,12 @@ SweepJournal::append(const std::string &hash, const SweepJob &job,
     Json row = Json::object();
     row.set("schema", kJournalSchema);
     row.set("hash", hash);
-    row.set("design", designName(job.design));
-    row.set("workload", job.workload);
-    row.set("scale", scaleName(job.scale));
+    // The job's keys come from its field list (run_io.cc); its
+    // options are already folded into the hash.
+    Json fields = sweepJobToJson(job);
+    for (const auto &[key, value] : fields.members())
+        if (key != "options")
+            row.set(key, value);
     row.set("attempts", attempts);
     row.set("source", source);
     row.set("wallMs", wallMs);

@@ -154,8 +154,8 @@ TEST(EventQueueTest, DescheduleAndRescheduleIntrusiveEvent)
     EXPECT_TRUE(ev.scheduled());
     EXPECT_EQ(eq.size(), 1u);
 
-    // Descheduling leaves a stale heap entry behind; the queue must
-    // neither fire it nor count it.
+    // Descheduling leaves an empty bucket behind; the queue must
+    // neither fire nor count anything there.
     eq.deschedule(ev);
     EXPECT_FALSE(ev.scheduled());
     EXPECT_TRUE(eq.empty());
@@ -239,6 +239,156 @@ TEST(EventQueueTest, RandomScheduleMatchesReferenceOrder)
     while (!ref.empty() && !::testing::Test::HasFailure())
         stepOnce();
     EXPECT_FALSE(eq.step());
+}
+
+TEST(EventQueueTest, SeededMixFiresInSortedTickSeqOrder)
+{
+    // Every way of arming an event, mixed at random: closures,
+    // intrusive reschedule and deschedule, same-tick bursts, closures
+    // that schedule at now() from inside their handler, and events
+    // armed at slots reserved earlier. Peeking at the next tick drops
+    // drained buckets, so later schedules at now() land before the
+    // front. A reference model files each arming under (tick, seq),
+    // where seq counts schedules and reservations, and every step
+    // must fire its smallest entry.
+    constexpr int numProbes = 16;
+    EventQueue eq;
+    std::vector<int> fired;
+    std::vector<std::unique_ptr<TagEvent>> probes;
+    for (int i = 0; i < numProbes; ++i)
+        probes.push_back(std::make_unique<TagEvent>(fired, i));
+    std::set<std::tuple<Tick, std::uint64_t, int>> ref;
+    std::vector<std::optional<std::pair<Tick, std::uint64_t>>> armed(
+        numProbes);
+    std::vector<std::pair<Tick, std::uint64_t>> reserved;
+    unsigned slotSchedules = 0;
+    std::uint64_t seq = 0;
+    int nextClosure = numProbes;
+    Rng rng(0x5eed);
+
+    auto closure = [&](Tick when, bool spawns) {
+        int id = nextClosure++;
+        eq.scheduleAt(when, [&, id, spawns] {
+            fired.push_back(id);
+            if (!spawns)
+                return;
+            int child = nextClosure++;
+            eq.schedule(0, [&fired, child] { fired.push_back(child); });
+            ref.insert({eq.now(), seq++, child});
+        });
+        ref.insert({when, seq++, id});
+    };
+    auto disarm = [&](int i) {
+        if (armed[i])
+            ref.erase({armed[i]->first, armed[i]->second, i});
+        armed[i].reset();
+    };
+    auto stepOnce = [&] {
+        auto [when, s, id] = *ref.begin();
+        ref.erase(ref.begin());
+        if (id < numProbes)
+            armed[id].reset();
+        std::size_t before = fired.size();
+        ASSERT_TRUE(eq.step());
+        ASSERT_EQ(fired.size(), before + 1);
+        EXPECT_EQ(fired.back(), id);
+        EXPECT_EQ(eq.now(), when);
+        EXPECT_EQ(eq.runningSeq(), s);
+    };
+
+    for (int round = 0; round < 20000; ++round) {
+        Tick when = eq.now() + rng.below(5) * 10;
+        int i = static_cast<int>(rng.below(numProbes));
+        switch (rng.below(9)) {
+          case 0:
+            closure(when, false);
+            break;
+          case 7:
+            EXPECT_EQ(eq.nextEventTick(),
+                      ref.empty() ? maxTick : std::get<0>(*ref.begin()));
+            break;
+          case 1:
+            closure(when, true);
+            break;
+          case 2:
+            for (unsigned n = 1 + rng.below(6); n > 0; --n)
+                closure(when, false);
+            break;
+          case 3:
+            disarm(i);
+            eq.reschedule(*probes[i], when);
+            armed[i] = {{when, seq}};
+            ref.insert({when, seq++, i});
+            break;
+          case 4:
+            if (armed[i]) {
+                eq.deschedule(*probes[i]);
+                disarm(i);
+            }
+            break;
+          case 5:
+            reserved.push_back({when, eq.reserveSeq()});
+            ++seq;
+            break;
+          case 6: {
+            // Arm an idle probe at a reserved slot still pending.
+            if (reserved.empty() || probes[i]->scheduled())
+                break;
+            std::size_t k = rng.below(reserved.size());
+            auto [rw, rs] = reserved[k];
+            reserved.erase(reserved.begin() + k);
+            if (eq.before(rw, rs))
+                break;
+            eq.scheduleAt(*probes[i], rw, rs);
+            armed[i] = {{rw, rs}};
+            ref.insert({rw, rs, i});
+            ++slotSchedules;
+            break;
+          }
+          default:
+            if (ref.empty())
+                EXPECT_FALSE(eq.step());
+            else
+                stepOnce();
+            break;
+        }
+        ASSERT_EQ(eq.size(), ref.size());
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    while (!ref.empty() && !::testing::Test::HasFailure())
+        stepOnce();
+    EXPECT_FALSE(eq.step());
+    EXPECT_GT(slotSchedules, 100u);
+}
+
+TEST(EventQueueTest, SameTickFifoHoldsAcrossEarlierTicksScheduledLater)
+{
+    // Tick 30 is the earliest pending tick when it is left for 50 and
+    // 40, then 20 and 10 overtake it; the last schedule for 30 must
+    // still join its FIFO behind the first two.
+    EventQueue eq;
+    std::vector<int> order;
+    const Tick ticks[] = {30, 50, 30, 40, 20, 10, 30};
+    for (int id = 0; id < 7; ++id)
+        eq.scheduleAt(ticks[id], [&order, id] { order.push_back(id); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{5, 4, 0, 2, 6, 3, 1}));
+}
+
+TEST(EventQueueTest, DistinctIncreasingTicksFireInOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 1000; ++i)
+        eq.schedule(Tick(i) * 10, [&order, i] { order.push_back(i); });
+    EXPECT_EQ(eq.size(), 1000u);
+    EXPECT_TRUE(eq.run());
+    ASSERT_EQ(order.size(), 1000u);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(order[i], i);
+    EXPECT_EQ(eq.now(), 9990u);
+    EXPECT_EQ(eq.executed(), 1000u);
 }
 
 TEST(ClockDomainTest, CycleTickConversions)
