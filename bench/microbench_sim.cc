@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "cpu/big_core.hh"
 #include "cpu/little_core.hh"
 #include "mem/mem_system.hh"
@@ -91,8 +94,9 @@ class BenchTicker : public Clocked
 
 /**
  * Steady-state cost of one simulated cycle of an active component:
- * intrusive TickEvent re-arm, heap push/pop, virtual process()
- * dispatch. This is the path every active Clocked pays every cycle.
+ * intrusive TickEvent re-arm into its domain's edge FIFO, the pop of
+ * the FIFO's front, virtual process() dispatch. This is the path every
+ * active Clocked pays every cycle.
  */
 void
 BM_TickChurn(benchmark::State &state)
@@ -111,6 +115,54 @@ BM_TickChurn(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TickChurn);
+
+/** BenchTicker that schedules a closure every eighth tick, as a core
+ *  issuing a memory access does. */
+class ClosureTicker : public BenchTicker
+{
+  public:
+    using BenchTicker::BenchTicker;
+    std::uint64_t closures = 0;
+
+  protected:
+    bool
+    tick() override
+    {
+        if ((remaining & 7) == 0)
+            clock().eventQueue().schedule(3333, [this] { ++closures; });
+        return BenchTicker::tick();
+    }
+};
+
+/**
+ * The mix the SoC runs: three domains at unequal periods (1.0, 1.4 and
+ * 0.6 GHz), three tickers on each, and sparse closures between their
+ * ticks. BM_TickChurn has a single ticker on a single domain.
+ */
+void
+BM_TickChurnDomains(benchmark::State &state)
+{
+    EventQueue eq;
+    ClockDomain a(eq, "a", 1.0), b(eq, "b", 1.4), c(eq, "c", 0.6);
+    std::vector<std::unique_ptr<ClosureTicker>> tickers;
+    for (ClockDomain *cd : {&a, &b, &c})
+        for (int i = 0; i < 3; ++i)
+            tickers.push_back(std::make_unique<ClosureTicker>(*cd, "t"));
+    std::uint64_t cycles = 0;
+    for (auto _ : state) {
+        for (auto &t : tickers) {
+            t->remaining = 1000;
+            t->activate();
+        }
+        eq.run();
+        cycles += 1000 * tickers.size();
+    }
+    for (auto &t : tickers)
+        benchmark::DoNotOptimize(t->closures);
+    state.counters["ticks/s"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TickChurnDomains);
 
 /** Interned-handle stat increment: the hot-path discipline. */
 void

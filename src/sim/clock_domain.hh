@@ -21,7 +21,10 @@
 namespace bvl
 {
 
-/** One frequency island. */
+/**
+ * One frequency island. It keeps its components' armed tick events in
+ * its own EdgeQueue, which it registers with the event queue.
+ */
 class ClockDomain
 {
   public:
@@ -31,57 +34,62 @@ class ClockDomain
      * @param freq_ghz operating frequency in GHz
      */
     ClockDomain(EventQueue &eq, std::string name, double freq_ghz)
-        : queue(eq), _name(std::move(name))
+        : queue(eq), _name(std::move(name)), edges(periodOf(freq_ghz))
     {
-        setFrequency(freq_ghz);
+        queue.addDomain(edges);
     }
-
-    /** Change the frequency; only legal before any event is scheduled. */
-    void
-    setFrequency(double freq_ghz)
-    {
-        bvl_assert(freq_ghz > 0.0, "frequency must be positive");
-        _periodPs = static_cast<Tick>(1000.0 / freq_ghz + 0.5);
-        bvl_assert(_periodPs > 0, "frequency too high");
-        _freqGhz = freq_ghz;
-    }
+    /** Destroyed after its components, so nothing is armed here. */
+    ~ClockDomain() { queue.removeDomain(edges); }
 
     const std::string &name() const { return _name; }
-    double frequencyGhz() const { return _freqGhz; }
-    Tick periodPs() const { return _periodPs; }
+    Tick periodPs() const { return edges.period(); }
 
     /** Duration of @p n cycles in ticks. */
-    Tick cyclesToTicks(Cycles n) const { return n * _periodPs; }
+    Tick cyclesToTicks(Cycles n) const { return n * periodPs(); }
 
     /** Cycles elapsed at current time (rounded down). */
-    Cycles curCycle() const { return queue.now() / _periodPs; }
+    Cycles curCycle() const { return queue.now() / periodPs(); }
 
     /** Convert an absolute tick count into whole cycles of this domain. */
-    Cycles ticksToCycles(Tick t) const { return t / _periodPs; }
+    Cycles ticksToCycles(Tick t) const { return t / periodPs(); }
 
     /** Ticks until the next clock edge strictly after now. */
     Tick
     ticksToNextEdge() const
     {
-        Tick rem = queue.now() % _periodPs;
-        return _periodPs - rem;
+        Tick rem = queue.now() % periodPs();
+        return periodPs() - rem;
     }
 
     /** Schedule @p fn a whole number of cycles from now. */
     void scheduleCycles(Cycles n, EventFn fn)
     { queue.schedule(cyclesToTicks(n), std::move(fn)); }
 
-    /** Arm an intrusive event a whole number of cycles from now. */
-    void scheduleCycles(Event &ev, Cycles n)
-    { queue.schedule(ev, cyclesToTicks(n)); }
+    /**
+     * Arm @p ev on this domain's edge @p when. Only the pending edge
+     * and the one after it may be armed (EdgeQueue).
+     */
+    void scheduleTick(EdgeEvent &ev, Tick when)
+    { queue.scheduleAt(ev, when, edges); }
+
+    /** Disarm @p ev, armed with scheduleTick(). */
+    void descheduleTick(EdgeEvent &ev) { queue.deschedule(ev, edges); }
 
     EventQueue &eventQueue() { return queue; }
 
   private:
+    static Tick
+    periodOf(double freq_ghz)
+    {
+        bvl_assert(freq_ghz > 0.0, "frequency must be positive");
+        auto period = static_cast<Tick>(1000.0 / freq_ghz + 0.5);
+        bvl_assert(period > 0, "frequency too high");
+        return period;
+    }
+
     EventQueue &queue;
     std::string _name;
-    double _freqGhz = 1.0;
-    Tick _periodPs = 1000;
+    EdgeQueue edges;
 };
 
 /**
@@ -92,7 +100,8 @@ class ClockDomain
  *
  * Each Clocked owns one intrusive TickEvent that activate() re-arms,
  * so the steady-state tick loop never allocates: no closure is built
- * per cycle and re-arming links the event into its tick's bucket.
+ * per cycle and re-arming appends the event to its domain's FIFO for
+ * the next edge.
  */
 class Clocked
 {
@@ -101,8 +110,8 @@ class Clocked
         : _clock(cd), _name(std::move(name)), tickEvent(*this)
     {}
 
-    /** Components are destroyed before their EventQueue, so disarm
-     *  the tick event rather than leave it linked into a bucket. */
+    /** Components are destroyed before their clock domain, so disarm
+     *  the tick event rather than leave it linked into its FIFO. */
     virtual ~Clocked() { deactivate(); }
 
     ClockDomain &clock() { return _clock; }
@@ -120,7 +129,9 @@ class Clocked
             return;
         // Align to the next clock edge so multi-domain systems stay
         // phase-consistent.
-        _clock.eventQueue().schedule(tickEvent, _clock.ticksToNextEdge());
+        _clock.scheduleTick(tickEvent,
+                            _clock.eventQueue().now() +
+                                _clock.ticksToNextEdge());
     }
 
     /** Cancel a pending tick event, going dormant immediately. */
@@ -128,7 +139,7 @@ class Clocked
     deactivate()
     {
         if (tickEvent.scheduled())
-            _clock.eventQueue().deschedule(tickEvent);
+            _clock.descheduleTick(tickEvent);
     }
 
     /** True if a tick event is currently scheduled. */
@@ -147,7 +158,7 @@ class Clocked
      *  consumes exactly one FIFO sequence number per cycle — the same
      *  schedule points as the old per-cycle closure, preserving
      *  deterministic same-tick ordering bit-for-bit. */
-    struct TickEvent final : Event
+    struct TickEvent final : EdgeEvent
     {
         explicit TickEvent(Clocked &c) : owner(c) {}
         void
@@ -156,8 +167,9 @@ class Clocked
             // A tick fires on its own clock's edge (activate() aligns
             // the first one), so the next edge is one period on.
             if (owner.tick() && !scheduled())
-                owner._clock.eventQueue().schedule(
-                    *this, owner._clock.periodPs());
+                owner._clock.scheduleTick(
+                    *this, owner._clock.eventQueue().now() +
+                               owner._clock.periodPs());
         }
         Clocked &owner;
     };

@@ -9,43 +9,27 @@
  * scheduled, so events scheduled for the same tick fire in the order
  * they were scheduled, which keeps the simulation deterministic.
  *
- * Pending events live in one FIFO bucket per distinct pending tick.
- * A bucket is an intrusive doubly linked list threaded through the
- * events themselves; a min-heap over the buckets' ticks finds the
- * earliest one, and a tick -> bucket hash map finds the bucket a
- * schedule appends to when it is not the previous schedule's, the
- * front one or a new latest tick. Sequence numbers are handed out in
- * append order, so appending keeps each bucket sorted by seq and the
- * firing order is (tick, seq) by construction. Only a new distinct
- * tick touches the heap (O(log ticks)); schedule, deschedule and step
- * are otherwise O(1), and nothing scans the pending ticks.
- *
- * Two scheduling paths share the buckets and one sequence space:
- *
- *  - intrusive Events (gem5 style): a component owns the event object
- *    and re-arms it via schedule()/deschedule()/reschedule(). Nothing
- *    is allocated per firing — this is the steady-state tick path.
- *  - closure events: scheduleAt(when, fn) for one-shot callbacks. The
- *    callable is a SmallFn (no allocation for captures <= 64 bytes)
- *    moved into a pooled event node, so the steady state allocates
- *    nothing here either.
+ * The tick events of each clock domain wait in its EdgeQueue, every
+ * other event in one indexed 4-ary min-heap, and step() fires the
+ * least of the heap's top and each domain's front (DESIGN.md §10).
+ * Nothing is allocated per firing: components embed intrusive Events,
+ * and one-shot closures (scheduleAt(when, fn)) are SmallFns moved into
+ * pooled event nodes.
  *
  * A component that completes work without an event (a scalar cache
  * hit, DESIGN.md §11) reserves the sequence number the event would
  * have drawn (reserveSeq()), compares it with the running event's
  * (runningSeq()), and may later arm an event at exactly that
- * (tick, seq) slot; such an event is sorted into its bucket.
+ * (tick, seq) slot.
  */
 
 #ifndef BVL_SIM_EVENT_QUEUE_HH
 #define BVL_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
-#include "sim/addr_map.hh"
 #include "sim/logging.hh"
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
@@ -57,10 +41,9 @@ namespace bvl
 using EventFn = SmallFn;
 
 /**
- * An intrusive, reschedulable event. Components embed one (e.g. the
- * Clocked tick event) and arm it through the EventQueue; the queue
- * never owns it. While armed it is linked into its tick's bucket, so
- * descheduling unlinks it in O(1).
+ * An intrusive, reschedulable event. Components embed one and arm it
+ * through the EventQueue; the queue never owns it. While armed it
+ * knows its heap entry's position, so descheduling removes the entry.
  */
 class Event
 {
@@ -76,41 +59,130 @@ class Event
     /** True while armed in a queue. */
     bool scheduled() const { return _scheduled; }
 
-    /** Absolute tick this event is (or was last) armed for. */
-    Tick when() const { return _when; }
-
   private:
     friend class EventQueue;
+    friend class EdgeQueue;
     Tick _when = 0;
     /** FIFO sequence number of the current (or last) arming. */
     std::uint64_t _seq = 0;
-    /** Neighbours in the bucket while armed. */
-    Event *_prev = nullptr;
-    Event *_next = nullptr;
-    /** Index of the bucket it is linked into while armed. */
-    std::uint32_t _bucket = 0;
+    std::uint32_t _pos = 0;
     bool _scheduled = false;
+};
+
+/**
+ * An event armed only on the edges of its clock domain (the Clocked
+ * tick event): it waits in the domain's EdgeQueue, never in the heap.
+ */
+class EdgeEvent : public Event
+{
+  private:
+    friend class EdgeQueue;
+    EdgeEvent *_prev = nullptr;
+    EdgeEvent *_next = nullptr;
+};
+
+/**
+ * The armed edge events of one clock domain: an intrusive FIFO for its
+ * pending edge and one for the edge after it. A tick event is armed
+ * only for the next edge after now, so no third edge can be pending,
+ * and it draws the largest seq yet, so appending keeps each FIFO
+ * sorted. An arm anywhere else panics.
+ */
+class EdgeQueue
+{
+  public:
+    explicit EdgeQueue(Tick period) : _period(period) {}
+    EdgeQueue(const EdgeQueue &) = delete;
+    EdgeQueue &operator=(const EdgeQueue &) = delete;
+
+    Tick period() const { return _period; }
+
+  private:
+    friend class EventQueue;
+
+    struct Fifo
+    {
+        EdgeEvent *head = nullptr;
+        EdgeEvent *tail = nullptr;
+    };
+
+    void
+    arm(EdgeEvent &ev, Tick when)
+    {
+        Fifo *f = &pending;
+        if (!pending.head) {
+            // With nothing pending, any edge of the domain.
+            bvl_assert(when == edge + _period || when % _period == 0,
+                       "tick event armed at %llu, off its %llu ps edges",
+                       (unsigned long long)when,
+                       (unsigned long long)_period);
+            edge = when;
+        } else if (when != edge) {
+            bvl_assert(when == edge + _period,
+                       "tick event armed at %llu, off its pending edges "
+                       "%llu and %llu", (unsigned long long)when,
+                       (unsigned long long)edge,
+                       (unsigned long long)(edge + _period));
+            f = &following;
+        }
+        ev._prev = f->tail;
+        ev._next = nullptr;
+        (f->tail ? f->tail->_next : f->head) = &ev;
+        f->tail = &ev;
+    }
+
+    void
+    unlink(EdgeEvent &ev)
+    {
+        Fifo &f = ev._when == edge ? pending : following;
+        (ev._prev ? ev._prev->_next : f.head) = ev._next;
+        (ev._next ? ev._next->_prev : f.tail) = ev._prev;
+        if (!pending.head)
+            advance();
+    }
+
+    void
+    popFront()
+    {
+        pending.head = pending.head->_next;
+        if (pending.head)
+            pending.head->_prev = nullptr;
+        else
+            advance();
+    }
+
+    /** The pending edge drained: the next one becomes pending. With
+     *  neither armed, edge stays the last pending edge. */
+    void
+    advance()
+    {
+        pending = following;
+        following = Fifo{};
+        if (pending.head)
+            edge += _period;
+    }
+
+    Tick _period;
+    /** The tick of every event in pending; following's is one period
+     *  later. */
+    Tick edge = 0;
+    Fifo pending;
+    Fifo following;
 };
 
 /**
  * The pending events of one simulated system in (tick, seq) order.
  * One EventQueue exists per simulated system; components hold a
- * reference to it.
+ * reference to it, and its clock domains register their EdgeQueues.
  */
 class EventQueue
 {
   public:
     EventQueue()
     {
-        // Room for a busy system's in-flight events and pending ticks
-        // up front, so the pools do not grow mid-run (DESIGN.md §11).
-        buckets.reserve(initialTicks);
-        freeBuckets.reserve(initialTicks);
-        tickHeap.reserve(initialTicks);
-        // Bucket 0 starts on the free list, so lastBucket always
-        // names a bucket.
-        buckets.emplace_back();
-        freeBuckets.push_back(0);
+        // Room for a busy system's in-flight events up front, so the
+        // heap and the closure pool do not grow mid-run (DESIGN.md §11).
+        heap.reserve(initialEvents);
         freeClosures.reserve(initialEvents);
         for (std::size_t i = 0; i < initialEvents; ++i) {
             closurePool.emplace_back().owner = this;
@@ -123,26 +195,18 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return _now; }
 
+    /** Fire the events armed in @p edges, before any is armed. */
+    void addDomain(EdgeQueue &edges) { domains.push_back(&edges); }
+
+    /** Stop scanning @p edges, which has nothing armed. */
+    void removeDomain(EdgeQueue &edges) { std::erase(domains, &edges); }
+
     // ---------------------------------------------------------------
     // Intrusive (non-owning) path: zero allocation per schedule.
     // ---------------------------------------------------------------
 
     /** Arm @p ev to fire at absolute time @p when (>= now). */
-    void
-    scheduleAt(Event &ev, Tick when)
-    {
-        checkNotPast(when);
-        bvl_assert(!ev._scheduled, "event double-scheduled");
-        ev._when = when;
-        ev._seq = nextSeq++;
-        Bucket &b = bucketFor(when, ev);
-        ev._prev = b.tail;
-        ev._next = nullptr;
-        (b.tail ? b.tail->_next : b.head) = &ev;
-        b.tail = &ev;
-        ev._scheduled = true;
-        ++numLive;
-    }
+    void scheduleAt(Event &ev, Tick when) { push(ev, when, nextSeq++); }
 
     /**
      * Arm @p ev at the slot (@p when, @p seq) of a sequence number
@@ -152,55 +216,49 @@ class EventQueue
     void
     scheduleAt(Event &ev, Tick when, std::uint64_t seq)
     {
-        checkNotPast(when);
-        bvl_assert(!ev._scheduled, "event double-scheduled");
         bvl_assert(seq < nextSeq && (when > _now || seq > _runningSeq),
                    "reserved slot (%llu, %llu) is not pending",
                    (unsigned long long)when, (unsigned long long)seq);
-        ev._when = when;
-        ev._seq = seq;
-        Bucket &b = bucketFor(when, ev);
-        // Younger entries sit at the tail: walk back past them.
-        Event *after = b.tail;
-        while (after && after->_seq > seq)
-            after = after->_prev;
-        ev._prev = after;
-        ev._next = after ? after->_next : b.head;
-        (ev._next ? ev._next->_prev : b.tail) = &ev;
-        (after ? after->_next : b.head) = &ev;
-        ev._scheduled = true;
-        ++numLive;
+        push(ev, when, seq);
     }
 
-    /** Arm @p ev to fire @p delay ticks from now. */
-    void schedule(Event &ev, Tick delay)
-    { scheduleAt(ev, _now + delay); }
-
-    /**
-     * Disarm a pending event. O(1): it is unlinked from its bucket,
-     * and an emptied bucket is dropped when it reaches the front.
-     * The event can be re-armed immediately.
-     */
+    /** Disarm a pending event; it can be re-armed immediately. */
     void
     deschedule(Event &ev)
     {
         bvl_assert(ev._scheduled, "deschedule of an idle event");
-        Bucket &b = buckets[ev._bucket];
-        (ev._prev ? ev._prev->_next : b.head) = ev._next;
-        (ev._next ? ev._next->_prev : b.tail) = ev._prev;
+        erase(ev._pos);
         ev._scheduled = false;
         --numLive;
     }
 
-    /** Move a (possibly armed) event to a new absolute time. The
-     *  event re-enters the same-tick FIFO at its new schedule point. */
+    /** Arm @p ev on the clock edge @p when of the domain whose FIFOs
+     *  are @p edges. */
     void
-    reschedule(Event &ev, Tick when)
+    scheduleAt(EdgeEvent &ev, Tick when, EdgeQueue &edges)
     {
-        if (ev._scheduled)
-            deschedule(ev);
-        scheduleAt(ev, when);
+        checkNotPast(when);
+        bvl_assert(!ev._scheduled, "event double-scheduled");
+        edges.arm(ev, when);
+        ev._when = when;
+        ev._seq = nextSeq++;
+        ev._scheduled = true;
+        ++numLive;
     }
+
+    /** Disarm @p ev, pending in @p edges. */
+    void
+    deschedule(EdgeEvent &ev, EdgeQueue &edges)
+    {
+        bvl_assert(ev._scheduled, "deschedule of an idle event");
+        edges.unlink(ev);
+        ev._scheduled = false;
+        --numLive;
+    }
+
+    /** Edge events never enter the heap. */
+    void scheduleAt(EdgeEvent &, Tick) = delete;
+    void deschedule(EdgeEvent &) = delete;
 
     // ---------------------------------------------------------------
     // Closure path: one-shot callbacks on pooled event nodes.
@@ -248,14 +306,6 @@ class EventQueue
     /** Number of pending (armed) events. */
     std::size_t size() const { return numLive; }
 
-    /** Time of the earliest pending event (maxTick if none). */
-    Tick
-    nextEventTick()
-    {
-        Event *ev = front();
-        return ev ? ev->_when : maxTick;
-    }
-
     /**
      * Pop and execute the earliest event, advancing time.
      * @retval false if the queue was empty.
@@ -263,10 +313,11 @@ class EventQueue
     bool
     step()
     {
-        Event *ev = front();
+        EdgeQueue *from;
+        Event *ev = front(from);
         if (!ev)
             return false;
-        fire(*ev);
+        fire(*ev, from);
         return true;
     }
 
@@ -278,14 +329,9 @@ class EventQueue
     bool
     run(Tick limit = maxTick)
     {
-        for (;;) {
-            Event *ev = front();
-            if (!ev)
-                return true;
-            if (ev->_when > limit)
-                return false;
-            fire(*ev);
-        }
+        const bool never = false;
+        runUntil(never, limit);
+        return empty();
     }
 
     /**
@@ -298,50 +344,32 @@ class EventQueue
     runUntil(const bool &stop, Tick limit = maxTick)
     {
         while (!stop) {
-            Event *ev = front();
+            EdgeQueue *from;
+            Event *ev = front(from);
             if (!ev || ev->_when > limit)
                 return false;
-            fire(*ev);
+            fire(*ev, from);
         }
         return true;
     }
 
     /** Total number of events executed so far. */
-    std::uint64_t executed() const { return _executed; }
+    std::uint64_t executed() const { return _tickEvents + _heapEvents; }
+
+    /** Events executed from the domains' edge FIFOs. */
+    std::uint64_t tickEventsExecuted() const { return _tickEvents; }
+
+    /** Events executed from the heap. */
+    std::uint64_t heapEventsExecuted() const { return _heapEvents; }
 
   private:
-    /** The events pending at one tick, oldest seq first. */
-    struct Bucket
-    {
-        Tick when = 0;
-        Event *head = nullptr;
-        Event *tail = nullptr;
-        /** Listed in tickHeap (not on the free list). */
-        bool inUse = false;
-        /** Listed in bucketAt (see bucketFor()). */
-        bool inMap = false;
-    };
-
-    /** 16-byte min-heap entry: a pending tick and its bucket. */
-    struct TickEntry
+    /** 24-byte heap entry: sifts move small trivially-copyable values
+     *  and never touch a callable. */
+    struct HeapEntry
     {
         Tick when;
-        std::uint32_t bucket;
-    };
-
-    /**
-     * Min-heap comparator over distinct ticks: the standard heap
-     * algorithms build a max-heap, so "greater" puts the earliest
-     * tick at the front. A stateless functor, so push_heap/pop_heap
-     * inline the comparison.
-     */
-    struct LaterThan
-    {
-        bool
-        operator()(const TickEntry &a, const TickEntry &b) const
-        {
-            return a.when > b.when;
-        }
+        std::uint64_t seq;
+        Event *ev;
     };
 
     /** Pooled node backing one one-shot closure event. */
@@ -361,6 +389,21 @@ class EventQueue
         }
     };
 
+    /** (tick, seq) order as one 128-bit key, so comparing does not
+     *  branch. */
+    static bool
+    earlier(Tick aWhen, std::uint64_t aSeq, Tick bWhen, std::uint64_t bSeq)
+    {
+        using Key = unsigned __int128;
+        return ((Key(aWhen) << 64) | aSeq) < ((Key(bWhen) << 64) | bSeq);
+    }
+
+    static bool
+    earlier(const HeapEntry &a, const HeapEntry &b)
+    {
+        return earlier(a.when, a.seq, b.when, b.seq);
+    }
+
     void
     checkNotPast(Tick when) const
     {
@@ -369,146 +412,87 @@ class EventQueue
                    (unsigned long long)when, (unsigned long long)_now);
     }
 
-    /**
-     * The bucket of tick @p when, made if none is pending; records it
-     * as @p ev's.
-     *
-     * A schedule mostly targets the tick of the previous one (a clock
-     * edge several components re-arm for, a burst of same-tick
-     * closures), the front tick, or a tick later than any pending
-     * one, so the tick -> bucket map is kept lazily: a bucket enters
-     * it only when it stops being both the last one used and the
-     * front, the two found without it. A lone clock re-arming at
-     * now + period then never touches the map.
-     */
-    Bucket &
-    bucketFor(Tick when, Event &ev)
-    {
-        Bucket *b = &buckets[lastBucket];
-        if (b->when != when || !b->inUse) {
-            std::uint32_t idx = findOrOpen(when);
-            if (idx != lastBucket)
-                index(lastBucket);
-            lastBucket = idx;
-            b = &buckets[idx];
-        }
-        ev._bucket = lastBucket;
-        return *b;
-    }
-
-    /** The pending bucket of tick @p when, or a new one. */
-    std::uint32_t
-    findOrOpen(Tick when)
-    {
-        if (!tickHeap.empty() && tickHeap.front().when == when)
-            return tickHeap.front().bucket;
-        if (when <= latestTick) {
-            // The map stores index + 1: AddrMap reads 0 as absent.
-            if (std::uint32_t found = bucketAt.get(when))
-                return found - 1;
-        }
-        return retargetFront(when) ? tickHeap.front().bucket
-                                   : openBucket(when);
-    }
-
-    /**
-     * Move the front bucket to tick @p when, which has none, if it is
-     * drained and @p when still comes before every other pending
-     * tick: a lone clock re-arming from its own tick event then
-     * reuses its bucket in place instead of opening one and
-     * releasing the other.
-     */
-    bool
-    retargetFront(Tick when)
-    {
-        if (tickHeap.empty())
-            return false;
-        TickEntry &top = tickHeap.front();
-        Bucket &b = buckets[top.bucket];
-        if (b.head)
-            return false;
-        std::size_t n = tickHeap.size();
-        if ((n > 1 && tickHeap[1].when < when) ||
-            (n > 2 && tickHeap[2].when < when))
-            return false;
-        if (b.inMap) {
-            bucketAt.set(b.when, 0);
-            b.inMap = false;
-        }
-        b.when = top.when = when;
-        latestTick = std::max(latestTick, when);
-        return true;
-    }
-
-    /** List pending bucket @p idx in the map unless it is there or
-     *  is the front. */
     void
-    index(std::uint32_t idx)
+    push(Event &ev, Tick when, std::uint64_t seq)
     {
-        Bucket &b = buckets[idx];
-        if (!b.inUse || b.inMap || tickHeap.front().bucket == idx)
-            return;
-        bucketAt.set(b.when, idx + 1);
-        b.inMap = true;
+        checkNotPast(when);
+        bvl_assert(!ev._scheduled, "event double-scheduled");
+        ev._when = when;
+        ev._seq = seq;
+        ev._scheduled = true;
+        ++numLive;
+        heap.emplace_back();
+        siftUp(heap.size() - 1, HeapEntry{when, seq, &ev});
     }
 
-    /** Start an empty bucket for tick @p when; returns its index. */
-    std::uint32_t
-    openBucket(Tick when)
+    /** Store @p e at heap position @p i and tell its event. */
+    void
+    place(std::size_t i, const HeapEntry &e)
     {
-        std::uint32_t idx;
-        if (freeBuckets.empty()) {
-            idx = static_cast<std::uint32_t>(buckets.size());
-            buckets.emplace_back();
-        } else {
-            idx = freeBuckets.back();
-            freeBuckets.pop_back();
-        }
-        Bucket &b = buckets[idx];
-        b.when = when;
-        b.head = b.tail = nullptr;
-        b.inUse = true;
-        b.inMap = false;
-        latestTick = std::max(latestTick, when);
-        std::uint32_t oldFront =
-            tickHeap.empty() ? idx : tickHeap.front().bucket;
-        tickHeap.push_back(TickEntry{when, idx});
-        std::push_heap(tickHeap.begin(), tickHeap.end(), LaterThan{});
-        // A bucket that stops being the front must be findable.
-        index(oldFront);
-        return idx;
+        heap[i] = e;
+        e.ev->_pos = static_cast<std::uint32_t>(i);
+    }
+
+    /** Fill the hole at @p i with @p e, moving it toward the root. */
+    void
+    siftUp(std::size_t i, const HeapEntry &e)
+    {
+        for (; i > 0 && earlier(e, heap[(i - 1) / arity]);
+             i = (i - 1) / arity)
+            place(i, heap[(i - 1) / arity]);
+        place(i, e);
     }
 
     /**
-     * The earliest armed event, or null if none. Empty buckets at
-     * the front (drained, or emptied by deschedule) are released on
-     * the way.
+     * Remove the entry at @p i: move the hole down along the least
+     * children to a leaf, then fill it with the last entry from there.
+     * The least child is picked by a select, not a branch: which one
+     * it is follows no pattern.
      */
-    Event *
-    front()
+    void
+    erase(std::size_t i)
     {
-        while (!tickHeap.empty()) {
-            std::uint32_t idx = tickHeap.front().bucket;
-            Bucket &b = buckets[idx];
-            if (b.head)
-                return b.head;
-            std::pop_heap(tickHeap.begin(), tickHeap.end(), LaterThan{});
-            tickHeap.pop_back();
-            if (b.inMap)
-                bucketAt.set(b.when, 0);
-            b.inUse = false;
-            freeBuckets.push_back(idx);
+        HeapEntry last = heap.back();
+        heap.pop_back();
+        std::size_t n = heap.size();
+        if (i == n)
+            return;
+        for (std::size_t c; (c = arity * i + 1) < n;) {
+            std::size_t least = c;
+            for (std::size_t k = c + 1; k < c + arity && k < n; ++k)
+                least = earlier(heap[k], heap[least]) ? k : least;
+            place(i, heap[least]);
+            i = least;
         }
-        return nullptr;
+        siftUp(i, last);
+    }
+
+    /** The earliest armed event, or null; @p from is set to the
+     *  domain FIFOs it waits in, or null for the heap. */
+    Event *
+    front(EdgeQueue *&from) const
+    {
+        Event *best = heap.empty() ? nullptr : heap.front().ev;
+        from = nullptr;
+        for (EdgeQueue *d : domains) {
+            Event *ev = d->pending.head;
+            if (ev && (!best || earlier(ev->_when, ev->_seq, best->_when,
+                                        best->_seq))) {
+                best = ev;
+                from = d;
+            }
+        }
+        return best;
     }
 
     /** Unlink the front event @p ev, advance time and run it. */
     void
-    fire(Event &ev)
+    fire(Event &ev, EdgeQueue *from)
     {
-        Bucket &b = buckets[ev._bucket];
-        b.head = ev._next;
-        (b.head ? b.head->_prev : b.tail) = nullptr;
+        if (from)
+            from->popFront();
+        else
+            erase(0);
         --numLive;
         _now = ev._when;
         _runningSeq = ev._seq;
@@ -516,7 +500,7 @@ class EventQueue
         // a closure node returns to the pool the same way.
         ev._scheduled = false;
         ev.process();
-        ++_executed;
+        ++(from ? _tickEvents : _heapEvents);
     }
 
     ClosureEvent *
@@ -532,20 +516,13 @@ class EventQueue
     }
 
     static constexpr std::size_t initialEvents = 1024;
-    static constexpr std::size_t initialTicks = 512;
+    /** Children per heap node: half the levels of a binary heap, so
+     *  half the position writes per pop. */
+    static constexpr std::size_t arity = 4;
 
-    /** Bucket pool; indices are stable, free ones are recycled. */
-    std::vector<Bucket> buckets;
-    std::vector<std::uint32_t> freeBuckets;
-    /** Min-heap of the pending ticks, one entry per bucket in use. */
-    std::vector<TickEntry> tickHeap;
-    /** Pending tick -> its bucket index + 1, for every pending
-     *  bucket but lastBucket and the front (bucketFor()). */
-    AddrMap<std::uint32_t> bucketAt{2 * initialTicks};
-    /** Bucket of the most recent schedule (may since be released). */
-    std::uint32_t lastBucket = 0;
-    /** No bucket is pending at a later tick than this. */
-    Tick latestTick = 0;
+    std::vector<HeapEntry> heap;
+    /** The registered clock domains' edge FIFOs. */
+    std::vector<EdgeQueue *> domains;
     /** Closure nodes live here for the queue's lifetime (deque: node
      *  addresses are stable) and recycle through freeClosures. The
      *  first initialEvents are made up front; more only if that many
@@ -556,7 +533,8 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t _runningSeq = 0;
-    std::uint64_t _executed = 0;
+    std::uint64_t _tickEvents = 0;
+    std::uint64_t _heapEvents = 0;
 };
 
 } // namespace bvl

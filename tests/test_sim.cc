@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "sim/clock_domain.hh"
@@ -154,15 +156,15 @@ TEST(EventQueueTest, DescheduleAndRescheduleIntrusiveEvent)
     EXPECT_TRUE(ev.scheduled());
     EXPECT_EQ(eq.size(), 1u);
 
-    // Descheduling leaves an empty bucket behind; the queue must
-    // neither fire nor count anything there.
+    // Descheduling removes the heap entry; the queue must neither
+    // fire nor count anything there.
     eq.deschedule(ev);
     EXPECT_FALSE(ev.scheduled());
     EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.nextEventTick(), maxTick);
+    EXPECT_FALSE(eq.step());
 
-    // Rescheduling to a different tick fires exactly once, there.
-    eq.reschedule(ev, 25);
+    // Re-arming at a different tick fires exactly once, there.
+    eq.scheduleAt(ev, 25);
     EXPECT_TRUE(ev.scheduled());
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{7}));
@@ -172,7 +174,7 @@ TEST(EventQueueTest, DescheduleAndRescheduleIntrusiveEvent)
 
 TEST(EventQueueTest, RandomScheduleMatchesReferenceOrder)
 {
-    // Random schedule / deschedule / reschedule of intrusive events
+    // Random schedule / deschedule / re-arm of intrusive events
     // mixed with closures and steps, checked against a reference model
     // that fires the smallest (when, seq) armed entry, where seq counts
     // schedule calls (deschedule consumes none).
@@ -212,9 +214,11 @@ TEST(EventQueueTest, RandomScheduleMatchesReferenceOrder)
             break;
           }
           case 1:
-            if (armed[i])
+            if (armed[i]) {
                 ref.erase({armed[i]->first, armed[i]->second, i});
-            eq.reschedule(*probes[i], when);
+                eq.deschedule(*probes[i]);
+            }
+            eq.scheduleAt(*probes[i], when);
             armed[i] = {{when, seq}};
             ref.insert({when, seq++, i});
             break;
@@ -243,14 +247,12 @@ TEST(EventQueueTest, RandomScheduleMatchesReferenceOrder)
 
 TEST(EventQueueTest, SeededMixFiresInSortedTickSeqOrder)
 {
-    // Every way of arming an event, mixed at random: closures,
-    // intrusive reschedule and deschedule, same-tick bursts, closures
+    // Every way of arming a heap event, mixed at random: closures,
+    // intrusive re-arm and deschedule, same-tick bursts, closures
     // that schedule at now() from inside their handler, and events
-    // armed at slots reserved earlier. Peeking at the next tick drops
-    // drained buckets, so later schedules at now() land before the
-    // front. A reference model files each arming under (tick, seq),
-    // where seq counts schedules and reservations, and every step
-    // must fire its smallest entry.
+    // armed at slots reserved earlier. A reference model files each
+    // arming under (tick, seq), where seq counts schedules and
+    // reservations, and every step must fire its smallest entry.
     constexpr int numProbes = 16;
     EventQueue eq;
     std::vector<int> fired;
@@ -303,10 +305,6 @@ TEST(EventQueueTest, SeededMixFiresInSortedTickSeqOrder)
           case 0:
             closure(when, false);
             break;
-          case 7:
-            EXPECT_EQ(eq.nextEventTick(),
-                      ref.empty() ? maxTick : std::get<0>(*ref.begin()));
-            break;
           case 1:
             closure(when, true);
             break;
@@ -315,8 +313,10 @@ TEST(EventQueueTest, SeededMixFiresInSortedTickSeqOrder)
                 closure(when, false);
             break;
           case 3:
+            if (armed[i])
+                eq.deschedule(*probes[i]);
             disarm(i);
-            eq.reschedule(*probes[i], when);
+            eq.scheduleAt(*probes[i], when);
             armed[i] = {{when, seq}};
             ref.insert({when, seq++, i});
             break;
@@ -360,6 +360,221 @@ TEST(EventQueueTest, SeededMixFiresInSortedTickSeqOrder)
         stepOnce();
     EXPECT_FALSE(eq.step());
     EXPECT_GT(slotSchedules, 100u);
+}
+
+/** Clocked ticker whose tick the test scripts. */
+class MixTicker : public Clocked
+{
+  public:
+    MixTicker(ClockDomain &cd, int id, std::function<bool(int)> &onTick)
+        : Clocked(cd, "ticker" + std::to_string(id)), id(id),
+          onTick(onTick)
+    {}
+
+  protected:
+    bool tick() override { return onTick(id); }
+
+  private:
+    int id;
+    std::function<bool(int)> &onTick;
+};
+
+TEST(EventQueueTest, TickersOnThreeDomainsFireInSortedTickSeqOrder)
+{
+    // Clocked tickers on three domains at unequal periods (1.0, 1.4
+    // and 0.6 GHz), activated and deactivated by the test, by closures
+    // and by other tickers' ticks, mixed with closures and with events
+    // armed at reserved slots; armed tickers are destroyed mid-run. A
+    // reference model files each arming under (tick, seq), and every
+    // step must fire its smallest entry.
+    constexpr int numTickers = 9;
+    constexpr int numProbes = 4;
+    constexpr int numIds = numTickers + numProbes;
+    EventQueue eq;
+    ClockDomain d0(eq, "d0", 1.0), d1(eq, "d1", 1.4), d2(eq, "d2", 0.6);
+    ClockDomain *domains[] = {&d0, &d1, &d2};
+    std::vector<int> fired;
+    std::vector<std::unique_ptr<TagEvent>> probes;
+    for (int i = 0; i < numProbes; ++i)
+        probes.push_back(std::make_unique<TagEvent>(fired, numTickers + i));
+    std::vector<std::unique_ptr<MixTicker>> tickers(numTickers);
+    std::set<std::tuple<Tick, std::uint64_t, int>> ref;
+    std::vector<std::optional<std::pair<Tick, std::uint64_t>>> armed(
+        numIds);
+    std::vector<std::pair<Tick, std::uint64_t>> reserved;
+    unsigned crossArms = 0, destroyed = 0, slotSchedules = 0;
+    std::uint64_t seq = 0;
+    int nextClosure = numIds;
+    Rng rng(0xed9e);
+
+    auto note = [&](int id, Tick when) {
+        armed[id] = {{when, seq}};
+        ref.insert({when, seq++, id});
+    };
+    auto forget = [&](int id) {
+        if (armed[id])
+            ref.erase({armed[id]->first, armed[id]->second, id});
+        armed[id].reset();
+    };
+    auto activate = [&](int k) {
+        MixTicker *t = tickers[k].get();
+        if (!t->active())
+            note(k, eq.now() + t->clock().ticksToNextEdge());
+        t->activate();
+    };
+    auto deactivate = [&](int k) {
+        forget(k);
+        tickers[k]->deactivate();
+    };
+    // One random action, taken from a tick or a closure.
+    std::function<void()> act;
+    auto closure = [&](Tick when, bool acts) {
+        int id = nextClosure++;
+        eq.scheduleAt(when, [&, id, acts] {
+            fired.push_back(id);
+            if (acts)
+                act();
+        });
+        ref.insert({when, seq++, id});
+    };
+    act = [&] {
+        int k = static_cast<int>(rng.below(numTickers));
+        switch (rng.below(3)) {
+          case 0:
+            activate(k);
+            ++crossArms;
+            break;
+          case 1:
+            deactivate(k);
+            ++crossArms;
+            break;
+          default:
+            closure(eq.now() + rng.below(3000), rng.below(2) == 0);
+            break;
+        }
+    };
+    std::function<bool(int)> onTick = [&](int id) {
+        fired.push_back(id);
+        if (rng.below(2) == 0)
+            act();
+        bool keep = rng.below(6) != 0;
+        // A ticker that re-armed itself in act() is not re-armed again.
+        if (keep && !tickers[id]->active())
+            note(id, eq.now() + tickers[id]->clock().periodPs());
+        return keep;
+    };
+    for (int k = 0; k < numTickers; ++k)
+        tickers[k] = std::make_unique<MixTicker>(*domains[k % 3], k, onTick);
+
+    auto stepOnce = [&] {
+        auto [when, s, id] = *ref.begin();
+        ref.erase(ref.begin());
+        if (id < numIds)
+            armed[id].reset();
+        std::size_t before = fired.size();
+        ASSERT_TRUE(eq.step());
+        ASSERT_EQ(fired.size(), before + 1);
+        EXPECT_EQ(fired.back(), id);
+        EXPECT_EQ(eq.now(), when);
+        EXPECT_EQ(eq.runningSeq(), s);
+    };
+
+    for (int round = 0; round < 20000; ++round) {
+        int k = static_cast<int>(rng.below(numTickers));
+        int i = static_cast<int>(rng.below(numProbes));
+        Tick when = eq.now() + rng.below(4) * 500;
+        switch (rng.below(8)) {
+          case 0:
+            closure(when, rng.below(2) == 0);
+            break;
+          case 1:
+            activate(k);
+            break;
+          case 2:
+            deactivate(k);
+            break;
+          case 3:
+            // Destroy an armed ticker; its replacement starts idle.
+            if (!tickers[k]->active())
+                break;
+            forget(k);
+            tickers[k] = std::make_unique<MixTicker>(*domains[k % 3], k,
+                                                     onTick);
+            ++destroyed;
+            break;
+          case 4:
+            reserved.push_back({when, eq.reserveSeq()});
+            ++seq;
+            break;
+          case 5: {
+            // Arm an idle probe at a reserved slot still pending.
+            if (reserved.empty() || probes[i]->scheduled())
+                break;
+            std::size_t r = rng.below(reserved.size());
+            auto [rw, rs] = reserved[r];
+            reserved.erase(reserved.begin() + r);
+            if (eq.before(rw, rs))
+                break;
+            eq.scheduleAt(*probes[i], rw, rs);
+            armed[numTickers + i] = {{rw, rs}};
+            ref.insert({rw, rs, numTickers + i});
+            ++slotSchedules;
+            break;
+          }
+          default:
+            if (ref.empty())
+                EXPECT_FALSE(eq.step());
+            else
+                stepOnce();
+            break;
+        }
+        ASSERT_EQ(eq.size(), ref.size());
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    for (int k = 0; k < numTickers; ++k)
+        deactivate(k);
+    while (!ref.empty() && !::testing::Test::HasFailure())
+        stepOnce();
+    EXPECT_FALSE(eq.step());
+    EXPECT_GT(crossArms, 1000u);
+    EXPECT_GT(destroyed, 100u);
+    EXPECT_GT(slotSchedules, 50u);
+    EXPECT_GT(eq.tickEventsExecuted(), 1000u);
+    EXPECT_GT(eq.heapEventsExecuted(), 1000u);
+}
+
+/** Edge event that appends a tag to a shared order vector. */
+class TagEdgeEvent : public EdgeEvent
+{
+  public:
+    TagEdgeEvent(std::vector<int> &order, int tag)
+        : order(order), tag(tag)
+    {}
+    void process() override { order.push_back(tag); }
+
+  private:
+    std::vector<int> &order;
+    int tag;
+};
+
+TEST(ClockDomainTest, TickArmedOffItsPendingEdgesPanics)
+{
+    EventQueue eq;
+    ClockDomain cd(eq, "c", 1.0);
+    std::vector<int> order;
+    TagEdgeEvent a(order, 1), b(order, 2);
+    // With nothing pending, only one of the domain's edges.
+    EXPECT_THROW(cd.scheduleTick(a, 1500), SimPanicError);
+    cd.scheduleTick(a, 1000);
+    // Then the pending edge and the one after it, nothing further.
+    EXPECT_THROW(cd.scheduleTick(b, 3000), SimPanicError);
+    EXPECT_FALSE(b.scheduled());
+    cd.scheduleTick(b, 2000);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(eq.tickEventsExecuted(), 2u);
+    EXPECT_EQ(eq.heapEventsExecuted(), 0u);
 }
 
 TEST(EventQueueTest, SameTickFifoHoldsAcrossEarlierTicksScheduledLater)
