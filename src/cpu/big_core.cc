@@ -237,7 +237,7 @@ BigCore::consumeFu(FuClass fu, Tick now)
 }
 
 void
-BigCore::issueStage()
+BigCore::issueStage(Cycles cycle)
 {
     auto &eq = clock().eventQueue();
     Tick now = eq.now();
@@ -254,7 +254,7 @@ BigCore::issueStage()
     unsigned headBit = static_cast<unsigned>(robHeadSeq & robMask);
     unsigned headWord = headBit / 64;
     for (unsigned k = 0; k <= maskWords && issued < p.issueWidth; ++k) {
-        unsigned w = (headWord + k) % maskWords;
+        unsigned w = (headWord + k) & (maskWords - 1);
         std::uint64_t bits = readyBits[w];
         if (k == 0)
             bits &= ~0ull << (headBit % 64);
@@ -285,7 +285,7 @@ BigCore::issueStage()
             } else {
                 Cycles lat = p.fu.latency(fu);
                 inst->doneAt = now + clock().cyclesToTicks(lat);
-                doneSet(clock().curCycle() + lat)[w] |= slotBit(inst->seq);
+                doneSet(cycle + lat)[w] |= slotBit(inst->seq);
             }
         }
     }
@@ -316,10 +316,10 @@ BigCore::memDone(RobInst *inst, Tick at)
 }
 
 void
-BigCore::drainDone()
+BigCore::drainDone(Cycles cycle)
 {
     Tick now = clock().eventQueue().now();
-    std::uint64_t *set = doneSet(clock().curCycle());
+    std::uint64_t *set = doneSet(cycle);
     for (unsigned w = 0; w < maskWords; ++w) {
         for (std::uint64_t bits = std::exchange(set[w], 0); bits;
              bits &= bits - 1) {
@@ -634,10 +634,12 @@ BigCore::tick()
         memDone(hit.what, hit.due);
     });
     sCycles++;
-    drainDone();
+    // Ticks fire on clock edges, so this is exact for the whole tick.
+    Cycles cycle = clock().curCycle();
+    drainDone(cycle);
     vecDispatchStage();
     commitStage();
-    issueStage();
+    issueStage(cycle);
     fetchStage();
     maybeFinish();
     return running;

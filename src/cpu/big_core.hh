@@ -123,7 +123,8 @@ class BigCore : public ProgramCore
     void beginWindow() override;
 
     void fetchStage();
-    void issueStage();
+    /** Issue ready ops; @p cycle is this tick's cycle. */
+    void issueStage(Cycles cycle);
     void vecDispatchStage();
     void commitStage();
     /**
@@ -135,8 +136,8 @@ class BigCore : public ProgramCore
     /** resolveInst() for a completion delivered by another component
      *  (memory, vector engine), then make sure the core ticks. */
     void completeInst(RobInst *inst);
-    /** Resolve the fixed-latency FU ops due this cycle. */
-    void drainDone();
+    /** Resolve the fixed-latency FU ops due at @p cycle, this tick's. */
+    void drainDone(Cycles cycle);
     /** Issue a scalar load or store to the L1D. */
     void issueMem(RobInst *inst);
     /** Complete scalar load or store @p inst, a hit or a miss, at
@@ -200,6 +201,7 @@ class BigCore : public ProgramCore
     /** Per-slot wakeup masks: bit c of slot p's mask means the
      *  instruction in slot c waits on the one in slot p. */
     std::vector<std::uint64_t> consumerBits;
+    /** Words per slot bitmap: a power of two, like the slot count. */
     unsigned maskWords = 0;
     /**
      * Fixed-latency FU completions (DESIGN.md §11): the set of cycle c

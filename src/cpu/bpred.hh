@@ -9,7 +9,9 @@
 #ifndef BVL_CPU_BPRED_HH
 #define BVL_CPU_BPRED_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bvl
@@ -57,10 +59,10 @@ class GsharePredictor
 
     /** Restore counters + history saved from an identical geometry. */
     void
-    restore(const std::vector<std::uint8_t> &t, std::uint32_t h)
+    restore(std::span<const std::uint8_t> t, std::uint32_t h)
     {
         if (t.size() == table.size()) {
-            table = t;
+            std::copy(t.begin(), t.end(), table.begin());
             history = h & ((1u << indexBits) - 1);
         }
     }

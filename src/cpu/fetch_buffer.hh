@@ -10,7 +10,8 @@
  *
  * Both sets are a handful of lines, so they are flat arrays searched
  * linearly: the per-fetch lookups neither hash nor allocate
- * (DESIGN.md §11).
+ * (DESIGN.md §11). Consecutive fetches from one line skip even that:
+ * the buffer remembers the last line it found ready.
  */
 
 #ifndef BVL_CPU_FETCH_BUFFER_HH
@@ -55,7 +56,10 @@ class FetchBuffer
     lineReady(Addr addr, Clocked *waker)
     {
         Addr line = lineOf(addr);
+        if (line == lastReady)
+            return true;
         if (isReady(line)) {
+            lastReady = line;
             for (unsigned d = 1; d <= prefetchDepth; ++d)
                 prefetch(line + d);
             return true;
@@ -72,6 +76,7 @@ class FetchBuffer
     void
     reset()
     {
+        lastReady = noLine;
         ready.clear();
         // Pending requests may still complete; their callbacks tolerate
         // a reset because they only insert into the (cleared) sets.
@@ -123,6 +128,7 @@ class FetchBuffer
     void
     insertReady(Addr line)
     {
+        lastReady = noLine;
         if (isReady(line))
             return;
         ready.push_back(line);
@@ -142,6 +148,17 @@ class FetchBuffer
     Ring<Addr> ready;
     /** Lines requested and not yet arrived (no duplicates). */
     std::vector<Addr> pending;
+
+    static constexpr Addr noLine = ~Addr(0);
+    /**
+     * The line lineReady() last found ready, or noLine. A line leaves
+     * the ready ring only in insertReady() or reset(), and the pending
+     * list only there or in the arrival callback just before its
+     * insertReady(). Until then the line is still ready and its
+     * prefetch lines are ready or pending, so a repeat lookup has
+     * nothing to do.
+     */
+    Addr lastReady = noLine;
 };
 
 } // namespace bvl

@@ -23,7 +23,9 @@ namespace bvl
 
 /**
  * One frequency island. It keeps its components' armed tick events in
- * its own EdgeQueue, which it registers with the event queue.
+ * its own EdgeQueue, which it registers with the event queue on its
+ * first tick arm: a domain that never ticks anything (the uncore) is
+ * never scanned.
  */
 class ClockDomain
 {
@@ -35,11 +37,13 @@ class ClockDomain
      */
     ClockDomain(EventQueue &eq, std::string name, double freq_ghz)
         : queue(eq), _name(std::move(name)), edges(periodOf(freq_ghz))
-    {
-        queue.addDomain(edges);
-    }
+    {}
     /** Destroyed after its components, so nothing is armed here. */
-    ~ClockDomain() { queue.removeDomain(edges); }
+    ~ClockDomain()
+    {
+        if (registered)
+            queue.removeDomain(edges);
+    }
 
     const std::string &name() const { return _name; }
     Tick periodPs() const { return edges.period(); }
@@ -69,8 +73,15 @@ class ClockDomain
      * Arm @p ev on this domain's edge @p when. Only the pending edge
      * and the one after it may be armed (EdgeQueue).
      */
-    void scheduleTick(EdgeEvent &ev, Tick when)
-    { queue.scheduleAt(ev, when, edges); }
+    void
+    scheduleTick(EdgeEvent &ev, Tick when)
+    {
+        if (!registered) [[unlikely]] {
+            queue.addDomain(edges);
+            registered = true;
+        }
+        queue.scheduleAt(ev, when, edges);
+    }
 
     /** Disarm @p ev, armed with scheduleTick(). */
     void descheduleTick(EdgeEvent &ev) { queue.deschedule(ev, edges); }
@@ -90,6 +101,8 @@ class ClockDomain
     EventQueue &queue;
     std::string _name;
     EdgeQueue edges;
+    /** edges is in the queue's scan list. */
+    bool registered = false;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "soc/checkpoint.hh"
 
 #include <cstring>
+#include <string_view>
 
 #include "sim/check/json.hh"
 #include "sim/logging.hh"
@@ -38,79 +39,79 @@ struct Reader
     const char *end;
     bool ok = true;
 
-    bool
-    take(void *out, std::size_t n)
+    /** The next @p n bytes, in place; empty (and !ok) past the end. */
+    std::string_view
+    view(std::size_t n)
     {
         if (!ok || std::size_t(end - p) < n) {
             ok = false;
-            return false;
+            return {};
         }
-        std::memcpy(out, p, n);
+        std::string_view v(p, n);
         p += n;
-        return true;
+        return v;
     }
 
-    std::uint8_t get8() { std::uint8_t v = 0; take(&v, 1); return v; }
-    std::uint32_t get32() { std::uint32_t v = 0; take(&v, 4); return v; }
-    std::uint64_t get64() { std::uint64_t v = 0; take(&v, 8); return v; }
+    template <typename T>
+    T
+    get()
+    {
+        T v = 0;
+        if (std::string_view b = view(sizeof(T)); ok)
+            std::memcpy(&v, b.data(), sizeof(T));
+        return v;
+    }
+    std::uint8_t get8() { return get<std::uint8_t>(); }
+    std::uint32_t get32() { return get<std::uint32_t>(); }
+    std::uint64_t get64() { return get<std::uint64_t>(); }
 };
 
-/** Fully parsed payload, held aside until verification passes. */
+/** One memory-image record: page number, then the page's bytes. */
+constexpr std::size_t kPageRecordBytes = 8 + BackingStore::pageBytes;
+
+/**
+ * Fully parsed payload, held aside until verification passes. The
+ * byte images are views into the checkpoint bytes, which outlive it.
+ */
 struct Parsed
 {
-    std::string arch;
+    std::string_view arch;
 
     bool hasBpred = false;
     std::uint32_t bpredBits = 0;
-    std::vector<std::uint8_t> bpredTable;
+    std::string_view bpredTable;
     std::uint32_t bpredHistory = 0;
 
-    std::vector<std::pair<Addr, std::vector<std::uint8_t>>> pages;
+    /** Records of (page number, page bytes), kPageRecordBytes each. */
+    std::string_view pages;
 
     /** Tier-B recipe, fully decoded before anything is applied. */
     std::vector<WarmRecord> warm;
 };
 
 bool
-parsePayload(const std::string &payload, Parsed &out)
+parsePayload(std::string_view payload, Parsed &out)
 {
     Reader r{payload.data(), payload.data() + payload.size()};
 
-    std::uint64_t archBytes = r.get64();
-    if (!r.ok || archBytes != ArchState::dumpedBytes ||
-        std::size_t(r.end - r.p) < archBytes) {
+    if (r.get64() != ArchState::dumpedBytes)
         return false;
-    }
-    out.arch.assign(r.p, archBytes);
-    r.p += archBytes;
+    out.arch = r.view(ArchState::dumpedBytes);
 
     out.hasBpred = r.get8() != 0;
     if (out.hasBpred) {
         out.bpredBits = r.get32();
         std::uint32_t tableSize = r.get32();
-        if (!r.ok || tableSize > (1u << 24) ||
-            std::size_t(r.end - r.p) < tableSize) {
+        if (tableSize > (1u << 24))
             return false;
-        }
-        out.bpredTable.resize(tableSize);
-        r.take(out.bpredTable.data(), tableSize);
+        out.bpredTable = r.view(tableSize);
         out.bpredHistory = r.get32();
     }
 
     std::uint64_t pageCount = r.get64();
-    if (!r.ok ||
-        pageCount > std::uint64_t(r.end - r.p) /
-                        (8 + BackingStore::pageBytes)) {
+    if (!r.ok || pageCount > std::uint64_t(r.end - r.p) / kPageRecordBytes)
         return false;
-    }
-    out.pages.reserve(pageCount);
-    for (std::uint64_t i = 0; i < pageCount; ++i) {
-        Addr pageNum = r.get64();
-        std::vector<std::uint8_t> bytes(BackingStore::pageBytes);
-        if (!r.take(bytes.data(), bytes.size()))
-            return false;
-        out.pages.emplace_back(pageNum, std::move(bytes));
-    }
+    out.pages = r.view(pageCount * kPageRecordBytes);
 
     std::uint64_t warmRecords = r.get64();
     std::uint64_t warmBytes = r.get64();
@@ -120,9 +121,7 @@ parsePayload(const std::string &payload, Parsed &out)
         warmRecords > warmBytes / 2 + 1) {
         return false;
     }
-    std::string stream(r.p, warmBytes);
-    r.p += warmBytes;
-    if (!decodeWarmTrace(stream, warmRecords, out.warm))
+    if (!decodeWarmTrace(r.view(warmBytes), warmRecords, out.warm))
         return false;
 
     return r.ok && r.p == r.end;
@@ -232,7 +231,7 @@ encodeCheckpoint(Soc &soc, const std::string &workloadName,
 }
 
 CheckpointStatus
-applyCheckpoint(const std::string &data, Soc &soc,
+applyCheckpoint(std::string_view data, Soc &soc,
                 const std::string &workloadName,
                 const std::string &inputSha, std::string *error)
 {
@@ -243,12 +242,12 @@ applyCheckpoint(const std::string &data, Soc &soc,
     };
 
     auto nl = data.find('\n');
-    if (nl == std::string::npos)
+    if (nl == std::string_view::npos)
         return fail(CheckpointStatus::corrupt, "missing header line");
 
     Json header;
     try {
-        header = Json::parse(data.substr(0, nl));
+        header = Json::parse(std::string(data.substr(0, nl)));
     } catch (const SimError &e) {
         return fail(CheckpointStatus::corrupt,
                     std::string("bad header: ") + e.what());
@@ -275,7 +274,7 @@ applyCheckpoint(const std::string &data, Soc &soc,
                     "initial memory/argument digest differs (other "
                     "scale or dataset?)");
 
-    std::string payload = data.substr(nl + 1);
+    std::string_view payload = data.substr(nl + 1);
     if (payload.size() != header["payloadBytes"].asU64())
         return fail(CheckpointStatus::corrupt, "truncated payload");
     if (sha256Hex(payload) != header["payloadSha256"].asString())
@@ -300,13 +299,22 @@ applyCheckpoint(const std::string &data, Soc &soc,
     bool archOk = core.archState().loadState(img.arch.data(),
                                              img.arch.size());
     bvl_assert(archOk, "arch image size verified but load failed");
-    if (bp)
-        bp->restore(img.bpredTable, img.bpredHistory);
+    if (bp) {
+        const auto *table =
+            reinterpret_cast<const std::uint8_t *>(img.bpredTable.data());
+        bp->restore({table, img.bpredTable.size()}, img.bpredHistory);
+    }
 
     soc.backing.clear();
-    for (const auto &[pageNum, bytes] : img.pages)
+    for (const char *rec = img.pages.data();
+         rec != img.pages.data() + img.pages.size();
+         rec += kPageRecordBytes) {
+        Addr pageNum;
+        std::memcpy(&pageNum, rec, sizeof(pageNum));
         soc.backing.write(pageNum << BackingStore::pageShift,
-                          bytes.data(), bytes.size());
+                          rec + sizeof(pageNum),
+                          BackingStore::pageBytes);
+    }
 
     // Tier B: replay the recorded warm calls through *this* SoC's
     // hierarchy. Warm accesses at tick 0 are deterministic functions

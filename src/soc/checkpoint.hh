@@ -43,6 +43,7 @@
 #define BVL_SOC_CHECKPOINT_HH
 
 #include <string>
+#include <string_view>
 
 #include "sim/io/content_store.hh"
 #include "soc/soc.hh"
@@ -101,7 +102,7 @@ std::string encodeCheckpoint(Soc &soc, const std::string &workloadName,
  * predictor geometry, stream decode) before anything is applied, so
  * on any non-ok status @p soc is untouched. Never returns missing.
  */
-CheckpointStatus applyCheckpoint(const std::string &data, Soc &soc,
+CheckpointStatus applyCheckpoint(std::string_view data, Soc &soc,
                                  const std::string &workloadName,
                                  const std::string &inputSha,
                                  std::string *error = nullptr);

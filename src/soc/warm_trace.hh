@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hh"
@@ -78,7 +79,7 @@ class WarmTrace
  * before any warm call is issued.
  */
 inline bool
-decodeWarmTrace(const std::string &bytes, std::uint64_t records,
+decodeWarmTrace(std::string_view bytes, std::uint64_t records,
                 std::vector<WarmRecord> &out)
 {
     out.clear();

@@ -1,13 +1,20 @@
 /**
  * @file
- * SHA-256 digest for the sweep service.
+ * SHA-256 digest (FIPS 180-4) for the sweep service and checkpoints.
  *
- * The service needs a collision-resistant digest twice: job identity
- * (the content-addressed key of the journal and result cache) and
- * payload integrity (detecting a truncated or corrupted cache entry on
- * disk). The repo has no third-party dependencies, so this is a small
- * self-contained implementation of FIPS 180-4 SHA-256; it hashes a few
- * hundred bytes per job, nowhere near a hot path.
+ * The digest keys content-addressed stores (job hash, farm prefix
+ * hash) and guards payload integrity (result-cache entries,
+ * checkpoint payloads, a run's initial memory image). The checkpoint
+ * paths hash whole memory images, megabytes per sweep cell, so the
+ * block compressor is on a sweep's hot path (DESIGN.md §14/§16).
+ *
+ * Two compressors produce the same digests: a portable one, written
+ * from the standard, and one on the x86 SHA extensions. The process
+ * picks the accelerated one once, at first use, when the CPU has the
+ * extensions, and the portable one otherwise. update() compresses
+ * whole 64-byte blocks straight from the caller's bytes; only a
+ * partial block is staged in the object. The repo has no third-party
+ * dependencies, so both are self-contained.
  */
 
 #ifndef BVL_SWEEP_SERVICE_DIGEST_HH
@@ -16,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace bvl
 {
@@ -23,7 +31,23 @@ namespace bvl
 class Sha256
 {
   public:
-    Sha256() { reset(); }
+    /** Fold @p blocks consecutive 64-byte blocks at @p data into the
+     *  eight state words @p state. */
+    using Compressor = void (*)(std::uint32_t *state,
+                                const std::uint8_t *data,
+                                std::size_t blocks);
+
+    /** The portable compressor: the reference and the fallback. */
+    static void portable(std::uint32_t *state, const std::uint8_t *data,
+                         std::size_t blocks);
+    /** The SHA-extension compressor, or null when this host (or build
+     *  target) has none. */
+    static Compressor accelerated();
+
+    /** Hash with the process's compressor. */
+    Sha256() : Sha256(chosen()) {}
+    /** Hash with @p compress (tests compare the two). */
+    explicit Sha256(Compressor compress) : compress(compress) { reset(); }
 
     void reset();
     void update(const void *data, std::size_t len);
@@ -32,16 +56,18 @@ class Sha256
     std::string hex();
 
   private:
-    void processBlock(const std::uint8_t *block);
+    /** accelerated() when available, else portable; decided once. */
+    static Compressor chosen();
 
+    Compressor compress;
     std::array<std::uint32_t, 8> h;
     std::uint8_t buf[64];
     std::size_t bufLen = 0;
     std::uint64_t totalBits = 0;
 };
 
-/** One-shot digest of a string. */
-std::string sha256Hex(const std::string &data);
+/** One-shot digest of a byte string. */
+std::string sha256Hex(std::string_view data);
 
 } // namespace bvl
 

@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -31,6 +32,7 @@
 #include "soc/checkpoint_farm.hh"
 #include "soc/run_driver.hh"
 #include "soc/run_io.hh"
+#include "sweep/service/digest.hh"
 #include "sweep/service/service.hh"
 #include "vector/engine_presets.hh"
 
@@ -186,6 +188,88 @@ TEST(CheckpointTest, CorruptCheckpointIsQuarantinedAndResimulated)
     EXPECT_FALSE(std::filesystem::exists(ck));
     EXPECT_TRUE(std::filesystem::exists(ck + ".corrupt"));
     EXPECT_EQ(dumpNoLog(restored), dumpNoLog(saved));
+}
+
+TEST(CheckpointTest, DamagedImageOrTruncatedPayloadIsQuarantined)
+{
+    std::string dir = scratchDir("damage");
+    std::string ck = dir + "/ck.bvl";
+    RunResult saved = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
+                                  saveOpts(ck, 150));
+    ASSERT_TRUE(saved.ok()) << saved.message;
+
+    std::ifstream in(ck, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::size_t nl = bytes.find('\n');
+    ASSERT_NE(nl, std::string::npos);
+    const std::string header = bytes.substr(0, nl + 1);
+    const std::string payload = bytes.substr(nl + 1);
+
+    // Payload layout (soc/checkpoint.cc): u64 arch-image size, the
+    // image, u8 predictor flag, then (big-core flavors) u32 index
+    // bits, u32 table size, the table, u32 history; u64 page count
+    // and (u64 page number, page bytes) records; the warm stream.
+    auto u64At = [&](std::size_t off) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, payload.data() + off, sizeof(v));
+        return v;
+    };
+    std::uint64_t archBytes = u64At(0);
+    std::size_t at = 8 + archBytes;
+    ASSERT_EQ(payload[at], 1) << "big-vector flavor has a predictor";
+    std::uint32_t tableBytes = 0;
+    std::memcpy(&tableBytes, payload.data() + at + 5, 4);
+    std::size_t pageCountAt = at + 1 + 4 + 4 + tableBytes + 4;
+    std::uint64_t pages = u64At(pageCountAt);
+    ASSERT_GT(pages, 0u);
+    std::size_t firstPageBytes = pageCountAt + 8 + 8;
+
+    auto flip = [&](std::size_t off) {
+        std::string p = payload;
+        p[off] = char(p[off] ^ 0x5a);
+        return header + p;
+    };
+    // Re-seal a damaged payload: the header's size and digest are made
+    // to match it, so only the payload parser can tell.
+    auto reseal = [&](const std::string &p) {
+        Json h = Json::parse(header.substr(0, nl));
+        h.set("payloadBytes", std::uint64_t(p.size()));
+        h.set("payloadSha256", sha256Hex(p));
+        return h.dump(0) + "\n" + p;
+    };
+    std::string truncated = payload.substr(0, payload.size() - 1);
+    std::string extraPage = payload;
+    std::uint64_t morePages = pages + 1;
+    std::memcpy(extraPage.data() + pageCountAt, &morePages, 8);
+
+    struct Case
+    {
+        const char *name;
+        std::string bytes;
+        const char *why;
+    };
+    const Case cases[] = {
+        {"page", flip(firstPageBytes + BackingStore::pageBytes / 2),
+         "payload digest mismatch"},
+        {"arch", flip(8 + archBytes / 2), "payload digest mismatch"},
+        {"truncated", header + truncated, "truncated payload"},
+        {"resealed_truncated", reseal(truncated), "malformed payload"},
+        {"resealed_page_count", reseal(extraPage), "malformed payload"},
+    };
+    for (const Case &c : cases) {
+        std::string path = dir + "/" + c.name + ".bvl";
+        std::ofstream(path, std::ios::binary) << c.bytes;
+        RunResult r = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
+                                  restoreOpts(path, 150));
+        ASSERT_TRUE(r.ok()) << c.name << ": " << r.message;
+        EXPECT_NE(r.log.find(std::string("is corrupt (") + c.why + ")"),
+                  std::string::npos) << c.name << ": " << r.log;
+        EXPECT_FALSE(std::filesystem::exists(path)) << c.name;
+        EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"))
+            << c.name;
+        EXPECT_EQ(dumpNoLog(r), dumpNoLog(saved)) << c.name;
+    }
 }
 
 TEST(CheckpointTest, MissingCheckpointFallsBackToFastForward)
