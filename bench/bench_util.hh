@@ -62,19 +62,15 @@ applyTraceEnv(RunOptions &opts, Design d, const std::string &name)
  * BVL_CKPT_FARM=1: route every fast-forwarded run the bench launches
  * through the shared checkpoint-prefix farm (DESIGN.md §16) instead
  * of a per-cell cold fast-forward. Only applied to runs that already
- * fast-forward (ffInsts > 0) and do not name explicit checkpoint
- * paths; BVL_CKPT_DIR picks the farm directory.
+ * fast-forward (ffInsts > 0) and name no checkpoint file;
+ * BVL_CKPT_DIR picks the farm directory.
  */
 inline void
 applyCkptEnv(RunOptions &opts)
 {
-    if (!envBool01("BVL_CKPT_FARM", false))
-        return;
-    if (opts.checkpoint.ffInsts == 0 ||
-        !opts.checkpoint.savePath.empty() ||
-        !opts.checkpoint.restorePath.empty())
-        return;
-    opts.checkpoint.farm = true;
+    if (envBool01("BVL_CKPT_FARM", false) &&
+        opts.checkpoint.ffInsts > 0 && opts.checkpoint.path.empty())
+        opts.checkpoint.farm = true;
 }
 
 /**

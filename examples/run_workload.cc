@@ -11,8 +11,7 @@
  * Checkpointing and sampled simulation (DESIGN.md §15/§16):
  *
  *   $ ./example_run_workload --checkpoint ckpt.bvl --ff 20000
- *   $ ./example_run_workload --restore ckpt.bvl --ff 20000
- *   $ ./example_run_workload --restore ckpt.bvl --restore-strict
+ *   $ ./example_run_workload --checkpoint ckpt.bvl
  *   $ ./example_run_workload --ckpt-farm --ff 20000
  *   $ ./example_run_workload --sample 20000:1000:4000:8
  */
@@ -42,8 +41,7 @@ usage(const char *argv0)
                  "[--trace-start NS] [--trace-stop NS]\n"
                  "          [--stat-sample FILE] "
                  "[--sample-interval NS]\n"
-                 "          [--checkpoint FILE] [--restore FILE] "
-                 "[--restore-strict] [--ff N]\n"
+                 "          [--checkpoint FILE] [--ff N]\n"
                  "          [--ckpt-farm] [--ckpt-dir DIR]\n"
                  "          [--sample FF:WARM:DETAIL:PERIODS]\n"
                  "designs: 1L 1b 1bIV 1b-4L 1bIV-4L 1bDV 1b-4VL\n"
@@ -116,11 +114,7 @@ main(int argc, char **argv)
         } else if (arg == "--sample-interval") {
             opts.trace.sampleIntervalNs = std::atof(next());
         } else if (arg == "--checkpoint") {
-            opts.checkpoint.savePath = next();
-        } else if (arg == "--restore") {
-            opts.checkpoint.restorePath = next();
-        } else if (arg == "--restore-strict") {
-            opts.checkpoint.strict = true;
+            opts.checkpoint.path = next();
         } else if (arg == "--ckpt-farm") {
             opts.checkpoint.farm = true;
         } else if (arg == "--ckpt-dir") {
@@ -145,39 +139,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Reject contradictory flag combinations up front, each with one
-    // actionable line, instead of letting the engine fatal() later.
-    const auto &ck = opts.checkpoint;
-    if (!ck.savePath.empty() && !ck.restorePath.empty()) {
-        std::fprintf(stderr, "--checkpoint and --restore are mutually "
-                             "exclusive: save in one run, restore in "
-                             "the next\n");
-        return 1;
-    }
-    if (ck.farm && (!ck.savePath.empty() || !ck.restorePath.empty())) {
-        std::fprintf(stderr, "--ckpt-farm manages its own entry paths; "
-                             "drop --checkpoint/--restore\n");
-        return 1;
-    }
-    if (ck.farm && ck.ffInsts == 0) {
-        std::fprintf(stderr, "--ckpt-farm needs --ff N: the prefix "
-                             "length is part of the farm entry's "
-                             "identity\n");
-        return 1;
-    }
-    if (ck.strict && ck.restorePath.empty()) {
-        std::fprintf(stderr, "--restore-strict only constrains "
-                             "--restore; add --restore FILE or drop "
-                             "it\n");
-        return 1;
-    }
-    if (ck.strict && ck.ffInsts > 0) {
-        std::fprintf(stderr, "--restore-strict never re-simulates; "
-                             "drop --ff N (or drop --restore-strict "
-                             "to allow the fast-forward fallback)\n");
-        return 1;
-    }
-
     auto w = makeWorkload(workload, scale);
     if (!w) {
         std::fprintf(stderr, "unknown workload '%s' (try --list)\n",
@@ -188,6 +149,8 @@ main(int argc, char **argv)
     auto r = runWorkload(design, *w, opts);
     // Diagnostics (e.g. a quarantined corrupt checkpoint) are captured
     // into the result by the driver; surface them like a plain run.
+    // The engine rejects contradictory options, and the status and
+    // message below report why.
     if (!r.log.empty())
         std::fputs(r.log.c_str(), stderr);
     std::printf("workload  %s (%s)\n", r.workload.c_str(),

@@ -3,16 +3,17 @@
 # scripts/ci.sh and the GitHub Actions workflow. Exercises, against
 # the example_run_workload driver and a live sweep:
 #
-#   1. save run (--checkpoint --ff)  -> checkpoint written, run finishes
-#   2. restore run (--restore)       -> stdout byte-identical to save run
-#   3. warm restore rerun            -> byte-identical again
-#   4. corrupt checkpoint (bit flip) -> quarantined as *.corrupt and
-#                                       re-simulated, never trusted;
-#                                       stdout still byte-identical
-#   5. sampled run (--sample) twice  -> byte-identical (determinism)
-#   6. save/restore mid-sweep        -> checkpoint runs concurrent with
-#                                       a sweep-service sweep; neither
-#                                       perturbs the other
+#   1. fresh file (--checkpoint --ff)  -> prefix produced and published,
+#                                         run finishes
+#   2. restore only (--checkpoint)     -> stdout byte-identical to run 1
+#   3. corrupt file, restore only      -> run fails, file left untouched
+#   4. corrupt file, with --ff         -> quarantined as *.corrupt,
+#                                         produced and published again;
+#                                         stdout still byte-identical
+#   5. sampled run (--sample) twice    -> byte-identical (determinism)
+#   6. produce/restore mid-sweep       -> checkpoint runs concurrent with
+#                                         a sweep-service sweep; neither
+#                                         perturbs the other
 #
 # and, against the bench/sweep_farm grid, the checkpoint-prefix farm
 # (DESIGN.md §16):
@@ -42,38 +43,39 @@ rm -rf "$scratch"
 mkdir -p "$scratch"
 ckpt="$scratch/saxpy.bvl"
 args=(--workload saxpy --design 1b-4VL --scale small)
+# Flip payload bits of checkpoint $1 so its digest cannot match.
+flip_last_byte() {
+    python3 -c 'import sys; d = bytearray(open(sys.argv[1], "rb").read())
+d[-1] ^= 0xFF; open(sys.argv[1], "wb").write(d)' "$1"
+}
 
-echo "--- save run: fast-forward 2000 insts, checkpoint, finish"
+echo "--- fresh checkpoint: fast-forward 2000 insts, publish, finish"
 "$run" "${args[@]}" --checkpoint "$ckpt" --ff 2000 > "$scratch/save.out"
-[ -s "$ckpt" ] || { echo "FAIL: no checkpoint at $ckpt" >&2; exit 1; }
+cp "$ckpt" "$scratch/fresh.bvl"
 grep -q '^verified  yes' "$scratch/save.out" \
-    || { echo "FAIL: save run did not verify" >&2; exit 1; }
+    || { echo "FAIL: producing run did not verify" >&2; exit 1; }
 
-echo "--- restore run: byte-identical to the uninterrupted save run"
-"$run" "${args[@]}" --restore "$ckpt" --ff 2000 > "$scratch/restore.out"
+echo "--- restore only: byte-identical to the producing run"
+"$run" "${args[@]}" --checkpoint "$ckpt" > "$scratch/restore.out"
 cmp "$scratch/save.out" "$scratch/restore.out"
 
-echo "--- warm restore rerun: still byte-identical"
-"$run" "${args[@]}" --restore "$ckpt" --ff 2000 > "$scratch/restore2.out"
-cmp "$scratch/save.out" "$scratch/restore2.out"
+echo "--- corrupt checkpoint, restore only: run fails, file untouched"
+flip_last_byte "$ckpt"
+cp "$ckpt" "$scratch/corrupt.bvl"
+! "$run" "${args[@]}" --checkpoint "$ckpt" > "$scratch/strict.out" \
+    || { echo "FAIL: restore-only run accepted a corrupt file" >&2; exit 1; }
+grep -q 'cannot restore checkpoint' "$scratch/strict.out" \
+    || { echo "FAIL: failed restore not reported" >&2; exit 1; }
+cmp "$ckpt" "$scratch/corrupt.bvl"
 
-echo "--- corrupt checkpoint: quarantined and re-simulated"
-python3 - "$ckpt" <<'EOF'
-import sys
-path = sys.argv[1]
-data = bytearray(open(path, "rb").read())
-data[-1] ^= 0xFF  # flip payload bits so the digest cannot match
-open(path, "wb").write(data)
-EOF
-"$run" "${args[@]}" --restore "$ckpt" --ff 2000 \
+echo "--- corrupt checkpoint with --ff: quarantined, published again"
+"$run" "${args[@]}" --checkpoint "$ckpt" --ff 2000 \
     > "$scratch/poison.out" 2> "$scratch/poison.err"
-[ -e "$ckpt.corrupt" ] \
-    || { echo "FAIL: corrupt checkpoint not quarantined" >&2; exit 1; }
-[ -e "$ckpt" ] \
-    && { echo "FAIL: corrupt checkpoint left in place" >&2; exit 1; }
+cmp "$ckpt.corrupt" "$scratch/corrupt.bvl"
 grep -q 'quarantined' "$scratch/poison.err" \
     || { echo "FAIL: no quarantine warning on stderr" >&2; exit 1; }
 cmp "$scratch/save.out" "$scratch/poison.out"
+cmp "$ckpt" "$scratch/fresh.bvl"
 
 echo "--- sampled run: identical stdout across reruns"
 "$run" "${args[@]}" --sample 2000:400:500:4 > "$scratch/sampled1.out"
@@ -82,14 +84,14 @@ cmp "$scratch/sampled1.out" "$scratch/sampled2.out"
 grep -q '^verified  yes' "$scratch/sampled1.out" \
     || { echo "FAIL: sampled run did not verify" >&2; exit 1; }
 
-echo "--- save/restore mid-sweep under the sweep service"
+echo "--- produce/restore mid-sweep under the sweep service"
 BVL_SCALE=tiny BVL_JOBS=4 BVL_SWEEP_DIR="$scratch/sweep.bg" \
     "$sweep" > "$scratch/sweep.bg.out" 2> /dev/null &
 bg=$!
 mid="$scratch/mid.bvl"
 "$run" "${args[@]}" --checkpoint "$mid" --ff 2000 > "$scratch/mid_save.out"
-"$run" "${args[@]}" --restore "$mid" --ff 2000 > "$scratch/mid_restore.out"
-cmp "$scratch/save.out" "$scratch/mid_save.out"      # vs solo save run
+"$run" "${args[@]}" --checkpoint "$mid" > "$scratch/mid_restore.out"
+cmp "$scratch/save.out" "$scratch/mid_save.out"      # vs solo producing run
 cmp "$scratch/mid_save.out" "$scratch/mid_restore.out"
 wait "$bg"
 BVL_SCALE=tiny BVL_JOBS=4 BVL_SWEEP_DIR="$scratch/sweep.solo" \
@@ -128,13 +130,7 @@ grep -q 'farm_hits=7' "$scratch/farm_warm.err" \
 
 echo "--- corrupt farm entry: quarantined, re-produced, stdout unchanged"
 victim=$(find "$farm" -name '*.bvl' | sort | head -n 1)
-python3 - "$victim" <<'EOF'
-import sys
-path = sys.argv[1]
-data = bytearray(open(path, "rb").read())
-data[-1] ^= 0xFF  # flip payload bits so the digest cannot match
-open(path, "wb").write(data)
-EOF
+flip_last_byte "$victim"
 "${fenv[@]}" "$sfarm" > "$scratch/farm_poison.out" 2> "$scratch/farm_poison.err"
 cmp "$scratch/farm_none.out" "$scratch/farm_poison.out"
 [ -e "$victim.corrupt" ] \

@@ -11,7 +11,7 @@
 # fail on any library function no binary keeps (scripts/dead_symbols.sh),
 # smoke the sweep service's crash safety (kill -9/resume, cache
 # poisoning, isolation, SIGINT; scripts/sweep_smoke.sh), smoke
-# checkpoint save/restore determinism, corrupt-checkpoint quarantine,
+# checkpoint produce/restore determinism, corrupt-checkpoint quarantine,
 # sampled-run determinism and the checkpoint-prefix farm (cold
 # populate, warm zero-fast-forward rerun, corrupt-entry re-production,
 # isolate-mode flock race; scripts/checkpoint_smoke.sh), smoke I/O
@@ -175,7 +175,7 @@ echo "traces are byte-identical across thread counts"
 echo "=== sweep-service crash safety (kill/resume, cache poisoning) ==="
 scripts/sweep_smoke.sh build build/sweep-smoke
 
-echo "=== checkpoint save/restore + sampled determinism smoke ==="
+echo "=== checkpoint produce/restore + farm + sampled determinism smoke ==="
 scripts/checkpoint_smoke.sh build build/ckpt-smoke
 
 echo "=== I/O chaos smoke (fault injection across the persistence stack) ==="

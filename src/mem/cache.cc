@@ -161,29 +161,27 @@ Cache::access(Addr addr, bool isWrite, MemCallback done)
         clock.eventQueue().scheduleAt(ready, std::move(done));
 }
 
-Tick
-Cache::accessTick(Addr addr, bool isWrite, MemCallback &&onMiss)
+bool
+Cache::lookup(Addr lineNum, bool isWrite, Tick &tagDone)
 {
-    Addr lineNum = lineOf(lineAlign(addr));
     auto &eq = clock.eventQueue();
 
     // Tag-port occupancy: one lookup per clock period.
     Tick start = std::max(eq.now(), portNextFree);
     portNextFree = start + clock.periodPs();
 
-    Tick tagDone = start + clock.cyclesToTicks(p.hitLatency);
+    tagDone = start + clock.cyclesToTicks(p.hitLatency);
     sAccesses++;
 
     if (Way *way = findWay(lineNum, setIndex(lineNum, indexMode))) {
         way->lastUse = eq.now();
         way->dirty |= isWrite;
         sHits++;
-        return tagDone;
+        return true;
     }
 
     sMisses++;
-    handleMiss(lineNum, isWrite, std::move(onMiss), tagDone);
-    return maxTick;
+    return false;
 }
 
 int

@@ -96,9 +96,21 @@ class Cache
      * (DESIGN.md §11): a hit schedules nothing and returns the tick
      * the line is ready at; a miss returns maxTick, and @p onMiss
      * fires when the line is present, as access()'s @p done would.
-     * @p onMiss is moved from only on a miss.
+     * Only a miss wraps @p onMiss in a MemCallback: a hit neither
+     * moves nor copies it.
      */
-    Tick accessTick(Addr addr, bool isWrite, MemCallback &&onMiss);
+    template <typename OnMiss>
+    Tick
+    accessTick(Addr addr, bool isWrite, OnMiss &&onMiss)
+    {
+        Addr lineNum = lineOf(lineAlign(addr));
+        Tick tagDone = 0;
+        if (lookup(lineNum, isWrite, tagDone))
+            return tagDone;
+        handleMiss(lineNum, isWrite,
+                   MemCallback(std::forward<OnMiss>(onMiss)), tagDone);
+        return maxTick;
+    }
 
     /** Switch set-indexing mode (vector-mode entry/exit). */
     void setIndexMode(IndexMode mode) { indexMode = mode; }
@@ -195,6 +207,13 @@ class Cache
     {
         return const_cast<Way *>(std::as_const(*this).findAnywhere(lineNum));
     }
+    /**
+     * The timed tag lookup of one access: occupies the tag port, sets
+     * @p tagDone to the tick the lookup completes and counts the
+     * access. On a hit it also updates LRU and dirty state and counts
+     * the hit; a miss is counted and left to the caller.
+     */
+    bool lookup(Addr lineNum, bool isWrite, Tick &tagDone);
     /** Line-install path of the timed fill and of warmAccess(). */
     void installLine(Addr lineNum, bool isWrite, bool warm);
     void handleMiss(Addr lineNum, bool isWrite, MemCallback done,

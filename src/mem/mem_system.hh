@@ -194,12 +194,14 @@ class MemSystem
 
     /** accessData() for a core that completes its own hits: see
      *  Cache::accessTick(). */
+    template <typename OnMiss>
     Tick
     accessDataTick(unsigned coreId, Addr addr, bool isWrite,
-                   MemCallback onMiss)
+                   OnMiss &&onMiss)
     {
         sDataReqs++;
-        return l1d(coreId).accessTick(addr, isWrite, std::move(onMiss));
+        return l1d(coreId).accessTick(addr, isWrite,
+                                      std::forward<OnMiss>(onMiss));
     }
 
     /**

@@ -3,9 +3,8 @@
 namespace bvl
 {
 
-CheckContext::CheckContext(const CheckOptions &opts, StatGroup &stats,
-                           InvariantRegistry &registry)
-    : opts(opts), registry(registry),
+CheckContext::CheckContext(const CheckOptions &opts, StatGroup &stats)
+    : opts(opts),
       sRetires(stats.handle("check.retires")),
       sUops(stats.handle("check.uops")),
       sSweeps(stats.handle("check.sweeps")),

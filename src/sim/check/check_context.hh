@@ -15,10 +15,10 @@
  *    armed component reaches the LockstepChecker, other components'
  *    hooks fall through to the invariant sweep logic.
  *
- *  - Structural invariant sweeps over the registry that components
- *    populate at construction time. Sweeps run every invariantPeriod
- *    retires (across all streams), at drain points, and on demand for
- *    the watchdog's deadlock diagnostic.
+ *  - Structural invariant sweeps over the registry the context owns,
+ *    which components populate when the Soc constructs it. Sweeps run
+ *    every invariantPeriod retires (across all streams), at drain
+ *    points, and once more on the run driver's failure path.
  *
  * Any violation or divergence raises CheckError, which the run driver
  * maps to RunStatus::check_failed and feeds into forensics capture.
@@ -62,8 +62,7 @@ struct CheckOptions
 class CheckContext
 {
   public:
-    CheckContext(const CheckOptions &opts, StatGroup &stats,
-                 InvariantRegistry &registry);
+    CheckContext(const CheckOptions &opts, StatGroup &stats);
 
     const CheckOptions &options() const { return opts; }
     InvariantRegistry &invariants() { return registry; }
@@ -137,14 +136,14 @@ class CheckContext
     void sweepInvariants(const char *where);
 
     /**
-     * Non-throwing sweep for the watchdog diagnostic: returns "" when
-     * everything holds, else the violation report.
+     * Non-throwing sweep for the run driver's failure report: returns
+     * "" when everything holds, else the violation report.
      */
     std::string invariantReport();
 
   private:
     CheckOptions opts;
-    InvariantRegistry &registry;
+    InvariantRegistry registry;
 
     std::unique_ptr<LockstepChecker> checker;
     const void *armedTag = nullptr;

@@ -4,12 +4,14 @@
  *
  * Components register named invariants over their own state — queue
  * and credit conservation in the VCU/VMU, cache MSHR occupancy, the
- * ROB-head-only vector dispatch rule — at construction time. The
- * registry is *pulled*: nothing is evaluated per event, so an idle
- * registry adds zero work to the simulation hot paths. The checker
- * sweeps it at retire and drain points (CheckContext), and the
- * watchdog includes a sweep in its deadlock diagnostic, so a hang is
- * reported together with any structural violation that explains it.
+ * ROB-head-only vector dispatch rule — into the registry a
+ * CheckContext owns, when the Soc is built for a checked run. The
+ * registry is *pulled*: nothing is evaluated per event, so it adds
+ * zero work to the simulation hot paths. The checker sweeps it at
+ * retire and drain points, and the run driver's failure path takes
+ * one last non-throwing sweep (CheckContext::invariantReport()), so a
+ * failed run, a deadlock included, is reported together with any
+ * structural violation that explains it.
  *
  * An invariant returns an empty string while it holds and a short
  * violation description otherwise. Check functions may only *read*

@@ -178,41 +178,18 @@ encodeCheckpoint(Soc &soc, const std::string &workloadName,
                  std::uint64_t ffInsts, const WarmTrace &trace,
                  const std::string &inputSha)
 {
-    std::string payload;
-
-    // 1. Architectural state of the executing core.
     ProgramCore &core = *soc.streamCore();
-    std::string archBytes;
-    core.archState().dumpState(archBytes);
-    put64(payload, archBytes.size());
-    payload += archBytes;
-
-    // 2. Branch predictor (big-core flavors only).
     GsharePredictor *bp = core.predictor();
-    put8(payload, bp ? 1 : 0);
-    if (bp) {
-        put32(payload, bp->tableIndexBits());
-        put32(payload, std::uint32_t(bp->rawTable().size()));
-        payload.append(
-            reinterpret_cast<const char *>(bp->rawTable().data()),
-            bp->rawTable().size());
-        put32(payload, bp->rawHistory());
-    }
-
-    // 3. Memory image, sorted by page number for determinism.
     auto pages = soc.backing.sortedPages();
-    put64(payload, pages.size());
-    for (const auto &[num, bytes] : pages) {
-        put64(payload, num);
-        payload.append(reinterpret_cast<const char *>(bytes->data()),
-                       bytes->size());
-    }
 
-    // 4. Tier-B warm stream (replayed, not imaged, at load time).
-    put64(payload, trace.records());
-    put64(payload, trace.bytes().size());
-    payload += trace.bytes();
-
+    // The payload is sized up front, so the header line that names
+    // its size and digest and the payload itself share one buffer:
+    // a publish holds the memory image once beside the SoC's pages.
+    const std::size_t payloadBytes =
+        8 + ArchState::dumpedBytes + 1 +
+        (bp ? 4 + 4 + bp->rawTable().size() + 4 : 0) + 8 +
+        pages.size() * (8 + BackingStore::pageBytes) + 8 + 8 +
+        trace.bytes().size();
     Json header = Json::object();
     header.set("schema", kSchema);
     header.set("version", kVersion);
@@ -221,12 +198,49 @@ encodeCheckpoint(Soc &soc, const std::string &workloadName,
     header.set("workload", workloadName);
     header.set("ffInsts", ffInsts);
     header.set("inputSha256", inputSha);
-    header.set("payloadBytes", std::uint64_t(payload.size()));
-    header.set("payloadSha256", sha256Hex(payload));
-
+    header.set("payloadBytes", std::uint64_t(payloadBytes));
+    // A placeholder of the digest's length holds its place.
+    header.set("payloadSha256", std::string(64, '0'));
     std::string text = header.dump(0);
     text += '\n';
-    text += payload;
+    const std::size_t headerBytes = text.size();
+    text.reserve(headerBytes + payloadBytes);
+
+    // 1. Architectural state of the executing core.
+    put64(text, ArchState::dumpedBytes);
+    core.archState().dumpState(text);
+
+    // 2. Branch predictor (big-core flavors only).
+    put8(text, bp ? 1 : 0);
+    if (bp) {
+        put32(text, bp->tableIndexBits());
+        put32(text, std::uint32_t(bp->rawTable().size()));
+        text.append(
+            reinterpret_cast<const char *>(bp->rawTable().data()),
+            bp->rawTable().size());
+        put32(text, bp->rawHistory());
+    }
+
+    // 3. Memory image, sorted by page number for determinism.
+    put64(text, pages.size());
+    for (const auto &[num, bytes] : pages) {
+        put64(text, num);
+        text.append(reinterpret_cast<const char *>(bytes->data()),
+                    bytes->size());
+    }
+
+    // 4. Tier-B warm stream (replayed, not imaged, at load time).
+    put64(text, trace.records());
+    put64(text, trace.bytes().size());
+    text += trace.bytes();
+
+    bvl_assert(text.size() == headerBytes + payloadBytes,
+               "checkpoint payload is %zu bytes, sized as %zu",
+               text.size() - headerBytes, payloadBytes);
+    header.set("payloadSha256",
+               sha256Hex(std::string_view(text).substr(headerBytes)));
+    // As long as the placeholder line, so it is overwritten in place.
+    text.replace(0, headerBytes - 1, header.dump(0));
     return text;
 }
 

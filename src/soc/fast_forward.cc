@@ -73,6 +73,144 @@ fastForward(Soc &soc, ProgramCore &core, const Program &prog,
     return res;
 }
 
+namespace
+{
+
+/**
+ * Fast-forward the checkpoint prefix of @p ffInsts instructions,
+ * warming as it goes and, with @p trace, recording the warm stream.
+ * fatal()s if the program halts inside the prefix: a checkpoint there
+ * would leave the detailed run nothing to measure.
+ */
+void
+producePrefix(Soc &soc, ProgramCore &core, const Program &prog,
+              std::uint64_t ffInsts, WarmTrace *trace)
+{
+    auto ff = fastForward(soc, core, prog, ffInsts, true, trace);
+    if (ff.halted)
+        fatal("workload halted after %llu instructions during "
+              "fast-forward; reduce ffInsts",
+              static_cast<unsigned long long>(ff.executed));
+}
+
+/**
+ * Bring @p soc to the end of the prefix through its checkpoint entry:
+ * the farm's content-addressed entry with ckpt.farm, else the file at
+ * ckpt.path. An entry that verifies is restored. Otherwise the prefix
+ * is produced and published to the entry, and a corrupt entry is
+ * quarantined on the way; without ffInsts there is nothing to
+ * produce, so an entry that does not restore fails the run and is
+ * left alone. A mismatched entry is always fatal.
+ */
+void
+restoreOrProduce(Soc &soc, Workload &workload, ProgramCore &core,
+                 const Program &prog, const CheckpointOptions &ckpt)
+{
+    // Digest the initial inputs before the prefix (or the restore)
+    // mutates memory.
+    std::string inputSha = checkpointInputSha256(soc, workload);
+
+    // A named file is no farm entry: a State of its own keeps it out
+    // of the farm's counters.
+    ContentStore::State unshared;
+    ContentStore store = ckpt.farm
+                             ? CheckpointFarm::open(ckpt.farmDir)
+                             : ContentStore("", kCheckpointKind,
+                                            unshared);
+    std::string entry = ckpt.path;
+    // Message parts: "checkpoint farm: restored prefix <hash> from
+    // <entry>", or "checkpoint: restored prefix from <path>".
+    const char *kind = ckpt.farm ? "checkpoint farm" : "checkpoint";
+    std::string tag;
+    if (ckpt.farm) {
+        std::string hash = CheckpointFarm::prefixHashHex(
+            workload.name(), ckpt.ffInsts, checkpointFlavor(soc),
+            soc.vlenBits(), inputSha);
+        entry = store.entryPath(hash);
+        tag = " " + hash.substr(0, 12);
+    }
+
+    // A farm claimant, or the sole reader of a named file, may
+    // quarantine: the claim orders the rename against the producer's
+    // re-publish, so farm cells that read the same corrupt bytes
+    // cannot count it twice or rename the fresh entry aside.
+    auto tryRestore = [&](bool mayQuarantine) -> bool {
+        std::string bytes, err;
+        CheckpointStatus st =
+            store.read(entry, &bytes, &err)
+                ? applyCheckpoint(bytes, soc, workload.name(),
+                                  inputSha, &err)
+                : CheckpointStatus::missing;
+        if (st == CheckpointStatus::ok) {
+            if (ckpt.farm) {
+                ContentStore::touch(entry);
+                ++CheckpointFarm::state().hits;
+            }
+            inform("%s: restored prefix%s from %s", kind, tag.c_str(),
+                   entry.c_str());
+            return true;
+        }
+        if (st == CheckpointStatus::mismatch)
+            // A farm key covers everything the file identifies itself
+            // by, so there this means a hash collision or a
+            // mis-filed entry; a named file was taken from another
+            // run. A quiet re-production would mask either.
+            fatal("checkpoint %s does not match this run: %s",
+                  entry.c_str(), err.c_str());
+        if (ckpt.ffInsts == 0)
+            fatal("cannot restore checkpoint %s (%s): %s; without "
+                  "ffInsts there is no prefix to produce in its place",
+                  entry.c_str(), checkpointStatusName(st),
+                  err.c_str());
+        if (st == CheckpointStatus::corrupt && mayQuarantine)
+            store.quarantine(entry, err);
+        return false;
+    };
+
+    if (store.publishDisabled()) {
+        // A previous farm publish failed: don't contend on claims or
+        // retry the bad disk per cell, just fast-forward privately.
+        producePrefix(soc, core, prog, ckpt.ffInsts, nullptr);
+        return;
+    }
+    // Optimistic fast path: a published entry restores with no lock
+    // traffic at all.
+    if (tryRestore(!ckpt.farm))
+        return;
+    // Single-flight: the first farm claimant produces, everyone else
+    // blocks here and restores what it published.
+    std::optional<ContentStore::Claim> claim;
+    if (ckpt.farm) {
+        claim.emplace(entry);
+        if (claim->held() && tryRestore(true))
+            return;
+    }
+
+    WarmTrace trace;
+    producePrefix(soc, core, prog, ckpt.ffInsts, &trace);
+    std::string err;
+    if (store.publish(entry,
+                      encodeCheckpoint(soc, workload.name(),
+                                       ckpt.ffInsts, trace, inputSha),
+                      &err)) {
+        inform("%s: produced prefix%s at %s (%llu warm records)", kind,
+               tag.c_str(), entry.c_str(),
+               static_cast<unsigned long long>(trace.records()));
+        if (ckpt.farm)
+            store.evictOverBudget(CheckpointFarm::budgetBytesFromEnv(),
+                                  entry);
+    } else if (!ckpt.farm) {
+        // The user named this file, so not writing it fails the run.
+        // A failed farm publish leaves the run unharmed: the prefix
+        // state is already in this SoC, and the farm just stops
+        // accelerating other cells.
+        fatal("cannot write checkpoint %s: %s", entry.c_str(),
+              err.c_str());
+    }
+}
+
+} // namespace
+
 FfRunOutcome
 runFastForwarded(Soc &soc, Workload &workload, const RunOptions &opts)
 {
@@ -86,6 +224,12 @@ runFastForwarded(Soc &soc, Workload &workload, const RunOptions &opts)
     if (opts.check.lockstep)
         fatal("lockstep checking cannot be combined with fast-forward: "
               "the checker must observe every fetch");
+    if (ckpt.farm && !ckpt.path.empty())
+        fatal("the checkpoint farm names its own entries; farm mode "
+              "cannot be combined with a checkpoint path");
+    if (ckpt.farm && ckpt.ffInsts == 0)
+        fatal("farm mode needs ffInsts > 0: the prefix length is "
+              "part of the farm entry's identity");
     RunShape shape = soc.shape(workload.isDataParallel());
     if (shape.taskGraph)
         fatal("fast-forward requires a single program stream: a "
@@ -109,167 +253,15 @@ runFastForwarded(Soc &soc, Workload &workload, const RunOptions &opts)
         return soc.runUntil(done, limit);
     };
 
-    // --- checkpoint save / restore / farm / plain fast-forward ------
+    // --- checkpoint entry, or plain fast-forward ---------------------
 
     if (ckpt.enabled()) {
-        if (ckpt.farm &&
-            (!ckpt.savePath.empty() || !ckpt.restorePath.empty()))
-            fatal("the checkpoint farm manages its own entry paths; "
-                  "farm mode cannot be combined with an explicit "
-                  "save/restore path");
-        if (ckpt.farm && ckpt.ffInsts == 0)
-            fatal("farm mode needs ffInsts > 0: the prefix length is "
-                  "part of the farm entry's identity");
-        if (ckpt.strict && ckpt.restorePath.empty())
-            fatal("strict mode only constrains --restore; nothing to "
-                  "be strict about without a restore path");
-        if (ckpt.strict && ckpt.ffInsts > 0)
-            fatal("strict restore never re-simulates; drop ffInsts "
-                  "(or drop strict to allow the fast-forward "
-                  "fallback)");
-
-        // Run the fast-forward prefix functionally, optionally
-        // recording the warm stream; fatal()s if the program halts
-        // inside the prefix (a checkpoint there would be useless).
-        auto producePrefix = [&](WarmTrace *trace) {
-            auto ff = fastForward(soc, core, *prog, ckpt.ffInsts, true,
-                                  trace);
-            if (ff.halted)
-                fatal("workload halted after %llu instructions during "
-                      "fast-forward; reduce ffInsts",
-                      static_cast<unsigned long long>(ff.executed));
-        };
-
-        // Explicit checkpoint paths are no farm entries: a State of
-        // their own keeps them out of the farm's counters.
-        ContentStore::State unshared;
-        ContentStore file("", kCheckpointKind, unshared);
-
-        if (!ckpt.restorePath.empty()) {
-            // Digest the initial inputs before fast-forward (or the
-            // checkpoint itself) mutates memory.
-            std::string inputSha = checkpointInputSha256(soc, workload);
-            std::string bytes, err;
-            CheckpointStatus st =
-                file.read(ckpt.restorePath, &bytes, &err)
-                    ? applyCheckpoint(bytes, soc, workload.name(),
-                                      inputSha, &err)
-                    : CheckpointStatus::missing;
-            if (ckpt.strict && st != CheckpointStatus::ok)
-                fatal("strict restore of %s failed (%s): %s",
-                      ckpt.restorePath.c_str(),
-                      checkpointStatusName(st), err.c_str());
-            if (st == CheckpointStatus::mismatch)
-                fatal("checkpoint %s does not match this run: %s",
-                      ckpt.restorePath.c_str(), err.c_str());
-            if (st != CheckpointStatus::ok) {
-                // Never trust a bad checkpoint: quarantine it and
-                // re-simulate the fast-forward region from scratch,
-                // which reproduces the same state by construction.
-                if (st == CheckpointStatus::corrupt)
-                    file.quarantine(ckpt.restorePath, err);
-                else
-                    warn("checkpoint %s is missing or unreadable "
-                         "(%s); re-simulating",
-                         ckpt.restorePath.c_str(), err.c_str());
-                if (ckpt.ffInsts == 0)
-                    fatal("cannot re-simulate in place of checkpoint "
-                          "%s: checkpoint ffInsts is 0",
-                          ckpt.restorePath.c_str());
-                producePrefix(nullptr);
-            }
-        } else if (ckpt.farm) {
-            std::string inputSha = checkpointInputSha256(soc, workload);
-            ContentStore farm = CheckpointFarm::open(ckpt.farmDir);
-            std::string hash = CheckpointFarm::prefixHashHex(
-                workload.name(), ckpt.ffInsts, checkpointFlavor(soc),
-                soc.vlenBits(), inputSha);
-            std::string entry = farm.entryPath(hash);
-
-            // Optimistic fast path: a published entry restores with
-            // no lock traffic at all.
-            auto tryRestore = [&](bool claimed) -> bool {
-                std::string bytes, err;
-                if (!farm.read(entry, &bytes))
-                    return false;
-                CheckpointStatus st = applyCheckpoint(
-                    bytes, soc, workload.name(), inputSha, &err);
-                if (st == CheckpointStatus::ok) {
-                    ContentStore::touch(entry);
-                    ++CheckpointFarm::state().hits;
-                    inform("checkpoint farm: restored prefix %s from "
-                           "%s", hash.substr(0, 12).c_str(),
-                           entry.c_str());
-                    return true;
-                }
-                if (st == CheckpointStatus::mismatch)
-                    // The key covers everything the file identifies
-                    // itself by, so this cannot happen short of a
-                    // hash collision or a mis-filed entry.
-                    fatal("farm entry %s exists but describes a "
-                          "different prefix: %s", entry.c_str(),
-                          err.c_str());
-                // Only a claimant quarantines: the claim orders it
-                // against the producer's re-publish, so cells that
-                // read the same corrupt bytes cannot count it twice
-                // or rename the fresh entry aside.
-                if (claimed)
-                    farm.quarantine(entry, err);
-                return false;
-            };
-
-            if (farm.publishDisabled()) {
-                // A previous publish failed: don't contend on claims
-                // or retry the bad disk per cell, just fast-forward
-                // privately.
-                producePrefix(nullptr);
-            } else if (!tryRestore(false)) {
-                // Single-flight: first claimant produces, everyone
-                // else blocks here and restores what it published.
-                ContentStore::Claim claim(entry);
-                if (!claim.held() || !tryRestore(true)) {
-                    WarmTrace trace;
-                    producePrefix(&trace);
-                    // On a failed publish the prefix state is already
-                    // produced in this SoC — the run is unharmed; the
-                    // farm just stops accelerating other cells.
-                    if (farm.publish(entry,
-                                     encodeCheckpoint(
-                                         soc, workload.name(),
-                                         ckpt.ffInsts, trace,
-                                         inputSha))) {
-                        inform("checkpoint farm: produced prefix %s "
-                               "at %s (%llu warm records)",
-                               hash.substr(0, 12).c_str(),
-                               entry.c_str(),
-                               static_cast<unsigned long long>(
-                                   trace.records()));
-                        farm.evictOverBudget(
-                            CheckpointFarm::budgetBytesFromEnv(),
-                            entry);
-                    }
-                }
-            }
-        } else if (!ckpt.savePath.empty()) {
-            std::string inputSha = checkpointInputSha256(soc, workload);
-            WarmTrace trace;
-            producePrefix(&trace);
-            std::string err;
-            if (!file.publish(ckpt.savePath,
-                              encodeCheckpoint(soc, workload.name(),
-                                               ckpt.ffInsts, trace,
-                                               inputSha),
-                              &err))
-                fatal("cannot write checkpoint %s: %s",
-                      ckpt.savePath.c_str(), err.c_str());
-            inform("checkpoint written to %s after %llu instructions",
-                   ckpt.savePath.c_str(),
-                   static_cast<unsigned long long>(ckpt.ffInsts));
-        } else {
+        if (ckpt.farm || !ckpt.path.empty())
+            restoreOrProduce(soc, workload, core, *prog, ckpt);
+        else
             // Plain fast-forward: the cold per-cell baseline a farm
             // amortizes away. No file is read or written.
-            producePrefix(nullptr);
-        }
+            producePrefix(soc, core, *prog, ckpt.ffInsts, nullptr);
         out.finished = runWindowBlocking(0);
         return out;
     }

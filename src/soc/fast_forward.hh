@@ -7,9 +7,10 @@
  *
  * Two run shapes build on this:
  *
- *  - checkpointing: fast-forward N instructions, snapshot the SoC
- *    (soc/checkpoint.hh) and continue in detail; a later run restores
- *    the snapshot and produces byte-identical results.
+ *  - checkpointing: fast-forward N instructions, publish a snapshot
+ *    of the SoC (soc/checkpoint.hh) to a checkpoint file or farm
+ *    entry and continue in detail; a later run restores the snapshot
+ *    and produces byte-identical results.
  *  - SMARTS-style sampling: per period, fast-forward -> unmeasured
  *    detailed warmup -> measured detailed window; total runtime is
  *    extrapolated from the measured windows and the run finishes with
@@ -64,7 +65,7 @@ struct FfRunOutcome
     /** The workload ran (or fast-forwarded) to completion. */
     bool finished = false;
     /** Extrapolated runtime of a sampled run (ns); unset when the run
-     *  was timed end-to-end (checkpoint save/restore). */
+     *  was timed end-to-end (a checkpointed run). */
     std::optional<double> estimatedNs;
     /** sample.* stats describing the windows actually measured. */
     std::map<std::string, std::uint64_t> extraStats;

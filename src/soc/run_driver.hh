@@ -45,38 +45,31 @@ struct SamplingOptions
 };
 
 /**
- * Checkpoint save/restore (DESIGN.md §15). Saving fast-forwards
- * @p ffInsts instructions functionally, snapshots architectural +
- * warm microarchitectural state to @p savePath, then continues in
- * detail; restoring resumes detailed timing from @p restorePath. A
- * missing or corrupt checkpoint is quarantined (renamed *.corrupt)
- * and re-simulated from scratch via @p ffInsts — never silently
- * trusted — which yields byte-identical results by construction.
+ * Fast-forward prefixes and where they are kept (DESIGN.md §15/§16).
+ * @p ffInsts alone fast-forwards that many instructions functionally
+ * every run and keeps nothing: the cold baseline a sweep pays per
+ * cell. A checkpoint entry makes the prefix reusable; it is either
+ * the file at @p path or, with @p farm, the run's content-addressed
+ * entry in the farm at @p farmDir (or CheckpointFarm::defaultDir()).
+ * Both go through one restore-or-produce step: an entry that verifies
+ * is restored; otherwise the prefix is fast-forwarded, published to
+ * the entry, and the run continues in detail.
  *
- * Three further shapes (DESIGN.md §16):
- *  - plain fast-forward: @p ffInsts alone (no paths) skips the prefix
- *    functionally every run — the cold baseline a sweep pays per cell.
- *  - farm mode: @p farm resolves the run's prefix hash in the
- *    content-addressed checkpoint farm at @p farmDir (or
- *    CheckpointFarm::defaultDir()); the first cell to miss produces
- *    the entry once (single-flight), everyone else restores it.
- *  - strict restore: @p strict turns the restore fallback into a
- *    reported failure — a missing/corrupt/mismatched @p restorePath
- *    is fatal instead of silently re-simulated.
+ * Without @p ffInsts a @p path can only be restored: a missing,
+ * corrupt or mismatched file fails the run and is left alone. With
+ * it, a corrupt file is quarantined (renamed *.corrupt) and produced
+ * again, never silently trusted; a mismatched one is always fatal.
  */
 struct CheckpointOptions
 {
-    std::string savePath;       ///< write a checkpoint here ("" = off)
-    std::string restorePath;    ///< resume from this file ("" = off)
-    std::uint64_t ffInsts = 0;  ///< insts to fast-forward before saving
-    bool farm = false;          ///< share the prefix via the farm
+    std::string path;           ///< checkpoint file ("" = none)
+    std::uint64_t ffInsts = 0;  ///< prefix length in instructions
+    bool farm = false;          ///< keep the prefix in the farm
     std::string farmDir;        ///< farm directory ("" = env/default)
-    bool strict = false;        ///< restore must succeed; never re-ff
 
     bool enabled() const
     {
-        return !savePath.empty() || !restorePath.empty() || farm ||
-               ffInsts > 0;
+        return !path.empty() || farm || ffInsts > 0;
     }
 };
 
@@ -118,7 +111,7 @@ struct RunOptions
     TraceOptions trace{};
     /** Sampled (fast-forward interleaved) simulation; off by default. */
     SamplingOptions sampling{};
-    /** Checkpoint save/restore; off by default. */
+    /** Fast-forward prefix and its checkpoint; off by default. */
     CheckpointOptions checkpoint{};
 };
 

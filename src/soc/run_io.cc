@@ -61,12 +61,10 @@ template <class V>
 void
 fields(V &v, CheckpointOptions &c)
 {
-    v("savePath", c.savePath);
-    v("restorePath", c.restorePath);
+    v("path", c.path);
     v("ffInsts", c.ffInsts);
     v("farm", c.farm);
     v("farmDir", c.farmDir);
-    v("strict", c.strict);
 }
 
 template <class V>

@@ -107,15 +107,6 @@ Soc::Soc(SocParams params)
         engine->registerProgress(watchdog);
     mem.registerProgress(watchdog);
 
-    // Structural invariants are registered unconditionally (a stored
-    // closure per check, swept only when a CheckContext is armed).
-    big->registerInvariants(invariants);
-    for (auto &l : littles)
-        l->registerInvariants(invariants);
-    if (engine)
-        engine->registerInvariants(invariants);
-    mem.registerInvariants(invariants);
-
     if (p.trace.enabled()) {
         tracerPtr = std::make_unique<Tracer>(p.trace, eq, stats);
         big->setTracer(tracerPtr.get());
@@ -128,8 +119,16 @@ Soc::Soc(SocParams params)
     }
 
     if (p.check.enabled()) {
-        checkCtx = std::make_unique<CheckContext>(p.check, stats,
-                                                  invariants);
+        checkCtx = std::make_unique<CheckContext>(p.check, stats);
+        // Structural invariants: a stored closure per check, swept
+        // only by the context.
+        InvariantRegistry &invariants = checkCtx->invariants();
+        big->registerInvariants(invariants);
+        for (auto &l : littles)
+            l->registerInvariants(invariants);
+        if (engine)
+            engine->registerInvariants(invariants);
+        mem.registerInvariants(invariants);
         big->setCheckContext(checkCtx.get());
         for (auto &l : littles)
             l->setCheckContext(checkCtx.get());

@@ -145,9 +145,6 @@ class Soc
     /** The run's tracer (null when tracing is disarmed). */
     Tracer *tracer() { return tracerPtr.get(); }
 
-    /** Registered structural invariants (always populated). */
-    InvariantRegistry &invariantRegistry() { return invariants; }
-
     /** This design's RunShape on a data- or task-parallel workload. */
     RunShape shape(bool dataParallel) const
     { return runShape(p.design, dataParallel, p.numLittle); }
@@ -185,8 +182,8 @@ class Soc
 
   private:
     std::unique_ptr<FaultInjector> injector;
-    /** Declared after the components its callbacks capture. */
-    InvariantRegistry invariants;
+    /** Owns the invariant registry, whose closures capture the
+     *  components above. */
     std::unique_ptr<CheckContext> checkCtx;
     std::unique_ptr<Tracer> tracerPtr;
     SocParams p;

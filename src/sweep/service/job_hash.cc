@@ -16,19 +16,15 @@ jobHashHex(const SweepJob &job)
     canonical.trace.samplePath.clear();
     canonical.check.forensicsPath.clear();
     canonical.wallDeadlineSec = 0.0;
-    // Checkpoint paths are output/input locations, not semantics: a
-    // restored run is byte-identical to an uninterrupted one, so only
-    // the fast-forward depth (which changes what is simulated in
-    // detail) keys the hash. Sampling options all stay: they change
-    // the measured windows and therefore the result.
-    canonical.checkpoint.savePath.clear();
-    canonical.checkpoint.restorePath.clear();
-    // Farm mode and strict-restore are likewise perf/robustness knobs
-    // around the same byte-identical result: a farm-restored cell
-    // matches a cold fast-forwarded one by construction.
+    // Where the prefix is kept (a checkpoint file, the farm, or
+    // nowhere) is not semantics: a restored run is byte-identical to
+    // one that fast-forwards, so only the fast-forward depth (which
+    // changes what is simulated in detail) keys the hash. Sampling
+    // options all stay: they change the measured windows and
+    // therefore the result.
+    canonical.checkpoint.path.clear();
     canonical.checkpoint.farm = false;
     canonical.checkpoint.farmDir.clear();
-    canonical.checkpoint.strict = false;
 
     Sha256 d;
     auto feed = [&](const std::string &s) {
@@ -46,14 +42,12 @@ jobHashHex(const SweepJob &job)
 bool
 jobCacheable(const SweepJob &job)
 {
-    // Checkpoint jobs are excluded too: saving must actually write
-    // the file, and restoring must actually read it (exercising the
-    // corrupt-checkpoint fallback), neither of which a replayed
-    // result can reproduce.
+    // Jobs with a checkpoint file are excluded too: the run must
+    // actually restore or publish that file (and quarantine a corrupt
+    // one), which a replayed result cannot do.
     return job.opts.trace.path.empty() &&
            job.opts.trace.samplePath.empty() &&
-           job.opts.checkpoint.savePath.empty() &&
-           job.opts.checkpoint.restorePath.empty();
+           job.opts.checkpoint.path.empty();
 }
 
 } // namespace bvl

@@ -54,11 +54,16 @@ TEST(InvariantRegistryTest, SweepReportsOnlyViolations)
 
 TEST(InvariantRegistryTest, SocRegistersComponentInvariants)
 {
-    Soc soc(Design::d1b4VL);
+    // Only a checked run builds the registry.
+    EXPECT_EQ(Soc(Design::d1b4VL).checker(), nullptr);
+    SocParams sp;  // 1b-4VL
+    sp.check.invariants = true;
+    Soc soc(std::move(sp));
+    InvariantRegistry &reg = soc.checker()->invariants();
     // Cores, engine queues/credits and every cache register checks.
-    EXPECT_GE(soc.invariantRegistry().size(), 15u);
+    EXPECT_GE(reg.size(), 15u);
     // A freshly built SoC must be structurally sound.
-    EXPECT_EQ(soc.invariantRegistry().sweep(), "");
+    EXPECT_EQ(reg.sweep(), "");
 }
 
 // ---------------------------------------------------------------- json
@@ -209,8 +214,8 @@ TEST(LockstepTest, InvariantViolationRaisesCheckError)
     sp.check.invariants = true;
     sp.check.invariantPeriod = 1;
     Soc soc(std::move(sp));
-    soc.invariantRegistry().add("test.fuse",
-                                [] { return std::string("blown"); });
+    soc.checker()->invariants().add(
+        "test.fuse", [] { return std::string("blown"); });
     auto w = makeWorkload("vvadd", Scale::tiny);
     w->init(soc.backing);
     bool done = false;

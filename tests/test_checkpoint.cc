@@ -1,11 +1,14 @@
 /**
  * @file
- * Checkpoint and fast-forward engine tests (DESIGN.md §15): a restored
- * run must be byte-identical to the run that saved the checkpoint; a
- * corrupt or missing checkpoint is quarantined/re-simulated, never
- * silently trusted; mismatched checkpoints are fatal; SMARTS-style
- * sampled runs estimate runtime, still verify results, and are
- * deterministic; and every invalid mode combination is rejected.
+ * Checkpoint and fast-forward engine tests (DESIGN.md §15/§16): a
+ * restored run must be byte-identical to the run that produced the
+ * checkpoint; with ffInsts a missing checkpoint is produced and a
+ * corrupt one quarantined and produced again, never silently
+ * trusted; without it a checkpoint that does not restore fails the
+ * run and is left alone; mismatched checkpoints are fatal; the farm
+ * produces each prefix once; SMARTS-style sampled runs estimate
+ * runtime, still verify results, and are deterministic; and every
+ * invalid mode combination is rejected.
  *
  * Naming keys the ctest label partition: CheckpointDeterminismTest
  * runs with the concurrency suites under ThreadSanitizer (it drives
@@ -51,29 +54,31 @@ scratchDir(const char *tag)
     return dir;
 }
 
+/** A run through the checkpoint file at @p path; @p ff = 0 only
+ *  restores it. */
 RunOptions
-saveOpts(const std::string &path, std::uint64_t ff)
+fileOpts(const std::string &path, std::uint64_t ff)
 {
     RunOptions o;
-    o.checkpoint.savePath = path;
+    o.checkpoint.path = path;
     o.checkpoint.ffInsts = ff;
     return o;
 }
 
-RunOptions
-restoreOpts(const std::string &path, std::uint64_t ff)
+std::string
+readBytes(const std::string &path)
 {
-    RunOptions o;
-    o.checkpoint.restorePath = path;
-    o.checkpoint.ffInsts = ff;
-    return o;
+    std::ifstream f(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(f)),
+                       std::istreambuf_iterator<char>());
 }
 
 /**
- * Serialized result minus the log: the save run informs about the
- * written file and a fallback run warns, so the captured log is the
- * one field that legitimately differs between the flows. Everything
- * else — ns, status, verification, every stat — must match exactly.
+ * Serialized result minus the log: a producing run informs about the
+ * published file and a restoring one about the restore, so the
+ * captured log is the one field that legitimately differs between the
+ * flows. Everything else — ns, status, verification, every stat —
+ * must match exactly.
  */
 std::string
 dumpNoLog(RunResult r)
@@ -82,43 +87,49 @@ dumpNoLog(RunResult r)
     return runResultToJson(r).dump(0);
 }
 
-// --- save / restore ----------------------------------------------------
+// --- produce / restore ---------------------------------------------------
 
 TEST(CheckpointTest, SaveThenRestoreIsByteIdentical)
 {
     std::string dir = scratchDir("roundtrip");
     std::string ck = dir + "/saxpy.bvl";
 
+    // A fresh path with ffInsts: the prefix is produced and published.
     RunResult saved = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                                  saveOpts(ck, 150));
+                                  fileOpts(ck, 150));
     ASSERT_TRUE(saved.ok()) << saved.message;
     EXPECT_TRUE(saved.verified);
     ASSERT_TRUE(std::filesystem::exists(ck));
-    EXPECT_NE(saved.log.find("checkpoint written"), std::string::npos);
+    EXPECT_NE(saved.log.find("produced prefix"), std::string::npos)
+        << saved.log;
+    const std::string bytes = readBytes(ck);
 
-    RunResult restored = runWorkload(Design::d1b4VL, "saxpy",
-                                     Scale::tiny, restoreOpts(ck, 150));
-    ASSERT_TRUE(restored.ok()) << restored.message;
-    EXPECT_TRUE(restored.verified);
+    // The rerun restores it, with or without ffInsts, and leaves the
+    // file as it was.
+    for (std::uint64_t ff : {150u, 0u}) {
+        RunResult restored = runWorkload(Design::d1b4VL, "saxpy",
+                                         Scale::tiny, fileOpts(ck, ff));
+        ASSERT_TRUE(restored.ok()) << "ff " << ff << ": "
+                                   << restored.message;
+        EXPECT_TRUE(restored.verified);
+        EXPECT_NE(restored.log.find("restored prefix"),
+                  std::string::npos) << restored.log;
 
-    // The whole point: resuming from the snapshot reproduces the save
-    // run exactly, stats and simulated time included.
-    EXPECT_EQ(dumpNoLog(restored), dumpNoLog(saved));
-    EXPECT_EQ(restored.ns, saved.ns);
-    EXPECT_EQ(restored.stats, saved.stats);
+        // The whole point: resuming from the snapshot reproduces the
+        // producing run exactly, stats and simulated time included.
+        EXPECT_EQ(dumpNoLog(restored), dumpNoLog(saved)) << "ff " << ff;
+        EXPECT_EQ(restored.ns, saved.ns);
+        EXPECT_EQ(restored.stats, saved.stats);
+        EXPECT_EQ(readBytes(ck), bytes) << "ff " << ff;
+    }
 
-    // And saving is itself deterministic: a second save run produces
-    // an identical result and an identical checkpoint file.
+    // And producing is itself deterministic: a second producing run
+    // gives an identical result and an identical checkpoint file.
     std::string ck2 = dir + "/saxpy2.bvl";
     RunResult saved2 = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                                   saveOpts(ck2, 150));
+                                   fileOpts(ck2, 150));
     EXPECT_EQ(dumpNoLog(saved2), dumpNoLog(saved));
-    std::ifstream a(ck, std::ios::binary), b(ck2, std::ios::binary);
-    std::string bytesA((std::istreambuf_iterator<char>(a)),
-                       std::istreambuf_iterator<char>());
-    std::string bytesB((std::istreambuf_iterator<char>(b)),
-                       std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytesA, bytesB);
+    EXPECT_EQ(readBytes(ck2), bytes);
 }
 
 TEST(CheckpointTest, WorksOnEveryFastForwardableDesign)
@@ -135,7 +146,7 @@ TEST(CheckpointTest, WorksOnEveryFastForwardableDesign)
     for (const auto &[d, flavor] : flavors) {
         std::string ck = dir + "/" + designName(d) + ".bvl";
         RunResult saved = runWorkload(d, "vvadd", Scale::tiny,
-                                      saveOpts(ck, 100));
+                                      fileOpts(ck, 100));
         ASSERT_TRUE(saved.ok()) << designName(d) << ": "
                                 << saved.message;
         std::ifstream f(ck, std::ios::binary);
@@ -144,7 +155,7 @@ TEST(CheckpointTest, WorksOnEveryFastForwardableDesign)
         EXPECT_EQ(Json::parse(header)["flavor"].asString(), flavor)
             << designName(d);
         RunResult restored = runWorkload(d, "vvadd", Scale::tiny,
-                                         restoreOpts(ck, 100));
+                                         fileOpts(ck, 0));
         ASSERT_TRUE(restored.ok()) << designName(d) << ": "
                                    << restored.message;
         EXPECT_EQ(dumpNoLog(restored), dumpNoLog(saved))
@@ -154,53 +165,15 @@ TEST(CheckpointTest, WorksOnEveryFastForwardableDesign)
 
 // --- corrupt / missing / mismatched checkpoints ------------------------
 
-TEST(CheckpointTest, CorruptCheckpointIsQuarantinedAndResimulated)
-{
-    std::string dir = scratchDir("corrupt");
-    std::string ck = dir + "/ck.bvl";
-
-    RunResult saved = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                                  saveOpts(ck, 150));
-    ASSERT_TRUE(saved.ok()) << saved.message;
-
-    // Flip one payload byte; the digest in the header catches it.
-    {
-        std::fstream f(ck, std::ios::in | std::ios::out |
-                               std::ios::binary);
-        ASSERT_TRUE(f.good());
-        f.seekg(0, std::ios::end);
-        auto size = static_cast<std::streamoff>(f.tellg());
-        ASSERT_GT(size, 200);
-        f.seekg(size - 100);
-        char c = 0;
-        f.get(c);
-        f.seekp(size - 100);
-        f.put(static_cast<char>(c ^ 0xff));
-    }
-
-    RunResult restored = runWorkload(Design::d1b4VL, "saxpy",
-                                     Scale::tiny, restoreOpts(ck, 150));
-    // Quarantined (renamed aside, never trusted) and re-simulated to
-    // the same answer.
-    ASSERT_TRUE(restored.ok()) << restored.message;
-    EXPECT_NE(restored.log.find("quarantined"), std::string::npos)
-        << restored.log;
-    EXPECT_FALSE(std::filesystem::exists(ck));
-    EXPECT_TRUE(std::filesystem::exists(ck + ".corrupt"));
-    EXPECT_EQ(dumpNoLog(restored), dumpNoLog(saved));
-}
-
 TEST(CheckpointTest, DamagedImageOrTruncatedPayloadIsQuarantined)
 {
     std::string dir = scratchDir("damage");
     std::string ck = dir + "/ck.bvl";
     RunResult saved = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                                  saveOpts(ck, 150));
+                                  fileOpts(ck, 150));
     ASSERT_TRUE(saved.ok()) << saved.message;
 
-    std::ifstream in(ck, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+    const std::string bytes = readBytes(ck);
     std::size_t nl = bytes.find('\n');
     ASSERT_NE(nl, std::string::npos);
     const std::string header = bytes.substr(0, nl + 1);
@@ -257,17 +230,20 @@ TEST(CheckpointTest, DamagedImageOrTruncatedPayloadIsQuarantined)
         {"resealed_truncated", reseal(truncated), "malformed payload"},
         {"resealed_page_count", reseal(extraPage), "malformed payload"},
     };
+    // Each is quarantined (renamed aside, never trusted), produced
+    // again to the same answer, and published again byte for byte.
     for (const Case &c : cases) {
         std::string path = dir + "/" + c.name + ".bvl";
         std::ofstream(path, std::ios::binary) << c.bytes;
         RunResult r = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                                  restoreOpts(path, 150));
+                                  fileOpts(path, 150));
         ASSERT_TRUE(r.ok()) << c.name << ": " << r.message;
         EXPECT_NE(r.log.find(std::string("is corrupt (") + c.why + ")"),
                   std::string::npos) << c.name << ": " << r.log;
-        EXPECT_FALSE(std::filesystem::exists(path)) << c.name;
-        EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"))
-            << c.name;
+        EXPECT_NE(r.log.find("produced prefix"), std::string::npos)
+            << c.name << ": " << r.log;
+        EXPECT_EQ(readBytes(path + ".corrupt"), c.bytes) << c.name;
+        EXPECT_EQ(readBytes(path), bytes) << c.name;
         EXPECT_EQ(dumpNoLog(r), dumpNoLog(saved)) << c.name;
     }
 }
@@ -275,24 +251,28 @@ TEST(CheckpointTest, DamagedImageOrTruncatedPayloadIsQuarantined)
 TEST(CheckpointTest, MissingCheckpointFallsBackToFastForward)
 {
     std::string dir = scratchDir("missing");
-    std::string ck = dir + "/ck.bvl";
+    RunOptions cold;
+    cold.checkpoint.ffInsts = 150;
+    RunResult base = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
+                                 cold);
+    ASSERT_TRUE(base.ok()) << base.message;
 
-    RunResult saved = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                                  saveOpts(ck, 150));
-    ASSERT_TRUE(saved.ok()) << saved.message;
-
-    RunResult restored = runWorkload(
-        Design::d1b4VL, "saxpy", Scale::tiny,
-        restoreOpts(dir + "/nope.bvl", 150));
-    ASSERT_TRUE(restored.ok()) << restored.message;
-    EXPECT_NE(restored.log.find("missing"), std::string::npos)
-        << restored.log;
-    EXPECT_EQ(dumpNoLog(restored), dumpNoLog(saved));
-
-    // ...but only when ffInsts says how far to re-simulate.
+    // Without ffInsts nothing says how far to fast-forward: the run
+    // fails and creates no file.
+    std::string ck = dir + "/nope.bvl";
     RunResult stuck = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                                  restoreOpts(dir + "/nope.bvl", 0));
+                                  fileOpts(ck, 0));
     EXPECT_EQ(stuck.status, RunStatus::sim_error);
+    EXPECT_NE(stuck.message.find("missing"), std::string::npos)
+        << stuck.message;
+    EXPECT_FALSE(std::filesystem::exists(ck));
+
+    // With it, the run fast-forwards exactly like the plain cold run.
+    RunResult produced = runWorkload(Design::d1b4VL, "saxpy",
+                                     Scale::tiny, fileOpts(ck, 150));
+    ASSERT_TRUE(produced.ok()) << produced.message;
+    EXPECT_TRUE(std::filesystem::exists(ck));
+    EXPECT_EQ(dumpNoLog(produced), dumpNoLog(base));
 }
 
 TEST(CheckpointTest, MismatchedCheckpointIsFatal)
@@ -300,34 +280,46 @@ TEST(CheckpointTest, MismatchedCheckpointIsFatal)
     std::string dir = scratchDir("mismatch");
     std::string ck = dir + "/ck.bvl";
     ASSERT_TRUE(runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                            saveOpts(ck, 150)).ok());
-
-    // Wrong design: different cache geometry and executing core; a
-    // quiet fallback would mask a config error, so it must be fatal.
-    RunResult wrongDesign = runWorkload(Design::d1bDV, "saxpy",
-                                        Scale::tiny,
-                                        restoreOpts(ck, 150));
-    EXPECT_EQ(wrongDesign.status, RunStatus::sim_error);
-    EXPECT_NE(wrongDesign.message.find("does not match"),
-              std::string::npos) << wrongDesign.message;
-
-    RunResult wrongWorkload = runWorkload(Design::d1b4VL, "vvadd",
-                                          Scale::tiny,
-                                          restoreOpts(ck, 150));
-    EXPECT_EQ(wrongWorkload.status, RunStatus::sim_error);
-    EXPECT_NE(wrongWorkload.message.find("does not match"),
-              std::string::npos) << wrongWorkload.message;
-
-    // Same scalar program and VLEN, other executing core: a big-core
-    // prefix carries predictor state a little core does not have.
+                            fileOpts(ck, 150)).ok());
     std::string bigCk = dir + "/big.bvl";
     ASSERT_TRUE(runWorkload(Design::d1b, "saxpy", Scale::tiny,
-                            saveOpts(bigCk, 150)).ok());
-    RunResult wrongCore = runWorkload(Design::d1L, "saxpy", Scale::tiny,
-                                      restoreOpts(bigCk, 150));
-    EXPECT_EQ(wrongCore.status, RunStatus::sim_error);
-    EXPECT_NE(wrongCore.message.find("does not match"),
-              std::string::npos) << wrongCore.message;
+                            fileOpts(bigCk, 150)).ok());
+    const std::string bytes = readBytes(ck);
+    const std::string bigBytes = readBytes(bigCk);
+
+    // With or without ffInsts: a quiet re-production would mask a
+    // config error (and overwrite the user's file), so it must be
+    // fatal and leave the file alone.
+    for (std::uint64_t ff : {150u, 0u}) {
+        // Wrong design: different cache geometry and executing core.
+        RunResult wrongDesign = runWorkload(Design::d1bDV, "saxpy",
+                                            Scale::tiny,
+                                            fileOpts(ck, ff));
+        EXPECT_EQ(wrongDesign.status, RunStatus::sim_error);
+        EXPECT_NE(wrongDesign.message.find("does not match"),
+                  std::string::npos) << wrongDesign.message;
+
+        RunResult wrongWorkload = runWorkload(Design::d1b4VL, "vvadd",
+                                              Scale::tiny,
+                                              fileOpts(ck, ff));
+        EXPECT_EQ(wrongWorkload.status, RunStatus::sim_error);
+        EXPECT_NE(wrongWorkload.message.find("does not match"),
+                  std::string::npos) << wrongWorkload.message;
+
+        // Same scalar program and VLEN, other executing core: a
+        // big-core prefix carries predictor state a little core does
+        // not have.
+        RunResult wrongCore = runWorkload(Design::d1L, "saxpy",
+                                          Scale::tiny,
+                                          fileOpts(bigCk, ff));
+        EXPECT_EQ(wrongCore.status, RunStatus::sim_error);
+        EXPECT_NE(wrongCore.message.find("does not match"),
+                  std::string::npos) << wrongCore.message;
+
+        EXPECT_EQ(readBytes(ck), bytes) << "ff " << ff;
+        EXPECT_EQ(readBytes(bigCk), bigBytes) << "ff " << ff;
+        EXPECT_FALSE(std::filesystem::exists(ck + ".corrupt"));
+    }
 }
 
 TEST(CheckpointTest, FastForwardPastHaltIsFatal)
@@ -337,59 +329,46 @@ TEST(CheckpointTest, FastForwardPastHaltIsFatal)
     // the detailed window measure nothing).
     std::string dir = scratchDir("pasthalt");
     RunResult r = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                              saveOpts(dir + "/ck.bvl", 1000000));
+                              fileOpts(dir + "/ck.bvl", 1000000));
     EXPECT_EQ(r.status, RunStatus::sim_error);
     EXPECT_NE(r.message.find("halted"), std::string::npos)
         << r.message;
     EXPECT_FALSE(std::filesystem::exists(dir + "/ck.bvl"));
 }
 
-// --- strict restore ----------------------------------------------------
+// --- restore without ffInsts ---------------------------------------------
 
-TEST(CheckpointTest, StrictRestoreSucceedsOrFailsLoudly)
+TEST(CheckpointTest, RestoreOnlyPathSucceedsOrFailsLoudly)
 {
-    std::string dir = scratchDir("strict");
+    std::string dir = scratchDir("restoreonly");
     std::string ck = dir + "/ck.bvl";
     RunResult saved = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                                  saveOpts(ck, 150));
+                                  fileOpts(ck, 150));
     ASSERT_TRUE(saved.ok()) << saved.message;
 
-    // A valid checkpoint restores under strict exactly like the
-    // tolerant path (strict forbids ffInsts, so none is set).
-    RunOptions strict;
-    strict.checkpoint.restorePath = ck;
-    strict.checkpoint.strict = true;
+    // A path with no ffInsts restores a valid checkpoint exactly like
+    // one that could produce it, and never fast-forwards: CI uses it
+    // to assert "this run really restored". (The missing and
+    // mismatched cases are in the two tests above.)
     RunResult ok = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                               strict);
+                               fileOpts(ck, 0));
     ASSERT_TRUE(ok.ok()) << ok.message;
     EXPECT_EQ(dumpNoLog(ok), dumpNoLog(saved));
 
-    // A missing entry is a hard error — strict mode exists so CI can
-    // assert "this sweep ran zero fast-forwards".
-    RunOptions missing = strict;
-    missing.checkpoint.restorePath = dir + "/nope.bvl";
-    RunResult m = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                              missing);
-    EXPECT_EQ(m.status, RunStatus::sim_error);
-    EXPECT_NE(m.message.find("strict restore"), std::string::npos)
-        << m.message;
-
-    // So is a corrupt one: quarantine-and-resimulate is the tolerant
-    // path's business.
-    {
-        std::fstream f(ck, std::ios::in | std::ios::out |
-                               std::ios::binary);
-        f.seekg(-50, std::ios::end);
-        char b = 0;
-        f.get(b);
-        f.seekp(-50, std::ios::end);
-        f.put(static_cast<char>(b ^ 0xff));
-    }
+    // A corrupt one is a hard error, and the file stays where it is:
+    // quarantine-and-produce needs a prefix length to produce.
+    std::string corrupt = readBytes(ck);
+    corrupt[corrupt.size() - 50] ^= char(0xff);
+    std::ofstream(ck, std::ios::binary) << corrupt;
     RunResult c = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                              strict);
+                              fileOpts(ck, 0));
     EXPECT_EQ(c.status, RunStatus::sim_error);
-    EXPECT_NE(c.message.find("strict restore"), std::string::npos)
+    EXPECT_NE(c.message.find("cannot restore checkpoint"),
+              std::string::npos) << c.message;
+    EXPECT_NE(c.message.find("(corrupt)"), std::string::npos)
         << c.message;
+    EXPECT_EQ(readBytes(ck), corrupt);
+    EXPECT_FALSE(std::filesystem::exists(ck + ".corrupt"));
 }
 
 // --- checkpoint-prefix farm (DESIGN.md §16) ----------------------------
@@ -587,7 +566,7 @@ TEST(CheckpointTest, FarmEvictsOldestEntriesOverBudget)
 TEST(CheckpointTest, InvalidCombinationsAreRejected)
 {
     RunOptions both;
-    both.checkpoint.savePath = "/tmp/never-written.bvl";
+    both.checkpoint.path = "/tmp/never-written.bvl";
     both.checkpoint.ffInsts = 10;
     both.sampling = {10, 0, 10, 2};
     EXPECT_EQ(runWorkload(Design::d1b4VL, "saxpy", Scale::tiny, both)
@@ -611,12 +590,11 @@ TEST(CheckpointTest, InvalidCombinationsAreRejected)
                   .status,
               RunStatus::sim_error);
 
-    // Farm and strict combos (the CLI rejects these up front; the
-    // engine must too, for programmatic callers).
+    // The farm names its own entries and keys them by ffInsts.
     RunOptions farmPlusPath;
     farmPlusPath.checkpoint.farm = true;
     farmPlusPath.checkpoint.ffInsts = 100;
-    farmPlusPath.checkpoint.savePath = "/tmp/never-written.bvl";
+    farmPlusPath.checkpoint.path = "/tmp/never-written.bvl";
     EXPECT_EQ(runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
                           farmPlusPath).status,
               RunStatus::sim_error);
@@ -625,22 +603,6 @@ TEST(CheckpointTest, InvalidCombinationsAreRejected)
     farmNoFf.checkpoint.farm = true;
     EXPECT_EQ(runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
                           farmNoFf).status,
-              RunStatus::sim_error);
-
-    RunOptions strictAlone;
-    strictAlone.checkpoint.strict = true;
-    strictAlone.checkpoint.ffInsts = 100;
-    strictAlone.checkpoint.savePath = "/tmp/never-written.bvl";
-    EXPECT_EQ(runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                          strictAlone).status,
-              RunStatus::sim_error);
-
-    RunOptions strictFf;
-    strictFf.checkpoint.strict = true;
-    strictFf.checkpoint.restorePath = "/tmp/never-read.bvl";
-    strictFf.checkpoint.ffInsts = 100;
-    EXPECT_EQ(runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
-                          strictFf).status,
               RunStatus::sim_error);
 }
 
@@ -685,9 +647,9 @@ TEST(CheckpointTest, SampledRunEstimatesVerifiesAndIsDeterministic)
 
 TEST(CheckpointDeterminismTest, SweepSaveRestoreIsStableAcrossJobs)
 {
-    // The acceptance criterion: save at N, restore, run to completion
-    // — stats byte-identical to the uninterrupted (save-flow) run,
-    // through the sweep service, at one worker and at four.
+    // The acceptance criterion: produce at N, restore, run to
+    // completion — stats byte-identical to the producing run, through
+    // the sweep service, at one worker and at four.
     std::string dir = scratchDir("sweepdet");
     const char *names[] = {"vvadd", "saxpy"};
 
@@ -699,7 +661,7 @@ TEST(CheckpointDeterminismTest, SweepSaveRestoreIsStableAcrossJobs)
         std::vector<std::future<RunResult>> saves;
         for (const char *n : names) {
             SweepJob job{Design::d1b4VL, n, Scale::tiny, {}};
-            job.opts.checkpoint.savePath =
+            job.opts.checkpoint.path =
                 dir + "/" + n + "_j" + std::to_string(jobs) + ".bvl";
             job.opts.checkpoint.ffInsts = 100;
             saves.push_back(svc.submit(job));
@@ -714,9 +676,8 @@ TEST(CheckpointDeterminismTest, SweepSaveRestoreIsStableAcrossJobs)
         std::vector<std::future<RunResult>> restores;
         for (const char *n : names) {
             SweepJob job{Design::d1b4VL, n, Scale::tiny, {}};
-            job.opts.checkpoint.restorePath =
+            job.opts.checkpoint.path =
                 dir + "/" + n + "_j" + std::to_string(jobs) + ".bvl";
-            job.opts.checkpoint.ffInsts = 100;
             restores.push_back(svc.submit(job));
         }
         for (unsigned i = 0; i < restores.size(); ++i) {

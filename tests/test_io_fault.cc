@@ -696,6 +696,20 @@ TEST(IoFaultDegradationTest, FarmPublishFailureFallsBackPrivately)
         }
         EXPECT_TRUE(tempsUnder(dir).empty());
     }
+
+    // The same failure on a file the user named fails the run: a
+    // private fallback would silently drop the artifact.
+    io::ioFaultReset();
+    io::ioFaultInstall(
+        io::ioFaultPlanFromSpec("enospc@checkpoint.save.write"));
+    RunOptions named;
+    named.checkpoint.path = dir + "/named.bvl";
+    named.checkpoint.ffInsts = 150;
+    RunResult n = runWorkload(Design::d1b4VL, "vvadd", Scale::tiny, named);
+    EXPECT_EQ(n.status, RunStatus::sim_error);
+    EXPECT_NE(n.message.find("cannot write checkpoint"), std::string::npos)
+        << n.message;
+    EXPECT_FALSE(std::filesystem::exists(named.checkpoint.path));
 }
 
 // --- the in-process chaos harness --------------------------------------
@@ -728,10 +742,11 @@ chaosJobs(const ChaosDirs &d)
         jobs.push_back(std::move(j));
     }
 
-    // A traced job. The checkpoint.save/load sites the explicit
-    // save/restore path would add are the same labels the farm jobs
-    // above reach; the explicit path's (deliberately fatal) policy is
-    // covered by the checkpoint suite and the shell harness.
+    // A traced job. A named checkpoint file goes through the same
+    // restore-or-produce step, and so the same checkpoint.save/load
+    // labels, as the farm jobs above; its one difference, a fatal
+    // failed publish, is covered by the checkpoint suite and the
+    // shell harness.
     {
         SweepJob j = vvaddJob(Design::d1b);
         j.opts.trace.path = d.root + "/events.json";

@@ -58,6 +58,35 @@ TEST_F(MemTest, ColdMissThenHit)
     EXPECT_EQ(stats.value("little0.l1d.misses"), 1u);
 }
 
+TEST_F(MemTest, HitBuildsNoMissCallback)
+{
+    /** A miss callback that counts its moves. */
+    struct Counting
+    {
+        int *moves;
+        bool *fired;
+        Counting(int *m, bool *f) : moves(m), fired(f) {}
+        Counting(Counting &&o) noexcept : moves(o.moves), fired(o.fired)
+        { ++*moves; }
+        void operator()() { *fired = true; }
+    };
+    bool warm = false;
+    sys.accessData(0, 0x1000, false, [&] { warm = true; });
+    runUntilDone(warm);
+
+    // A hit returns its ready tick and never wraps the callback in a
+    // MemCallback, so it is not moved once.
+    int moves = 0;
+    bool fired = false;
+    EXPECT_NE(sys.accessDataTick(0, 0x1020, false,
+                                 Counting(&moves, &fired)), maxTick);
+    EXPECT_EQ(moves, 0);
+    // A miss wraps it and fires it once the line is present.
+    EXPECT_EQ(sys.accessDataTick(0, 0x9000, false,
+                                 Counting(&moves, &fired)), maxTick);
+    runUntilDone(fired);
+}
+
 TEST_F(MemTest, MissLatencyIncludesDram)
 {
     bool done = false;

@@ -158,30 +158,24 @@ TEST(SweepServiceTest, JobHashTracksSamplingAndCheckpointDepthNotPaths)
     deep.opts.checkpoint.ffInsts = 500;
     EXPECT_NE(jobHashHex(deep), h);
 
-    // Checkpoint file locations are plumbing, not semantics: a
-    // restored run is byte-identical to its save run, so the paths
-    // must not change the hash — but they do make the job uncacheable
-    // (saving must actually write; restoring must actually read).
-    SweepJob saver = deep;
-    saver.opts.checkpoint.savePath = "/tmp/ck.bvl";
-    EXPECT_EQ(jobHashHex(saver), jobHashHex(deep));
-    EXPECT_FALSE(jobCacheable(saver));
-    SweepJob restorer = deep;
-    restorer.opts.checkpoint.restorePath = "/tmp/ck.bvl";
-    EXPECT_EQ(jobHashHex(restorer), jobHashHex(deep));
-    EXPECT_FALSE(jobCacheable(restorer));
+    // A checkpoint file's location is plumbing, not semantics: a
+    // restored run is byte-identical to the run that produced it, so
+    // the path must not change the hash — but it does make the job
+    // uncacheable (the run must actually restore or publish it).
+    SweepJob filed = deep;
+    filed.opts.checkpoint.path = "/tmp/ck.bvl";
+    EXPECT_EQ(jobHashHex(filed), jobHashHex(deep));
+    EXPECT_FALSE(jobCacheable(filed));
 
-    // The farm and strict knobs only change HOW the prefix state is
-    // obtained (shared entry vs cold re-simulation), never the
-    // simulated result — a warm farm rerun must keep hitting the same
-    // journal rows as the cold sweep that wrote them.
+    // The farm only changes HOW the prefix state is obtained (shared
+    // entry vs cold re-simulation), never the simulated result — a
+    // warm farm rerun must keep hitting the same journal rows as the
+    // cold sweep that wrote them.
     SweepJob farmed = deep;
     farmed.opts.checkpoint.farm = true;
     farmed.opts.checkpoint.farmDir = "/tmp/farm";
     EXPECT_EQ(jobHashHex(farmed), jobHashHex(deep));
-    SweepJob strict = restorer;
-    strict.opts.checkpoint.strict = true;
-    EXPECT_EQ(jobHashHex(strict), jobHashHex(restorer));
+    EXPECT_TRUE(jobCacheable(farmed));
 }
 
 // --- exact serialization round-trip ------------------------------------
@@ -248,12 +242,10 @@ TEST(SweepServiceTest, RunOptionsEveryFieldRoundTripsExactly)
     opts.sampling.warmupInsts = 1000;
     opts.sampling.detailInsts = 4000;
     opts.sampling.periods = 8;
-    opts.checkpoint.savePath = "/tmp/ck.bvl";
-    opts.checkpoint.restorePath = "/tmp/ck2.bvl";
+    opts.checkpoint.path = "/tmp/ck.bvl";
     opts.checkpoint.ffInsts = 12345;
     opts.checkpoint.farm = true;
     opts.checkpoint.farmDir = "/tmp/farm";
-    opts.checkpoint.strict = true;
 
     Json j = runOptionsToJson(opts);
     RunOptions back = runOptionsFromJson(Json::parse(j.dump(0)));
@@ -263,12 +255,10 @@ TEST(SweepServiceTest, RunOptionsEveryFieldRoundTripsExactly)
     EXPECT_EQ(back.sampling.detailInsts, 4000u);
     EXPECT_EQ(back.sampling.periods, 8u);
     EXPECT_TRUE(back.sampling.enabled());
-    EXPECT_EQ(back.checkpoint.savePath, "/tmp/ck.bvl");
-    EXPECT_EQ(back.checkpoint.restorePath, "/tmp/ck2.bvl");
+    EXPECT_EQ(back.checkpoint.path, "/tmp/ck.bvl");
     EXPECT_EQ(back.checkpoint.ffInsts, 12345u);
     EXPECT_TRUE(back.checkpoint.farm);
     EXPECT_EQ(back.checkpoint.farmDir, "/tmp/farm");
-    EXPECT_TRUE(back.checkpoint.strict);
     EXPECT_FALSE(back.verifyResult);
     EXPECT_FALSE(back.watchdog);
     EXPECT_EQ(back.wallDeadlineSec, 9.25);
@@ -357,12 +347,10 @@ goldenOptions()
     o.sampling.warmupInsts = 1000;
     o.sampling.detailInsts = 4000;
     o.sampling.periods = 8;
-    o.checkpoint.savePath = "a.bvl";
-    o.checkpoint.restorePath = "b.bvl";
+    o.checkpoint.path = "a.bvl";
     o.checkpoint.ffInsts = 777;
     o.checkpoint.farm = true;
     o.checkpoint.farmDir = "farm";
-    o.checkpoint.strict = true;
     return o;
 }
 
@@ -423,13 +411,14 @@ const char *const kGoldenOptions =
     R"("stopNs":999.25,"categories":5,"sampleIntervalNs":250},)"
     R"("sampling":{"ffInsts":20000,"warmupInsts":1000,)"
     R"("detailInsts":4000,"periods":8},)"
-    R"("checkpoint":{"savePath":"a.bvl","restorePath":"b.bvl",)"
-    R"("ffInsts":777,"farm":true,"farmDir":"farm","strict":true}})";
+    R"("checkpoint":{"path":"a.bvl","ffInsts":777,"farm":true,)"
+    R"("farmDir":"farm"}})";
 
 /**
- * goldenOptions() as older builds wrote it, when the engine override
- * also carried its name, lane prefix and FU latencies (the SoC decides
- * all three). It must still load, to goldenOptions().
+ * goldenOptions() with its engine override as older builds wrote it,
+ * when the override also carried its name, lane prefix and FU
+ * latencies (the SoC decides all three). It must still load, to
+ * goldenOptions().
  */
 const char *const kParentGoldenOptions =
     R"({"bigGhz":1.7,"littleGhz":0.59999999999999998,)"
@@ -456,8 +445,8 @@ const char *const kParentGoldenOptions =
     R"("stopNs":999.25,"categories":5,"sampleIntervalNs":250},)"
     R"("sampling":{"ffInsts":20000,"warmupInsts":1000,)"
     R"("detailInsts":4000,"periods":8},)"
-    R"("checkpoint":{"savePath":"a.bvl","restorePath":"b.bvl",)"
-    R"("ffInsts":777,"farm":true,"farmDir":"farm","strict":true}})";
+    R"("checkpoint":{"path":"a.bvl","ffInsts":777,"farm":true,)"
+    R"("farmDir":"farm"}})";
 
 const char *const kGoldenResult =
     R"({"workload":"vvadd","design":"1b-4VL","status":"check_failed",)"
@@ -487,8 +476,8 @@ const char *const kGoldenDefaultOptions =
     R"("trace":{"path":"","samplePath":"","startNs":0,"stopNs":-1,)"
     R"("categories":255,"sampleIntervalNs":1000},)"
     R"("sampling":{"ffInsts":0,"warmupInsts":0,"detailInsts":0,)"
-    R"("periods":0},"checkpoint":{"savePath":"","restorePath":"",)"
-    R"("ffInsts":0,"farm":false,"farmDir":"","strict":false}})";
+    R"("periods":0},"checkpoint":{"path":"","ffInsts":0,"farm":false,)"
+    R"("farmDir":""}})";
 
 /** No heartbeats, divergence or violations: their keys are left out. */
 const char *const kGoldenPlainResult =
