@@ -165,6 +165,44 @@ TEST(CheckpointTest, WorksOnEveryFastForwardableDesign)
 
 // --- corrupt / missing / mismatched checkpoints ------------------------
 
+TEST(CheckpointTest, CorruptCheckpointIsQuarantinedAndResimulated)
+{
+    std::string dir = scratchDir("corrupt");
+    std::string ck = dir + "/ck.bvl";
+
+    RunResult saved = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
+                                  fileOpts(ck, 150));
+    ASSERT_TRUE(saved.ok()) << saved.message;
+    const std::string bytes = readBytes(ck);
+
+    // Flip one payload byte; the digest in the header catches it.
+    {
+        std::fstream f(ck, std::ios::in | std::ios::out |
+                               std::ios::binary);
+        ASSERT_TRUE(f.good());
+        f.seekg(0, std::ios::end);
+        auto size = static_cast<std::streamoff>(f.tellg());
+        ASSERT_GT(size, 200);
+        f.seekg(size - 100);
+        char c = 0;
+        f.get(c);
+        f.seekp(size - 100);
+        f.put(static_cast<char>(c ^ 0xff));
+    }
+    const std::string damaged = readBytes(ck);
+
+    RunResult restored = runWorkload(Design::d1b4VL, "saxpy",
+                                     Scale::tiny, fileOpts(ck, 150));
+    // Quarantined (renamed aside, never trusted) and re-simulated to
+    // the same answer, which is published again in its place.
+    ASSERT_TRUE(restored.ok()) << restored.message;
+    EXPECT_NE(restored.log.find("quarantined"), std::string::npos)
+        << restored.log;
+    EXPECT_EQ(readBytes(ck + ".corrupt"), damaged);
+    EXPECT_EQ(readBytes(ck), bytes);
+    EXPECT_EQ(dumpNoLog(restored), dumpNoLog(saved));
+}
+
 TEST(CheckpointTest, DamagedImageOrTruncatedPayloadIsQuarantined)
 {
     std::string dir = scratchDir("damage");
