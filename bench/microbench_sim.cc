@@ -21,6 +21,7 @@
 #include "sim/event_queue.hh"
 #include "soc/soc.hh"
 #include "sweep/sweep_runner.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -341,6 +342,50 @@ BM_FastForwardStep(benchmark::State &state)
         static_cast<double>(insts), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FastForwardStep);
+
+/**
+ * The functional oracle over whole programs: runFunctional() on the
+ * vector programs of the sampled apps at tiny, at VLEN 128, 512 and
+ * 2048 (the argument). A wider VLEN executes fewer, longer vector
+ * instructions, so the three rows separate the fixed per-instruction
+ * cost from the per-element kernels. Ungated: no pin in
+ * BENCH_kernel.json.
+ */
+void
+BM_FunctionalRun(benchmark::State &state)
+{
+    const unsigned vlen = static_cast<unsigned>(state.range(0));
+    struct App
+    {
+        WorkloadPtr wl;
+        ProgramPtr prog;
+        BackingStore image;
+    };
+    std::vector<std::unique_ptr<App>> apps;
+    for (const char *name :
+         {"vvadd", "mmult", "saxpy", "backprop", "kmeans", "blackscholes",
+          "particlefilter", "jacobi-2d", "pathfinder", "lavamd", "sw"}) {
+        auto app = std::make_unique<App>();
+        app->wl = makeWorkload(name, Scale::tiny);
+        app->prog = app->wl->vectorProgram();
+        app->wl->init(app->image);
+        apps.push_back(std::move(app));
+    }
+    std::uint64_t insts = 0;
+    for (auto _ : state) {
+        for (const auto &app : apps) {
+            state.PauseTiming();
+            BackingStore mem(app->image);
+            ArchState arch(vlen);
+            arch.seed(app->wl->fullRangeArgs());
+            state.ResumeTiming();
+            insts += runFunctional(arch, *app->prog, mem);
+        }
+    }
+    state.counters["insts/s"] = benchmark::Counter(
+        static_cast<double>(insts), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FunctionalRun)->Arg(128)->Arg(512)->Arg(2048);
 
 void
 BM_BigCoreSimSpeed(benchmark::State &state)

@@ -4,8 +4,9 @@
 # the example_run_workload driver and a live sweep:
 #
 #   1. fresh file (--checkpoint --ff)  -> prefix produced and published,
-#                                         run finishes
-#   2. restore only (--checkpoint)     -> stdout byte-identical to run 1
+#                                         run finishes and says so
+#   2. restore only (--checkpoint)     -> says it restored; stdout
+#                                         byte-identical to run 1
 #   3. corrupt file, restore only      -> run fails, file left untouched
 #   4. corrupt file, with --ff         -> quarantined as *.corrupt,
 #                                         produced and published again;
@@ -50,14 +51,20 @@ d[-1] ^= 0xFF; open(sys.argv[1], "wb").write(d)' "$1"
 }
 
 echo "--- fresh checkpoint: fast-forward 2000 insts, publish, finish"
-"$run" "${args[@]}" --checkpoint "$ckpt" --ff 2000 > "$scratch/save.out"
+"$run" "${args[@]}" --checkpoint "$ckpt" --ff 2000 > "$scratch/save.out" \
+    2> "$scratch/save.err"
 cp "$ckpt" "$scratch/fresh.bvl"
 grep -q '^verified  yes' "$scratch/save.out" \
     || { echo "FAIL: producing run did not verify" >&2; exit 1; }
+grep -q 'checkpoint: produced prefix' "$scratch/save.err" \
+    || { echo "FAIL: producing run did not say it produced" >&2; exit 1; }
 
 echo "--- restore only: byte-identical to the producing run"
-"$run" "${args[@]}" --checkpoint "$ckpt" > "$scratch/restore.out"
+"$run" "${args[@]}" --checkpoint "$ckpt" > "$scratch/restore.out" \
+    2> "$scratch/restore.err"
 cmp "$scratch/save.out" "$scratch/restore.out"
+grep -q 'checkpoint: restored prefix' "$scratch/restore.err" \
+    || { echo "FAIL: restoring run did not say it restored" >&2; exit 1; }
 
 echo "--- corrupt checkpoint, restore only: run fails, file untouched"
 flip_last_byte "$ckpt"

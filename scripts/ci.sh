@@ -188,6 +188,13 @@ BVL_SCALE=medium BVL_SAMPLED_OUT=build/sampled.json \
     ./build/bench/fig04_sampled | tee build/fig04_sampled.out
 python3 scripts/check_bench.py --sampled build/sampled.json
 
+echo "=== fig04_sampled stdout is deterministic (host timing on stderr) ==="
+BVL_SCALE=tiny ./build/bench/fig04_sampled > build/fig04_sampled.tiny1 \
+    2> /dev/null
+BVL_SCALE=tiny ./build/bench/fig04_sampled > build/fig04_sampled.tiny2 \
+    2> /dev/null
+cmp build/fig04_sampled.tiny1 build/fig04_sampled.tiny2
+
 echo "=== kernel microbenchmark gate (Release) ==="
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-bench -j "$jobs" --target microbench_sim >/dev/null

@@ -35,29 +35,29 @@ constexpr unsigned maxVlenBytes = maxVlenBits / 8;
 /**
  * Everything the timing model needs to know about one executed instr.
  * Callers own it and hand the same one to stepOne() again and again
- * (DESIGN.md §11): every field is rewritten on each step, and
- * elemAddrs keeps its capacity.
+ * (DESIGN.md §11): every step writes every field, and elemAddrs keeps
+ * its capacity. The one-byte fields sit together so that the handlers'
+ * constant flag writes merge into few stores.
  */
 struct ExecTrace
 {
     const Instr *inst = nullptr;
     std::uint64_t pc = 0;        ///< index of the executed instruction
     std::uint64_t nextPc = 0;
+    Addr addr = 0;               ///< scalar memory access address
 
-    bool isBranch = false;
-    bool taken = false;
-
-    bool isMem = false;          ///< scalar memory access
-    bool isStore = false;
-    Addr addr = 0;
-    std::uint8_t size = 0;
-
-    bool isVec = false;
-    std::uint32_t vl = 0;        ///< vector length in effect
-    std::uint8_t sew = 0;        ///< element width in bytes in effect
     /** Per-active-element byte addresses of a vector memory access. */
     std::vector<Addr> elemAddrs;
 
+    std::uint32_t vl = 0;        ///< vector length in effect
+    std::uint8_t sew = 0;        ///< element width in bytes in effect
+    std::uint8_t size = 0;       ///< memory access width in bytes
+
+    bool isBranch = false;
+    bool taken = false;
+    bool isMem = false;          ///< memory access (scalar or vector)
+    bool isStore = false;
+    bool isVec = false;
     bool halted = false;
 
     bool operator==(const ExecTrace &) const = default;
@@ -153,57 +153,12 @@ class ArchState
         return value;
     }
 
-    /** Sign-extended element read. */
-    std::int64_t
-    vecGetS(RegId r, unsigned i, unsigned ew) const
-    {
-        std::uint64_t u = vecGet(r, i, ew);
-        unsigned shift = 64 - ew * 8;
-        return static_cast<std::int64_t>(u << shift) >> shift;
-    }
-
-    void
-    vecSet(RegId r, unsigned i, unsigned ew, std::uint64_t value)
-    {
-        auto &reg = v[regIndex(r)];
-        bvl_assert((i + 1) * ew <= maxVlenBytes, "element out of range");
-        std::memcpy(reg.data() + i * ew, &value, ew);
-    }
-
-    /** Mask bit @p i of vector register @p r (RVV mask layout). */
-    bool
-    maskBit(RegId r, unsigned i) const
-    {
-        return (v[regIndex(r)][i / 8] >> (i % 8)) & 1;
-    }
-
-    void
-    setMaskBit(RegId r, unsigned i, bool bit)
-    {
-        auto &byte = v[regIndex(r)][i / 8];
-        if (bit)
-            byte |= (1u << (i % 8));
-        else
-            byte &= ~(1u << (i % 8));
-    }
-
-    /** Active-element predicate for a (possibly) masked instruction. */
-    bool
-    active(const Instr &inst, unsigned i) const
-    {
-        return !inst.masked || maskBit(vreg(0), i);
-    }
-
-    /** Raw bytes of a vector register (for tests). */
+    /** Raw bytes of a vector register. */
     const std::array<std::uint8_t, maxVlenBytes> &
     vecRaw(RegId r) const
     {
         return v[regIndex(r)];
     }
-
-    /** Mutable raw bytes; elements are contiguous at width ew, so
-     *  unit-stride vector memory moves whole [0, vl*ew) spans. */
-    std::uint8_t *vecData(RegId r) { return v[regIndex(r)].data(); }
 
     // --- checkpoint serialization (DESIGN.md §15) ----------------------
 
@@ -262,7 +217,11 @@ class ArchState
     bool halted = false;
 
   private:
-    std::array<std::uint64_t, numXRegs> x{};
+    friend struct Exec;   // the decoded handlers (arch_state.cc)
+
+    /** x0..x31, then the sink decoded writes to x0 land in: x0 itself
+     *  is never written, so it reads zero without a test. */
+    std::array<std::uint64_t, numXRegs + 1> x{};
     std::array<std::uint64_t, numFRegs> f{};
     std::array<std::array<std::uint8_t, maxVlenBytes>, numVRegs> v{};
     unsigned _vlenb = 64;
@@ -271,11 +230,20 @@ class ArchState
 /**
  * Functionally execute the instruction at @p state.pc of @p prog,
  * updating @p state and @p mem, and describe it in @p out. Every field
- * of @p out is overwritten; its elemAddrs is cleared, not freed, so a
- * reused trace steps without touching the heap.
+ * of @p out is overwritten; its elemAddrs keeps its capacity, so a
+ * reused trace steps without touching the heap. The instruction runs
+ * through the handler its program decoded it to.
  */
-void stepOne(ArchState &state, const Program &prog, BackingStore &mem,
-             ExecTrace &out);
+inline void
+stepOne(ArchState &state, const Program &prog, BackingStore &mem,
+        ExecTrace &out)
+{
+    bvl_assert(state.pc < prog.size(), "pc %llu out of range in %s",
+               static_cast<unsigned long long>(state.pc),
+               prog.name().c_str());
+    const DecodedInstr &d = prog.decoded()[state.pc];
+    d.exec(state, d, mem, out);
+}
 
 /**
  * Run a program functionally to completion (no timing), up to

@@ -25,11 +25,41 @@
 namespace bvl
 {
 
+class ArchState;
+class BackingStore;
+struct ExecTrace;
+struct DecodedInstr;
+
+/** Executes one decoded instruction (isa/arch_state.cc). */
+using ExecFn = void (*)(ArchState &, const DecodedInstr &, BackingStore &,
+                        ExecTrace &);
+
+/**
+ * An Instr resolved once, when its program is finished, to the handler
+ * specialised on its op, operand form, masking and (for memory
+ * accesses) element width, with its operands turned into register-file
+ * indices (DESIGN.md §11). An integer source that names no register
+ * reads x0; a write to x0 lands in a sink slot past x31.
+ */
+struct DecodedInstr
+{
+    ExecFn exec = nullptr;
+    const Instr *inst = nullptr;
+    std::int64_t imm = 0;
+    std::int32_t target = -1;
+    std::uint8_t rd = 0, rs1 = 0, rs2 = 0, rs3 = 0;
+    VSrc2 vsrc = VSrc2::none;
+    bool isVec = false;        ///< cached OpTraits::isVector
+};
+
 /** An immutable sequence of instructions with a name and entry point. */
 class Program
 {
   public:
     explicit Program(std::string name) : _name(std::move(name)) {}
+    // The decoded form points into code.
+    Program(const Program &) = delete;
+    Program &operator=(const Program &) = delete;
 
     const std::string &name() const { return _name; }
     std::size_t size() const { return code.size(); }
@@ -39,6 +69,9 @@ class Program
                    pc, _name.c_str());
         return code[pc];
     }
+
+    /** The decoded instructions, one per Instr, built by finish(). */
+    const DecodedInstr *decoded() const { return _decoded.data(); }
 
     /**
      * Base address of this program's instruction storage in the
@@ -60,8 +93,12 @@ class Program
 
     std::string _name;
     std::vector<Instr> code;
+    std::vector<DecodedInstr> _decoded;
     Addr _textBase = 0;
 };
+
+/** Decode every instruction of @p code (isa/arch_state.cc). */
+std::vector<DecodedInstr> decodeProgram(const std::vector<Instr> &code);
 
 using ProgramPtr = std::shared_ptr<Program>;
 
@@ -89,6 +126,8 @@ class Asm
     Asm &
     emit(const Instr &inst)
     {
+        bvl_assert(!finished, "emit into finished program %s",
+                   prog->name().c_str());
         prog->code.push_back(inst);
         return *this;
     }
@@ -515,6 +554,7 @@ class Asm
         }
         fixups.clear();
         finished = true;
+        prog->_decoded = decodeProgram(prog->code);
         return prog;
     }
 

@@ -114,6 +114,15 @@ inform(const char *fmt, ...)
 }
 
 void
+notice(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    report("info", vformat(fmt, args));
+    va_end(args);
+}
+
+void
 setVerbose(bool verbose)
 {
     verboseEnabled.store(verbose, std::memory_order_relaxed);

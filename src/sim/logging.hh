@@ -63,6 +63,11 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print a formatted status message to stderr and continue. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/** Like inform(), for the line that says what a run did (restored or
+ *  produced a checkpoint prefix): setVerbose(false) does not silence
+ *  it, so a quiet CLI still reports it. */
+void notice(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
 /** Enable/disable inform() output (benches silence it). */
 void setVerbose(bool verbose);
 

@@ -7,59 +7,81 @@
 namespace bvl
 {
 
+namespace
+{
+
+/**
+ * The fast-forward loop over @p prog's decoded instructions, with the
+ * warming (@p Warm) and the warm-stream recording (@p Record) fixed at
+ * compile time. The warm calls are those of the fetch buffer, the
+ * scalar data port and the VMU, in program order.
+ */
+template <bool Warm, bool Record>
 FastForwardResult
-fastForward(Soc &soc, ProgramCore &core, const Program &prog,
-            std::uint64_t maxInsts, bool warm, WarmTrace *traceOut)
+stepLoop(Soc &soc, ProgramCore &core, const Program &prog,
+         std::uint64_t maxInsts, WarmTrace *traceOut)
 {
     ArchState &arch = core.archState();
-    unsigned coreId = core.coreId();
+    const unsigned coreId = core.coreId();
     GsharePredictor *bpred = core.predictor();
+    const DecodedInstr *code = prog.decoded();
+    const std::uint64_t size = prog.size();
+    BackingStore &mem = soc.backing;
     FastForwardResult res;
     ExecTrace tr;
     Addr lastFetchLine = ~Addr(0);
-    while (res.executed < maxInsts) {
-        if (arch.halted || arch.pc >= prog.size())
-            break;
-
-        if (warm) {
+    while (res.executed < maxInsts && !arch.halted && arch.pc < size) {
+        if constexpr (Warm) {
             // One I-side warm per fetched line, as the fetch buffer
             // would request it.
             Addr ia = prog.instAddr(arch.pc);
             if (lineOf(ia) != lastFetchLine) {
                 lastFetchLine = lineOf(ia);
                 soc.mem.warmFetch(coreId, ia);
-                if (traceOut)
+                if constexpr (Record)
                     traceOut->add(WarmRecord::fetch, lineOf(ia), false);
             }
         }
 
-        stepOne(arch, prog, soc.backing, tr);
+        const DecodedInstr &d = code[arch.pc];
+        d.exec(arch, d, mem, tr);
         ++res.executed;
 
         if (bpred && tr.isBranch && tr.inst->op != Op::jump)
             bpred->update(tr.pc, tr.taken);
 
-        if (warm) {
+        if constexpr (Warm) {
             if (!tr.elemAddrs.empty()) {
                 // Vector element traffic reaches the shared L2 in
-                // every engine configuration; per-line dedup matches
-                // the VMU's line-granular requests. The banked L1D
-                // image is mode-dependent and is left to the detailed
-                // warmup window instead (DESIGN.md §15).
-                Addr prevLine = ~Addr(0);
-                for (Addr a : tr.elemAddrs) {
-                    Addr ln = lineOf(a);
-                    if (ln != prevLine) {
-                        prevLine = ln;
-                        soc.mem.warmL2(a, tr.isStore);
-                        if (traceOut)
-                            traceOut->add(WarmRecord::l2, ln,
-                                          tr.isStore);
+                // every engine configuration, one request per line as
+                // the VMU makes them. The banked L1D image is
+                // mode-dependent and is left to the detailed warmup
+                // window instead (DESIGN.md §15).
+                auto warmLine = [&](Addr ln) {
+                    soc.mem.warmL2(ln << lineShift, tr.isStore);
+                    if constexpr (Record)
+                        traceOut->add(WarmRecord::l2, ln, tr.isStore);
+                };
+                const Instr &in = *tr.inst;
+                if ((in.op == Op::vle || in.op == Op::vse) && !in.masked) {
+                    // Unit stride: the elements cover their lines in
+                    // ascending order, one call per line.
+                    Addr last = lineOf(tr.elemAddrs.back());
+                    for (Addr ln = lineOf(tr.elemAddrs.front());
+                         ln <= last; ++ln)
+                        warmLine(ln);
+                } else {
+                    Addr prevLine = ~Addr(0);
+                    for (Addr a : tr.elemAddrs) {
+                        if (lineOf(a) != prevLine) {
+                            prevLine = lineOf(a);
+                            warmLine(prevLine);
+                        }
                     }
                 }
             } else if (tr.isMem) {
                 soc.mem.warmData(coreId, tr.addr, tr.isStore);
-                if (traceOut)
+                if constexpr (Record)
                     traceOut->add(WarmRecord::data, lineOf(tr.addr),
                                   tr.isStore);
             }
@@ -71,6 +93,19 @@ fastForward(Soc &soc, ProgramCore &core, const Program &prog,
         }
     }
     return res;
+}
+
+} // namespace
+
+FastForwardResult
+fastForward(Soc &soc, ProgramCore &core, const Program &prog,
+            std::uint64_t maxInsts, bool warm, WarmTrace *traceOut)
+{
+    if (!warm)
+        return stepLoop<false, false>(soc, core, prog, maxInsts, nullptr);
+    if (traceOut)
+        return stepLoop<true, true>(soc, core, prog, maxInsts, traceOut);
+    return stepLoop<true, false>(soc, core, prog, maxInsts, nullptr);
 }
 
 namespace
@@ -146,7 +181,7 @@ restoreOrProduce(Soc &soc, Workload &workload, ProgramCore &core,
                 ContentStore::touch(entry);
                 ++CheckpointFarm::state().hits;
             }
-            inform("%s: restored prefix%s from %s", kind, tag.c_str(),
+            notice("%s: restored prefix%s from %s", kind, tag.c_str(),
                    entry.c_str());
             return true;
         }
@@ -193,7 +228,7 @@ restoreOrProduce(Soc &soc, Workload &workload, ProgramCore &core,
                       encodeCheckpoint(soc, workload.name(),
                                        ckpt.ffInsts, trace, inputSha),
                       &err)) {
-        inform("%s: produced prefix%s at %s (%llu warm records)", kind,
+        notice("%s: produced prefix%s at %s (%llu warm records)", kind,
                tag.c_str(), entry.c_str(),
                static_cast<unsigned long long>(trace.records()));
         if (ckpt.farm)

@@ -12,6 +12,8 @@
  * for little cores, RVV intrinsics for vector units).
  */
 
+#include <algorithm>
+
 #include "workloads/common.hh"
 
 namespace bvl
@@ -266,19 +268,27 @@ class KmeansWorkload : public RangeWorkload
     bool
     verify(const BackingStore &mem) const override
     {
+        // The centroids once, then each point's features once and its
+        // k distances from them.
+        float centroids[k][d];
+        for (unsigned c = 0; c < k; ++c)
+            for (unsigned f = 0; f < d; ++f)
+                centroids[c][f] = cent(c, f);
         for (std::uint64_t pnt = 0; pnt < hi; ++pnt) {
             auto got = mem.readT<std::int32_t>(regionC + 4 * pnt);
             if (got < 0 || got >= static_cast<std::int32_t>(k))
                 return false;
+            float point[d];
+            for (unsigned f = 0; f < d; ++f)
+                point[f] = feat(f, pnt);
+            float dists[k];
+            for (unsigned c = 0; c < k; ++c)
+                dists[c] = dist(centroids[c], point);
             // Accept any cluster whose distance is within epsilon of
             // the true minimum (FP rounding may flip exact ties).
-            float best = 1e30f;
-            for (unsigned c = 0; c < k; ++c)
-                best = std::min(best, dist(c, pnt));
-            if (dist(static_cast<unsigned>(got), pnt) >
-                best * (1.0f + 1e-4f) + 1e-5f) {
+            float best = *std::min_element(dists, dists + k);
+            if (dists[got] > best * (1.0f + 1e-4f) + 1e-5f)
                 return false;
-            }
         }
         return true;
     }
@@ -288,12 +298,12 @@ class KmeansWorkload : public RangeWorkload
     { return 0.1f * ((pnt * 31 + f * 17) % 100); }
     float cent(unsigned c, unsigned f) const
     { return 0.1f * ((c * 41 + f * 23) % 100); }
-    float
-    dist(unsigned c, std::uint64_t pnt) const
+    static float
+    dist(const float *centroid, const float *point)
     {
         float acc = 0.0f;
         for (unsigned f = 0; f < d; ++f) {
-            float diff = feat(f, pnt) - cent(c, f);
+            float diff = point[f] - centroid[f];
             acc = static_cast<float>(static_cast<double>(acc) +
                                      static_cast<double>(diff) * diff);
         }

@@ -15,9 +15,11 @@
 #include <cmath>
 #include <set>
 
+#include "isa/arch_state.hh"
 #include "soc/run_driver.hh"
 #include "soc/run_io.hh"
 #include "sweep/service/digest.hh"
+#include "workloads/common.hh"
 #include "workloads/graph.hh"
 #include "workloads/progutil.hh"
 
@@ -308,6 +310,33 @@ TEST(WorkloadTaskGraphTest, FrontierAppsNeedNoInitBeforeTaskGraph)
                     << name << " phase " << p << " task " << t;
             }
         }
+    }
+}
+
+// kmeans accepts a point's cluster only within epsilon of its nearest
+// centroid: moving one assignment to a farther centroid must fail
+// verify, at tiny and at medium.
+TEST(WorkloadVerifyTest, KmeansRejectsAFartherCentroid)
+{
+    for (Scale scale : {Scale::tiny, Scale::medium}) {
+        auto w = makeWorkload("kmeans", scale);
+        BackingStore mem;
+        w->init(mem);
+        ArchState arch(512);
+        arch.seed(w->fullRangeArgs());
+        runFunctional(arch, *w->vectorProgram(), mem);
+        ASSERT_TRUE(w->verify(mem)) << scaleName(scale);
+        const Addr slot = regionC + 4 * 7;   // point 7's assignment
+        const auto got = mem.readT<std::int32_t>(slot);
+        unsigned rejected = 0;
+        for (std::int32_t c = 0; c < 8; ++c) {
+            mem.writeT<std::int32_t>(slot, c);
+            rejected += !w->verify(mem);
+        }
+        mem.writeT<std::int32_t>(slot, got);
+        EXPECT_TRUE(w->verify(mem)) << scaleName(scale);
+        // Only the nearest centroids (and exact ties) pass.
+        EXPECT_GE(rejected, 6u) << scaleName(scale);
     }
 }
 
