@@ -196,6 +196,69 @@ struct FLt { static bool test(double a, double b) { return a < b; } };
 struct FLe { static bool test(double a, double b) { return a <= b; } };
 struct FEq { static bool test(double a, double b) { return a == b; } };
 
+/**
+ * Kernels of Exec::vEach. Integer ops compute at 64 bits on
+ * sign-extended elements (a .vx scalar enters whole) and truncate; FP
+ * ops compute in double and round at SEW; compares write mask bits.
+ */
+template <class F>
+struct IntK
+{
+    template <unsigned EW> static U64 scalar(U64 raw) { return raw; }
+    template <unsigned EW>
+    static U64 load(const std::uint8_t *v, unsigned i)
+    { return U64(getS<EW>(v, i)); }
+    template <unsigned EW>
+    static void apply(std::uint8_t *r, unsigned i, U64 a, U64 b)
+    { put<EW>(r, i, F::op(a, b)); }
+};
+
+template <class F>
+struct FpK
+{
+    template <unsigned EW> static double scalar(U64 raw)
+    { return fpIn<EW>(raw); }
+    template <unsigned EW>
+    static double load(const std::uint8_t *v, unsigned i)
+    { return fpIn<EW>(get<EW>(v, i)); }
+    template <unsigned EW>
+    static void apply(std::uint8_t *r, unsigned i, double a, double b)
+    { put<EW>(r, i, fpOut<EW>(F::op(a, b))); }
+};
+
+/** vd[i] += a * b (@p Macc) or vd[i] -= a * b, in double. */
+template <bool Macc>
+struct FmaK : FpK<FAdd>
+{
+    template <unsigned EW>
+    static void
+    apply(std::uint8_t *r, unsigned i, double a, double b)
+    {
+        double acc = fpIn<EW>(get<EW>(r, i));
+        put<EW>(r, i, fpOut<EW>(Macc ? acc + a * b : acc - a * b));
+    }
+};
+
+template <class C>
+struct CmpK
+{
+    template <unsigned EW> static S64 scalar(U64 raw) { return S64(raw); }
+    template <unsigned EW>
+    static S64 load(const std::uint8_t *v, unsigned i)
+    { return getS<EW>(v, i); }
+    template <unsigned EW>
+    static void apply(std::uint8_t *r, unsigned i, S64 a, S64 b)
+    { setBit(r, i, C::test(a, b)); }
+};
+
+template <class C>
+struct FCmpK : FpK<FAdd>
+{
+    template <unsigned EW>
+    static void apply(std::uint8_t *r, unsigned i, double a, double b)
+    { setBit(r, i, C::test(a, b)); }
+};
+
 /** How a vector memory access walks its elements. */
 enum class Walk { unit, strided, indexed };
 
@@ -484,72 +547,31 @@ struct Exec
 
     // ----- vector arithmetic (typed whole-register loops) ----------------
 
-    /** vd[i] = F(sext(vs1[i]), sext(vs2[i]) or the scalar), truncated. */
-    template <class F, bool VV, bool Masked>
+    /**
+     * The element-wise ops: for each active i < vl, kernel K combines
+     * vs1[i] with vs2[i] (.vv) or with the scalar operand, converted
+     * once, into element (or mask bit) i of vd.
+     */
+    template <class K, bool VV, bool Masked>
     static void
-    vInt(ArchState &st, const DecodedInstr &d, BackingStore &, ExecTrace &tr)
+    vEach(ArchState &st, const DecodedInstr &d, BackingStore &,
+          ExecTrace &tr)
     {
         begin(st, d, tr);
-        U64 sb = VV ? 0 : scalarSrc(st, d);
+        U64 raw = VV ? 0 : scalarSrc(st, d);
         withEw(st.sew, [&](auto ewc) {
             constexpr unsigned EW = ewc;
             const unsigned vl = span(st, EW);
+            const auto sb = K::template scalar<EW>(raw);
             const std::uint8_t *a = vreg(st, d.rs1), *b = vreg(st, d.rs2);
             const std::uint8_t *mask = vreg(st, 0);
             std::uint8_t *r = vreg(st, d.rd);
             for (unsigned i = 0; i < vl; ++i) {
                 if (Masked && !bit(mask, i))
                     continue;
-                U64 y = VV ? U64(getS<EW>(b, i)) : sb;
-                put<EW>(r, i, F::op(U64(getS<EW>(a, i)), y));
-            }
-        });
-    }
-
-    /** vd[i] = F(vs1[i], vs2[i] or the scalar), rounded at SEW. */
-    template <class F, bool VV, bool Masked>
-    static void
-    vFp(ArchState &st, const DecodedInstr &d, BackingStore &, ExecTrace &tr)
-    {
-        begin(st, d, tr);
-        U64 sraw = VV ? 0 : scalarSrc(st, d);
-        withEw(st.sew, [&](auto ewc) {
-            constexpr unsigned EW = ewc;
-            const unsigned vl = span(st, EW);
-            const double sb = fpIn<EW>(sraw);
-            const std::uint8_t *a = vreg(st, d.rs1), *b = vreg(st, d.rs2);
-            const std::uint8_t *mask = vreg(st, 0);
-            std::uint8_t *r = vreg(st, d.rd);
-            for (unsigned i = 0; i < vl; ++i) {
-                if (Masked && !bit(mask, i))
-                    continue;
-                double y = VV ? fpIn<EW>(get<EW>(b, i)) : sb;
-                put<EW>(r, i, fpOut<EW>(F::op(fpIn<EW>(get<EW>(a, i)), y)));
-            }
-        });
-    }
-
-    /** vd[i] +/-= vs1[i] * (vs2[i] or the scalar), in double. */
-    template <bool Macc, bool VV, bool Masked>
-    static void
-    vFma(ArchState &st, const DecodedInstr &d, BackingStore &, ExecTrace &tr)
-    {
-        begin(st, d, tr);
-        U64 sraw = VV ? 0 : scalarSrc(st, d);
-        withEw(st.sew, [&](auto ewc) {
-            constexpr unsigned EW = ewc;
-            const unsigned vl = span(st, EW);
-            const double sb = fpIn<EW>(sraw);
-            const std::uint8_t *a = vreg(st, d.rs1), *b = vreg(st, d.rs2);
-            const std::uint8_t *mask = vreg(st, 0);
-            std::uint8_t *r = vreg(st, d.rd);
-            for (unsigned i = 0; i < vl; ++i) {
-                if (Masked && !bit(mask, i))
-                    continue;
-                double x = fpIn<EW>(get<EW>(a, i));
-                double y = VV ? fpIn<EW>(get<EW>(b, i)) : sb;
-                double acc = fpIn<EW>(get<EW>(r, i));
-                put<EW>(r, i, fpOut<EW>(Macc ? acc + x * y : acc - x * y));
+                auto x = K::template load<EW>(a, i);
+                auto y = VV ? K::template load<EW>(b, i) : sb;
+                K::template apply<EW>(r, i, x, y);
             }
         });
     }
@@ -615,52 +637,6 @@ struct Exec
         for (unsigned i = 0; i < vl; ++i)
             if (!Masked || bit(mask, i))
                 put<DW>(r, i, U64(std::min(hi, std::max(lo, src[i]))));
-    }
-
-    // ----- vector compares (results into the mask layout of vd) ----------
-
-    template <class C, bool VV, bool Masked>
-    static void
-    vCmp(ArchState &st, const DecodedInstr &d, BackingStore &, ExecTrace &tr)
-    {
-        begin(st, d, tr);
-        S64 sb = VV ? 0 : S64(scalarSrc(st, d));
-        withEw(st.sew, [&](auto ewc) {
-            constexpr unsigned EW = ewc;
-            const unsigned vl = span(st, EW);
-            const std::uint8_t *a = vreg(st, d.rs1), *b = vreg(st, d.rs2);
-            const std::uint8_t *mask = vreg(st, 0);
-            std::uint8_t *r = vreg(st, d.rd);
-            for (unsigned i = 0; i < vl; ++i) {
-                if (Masked && !bit(mask, i))
-                    continue;
-                setBit(r, i, C::test(getS<EW>(a, i),
-                                     VV ? getS<EW>(b, i) : sb));
-            }
-        });
-    }
-
-    template <class C, bool VV, bool Masked>
-    static void
-    vFCmp(ArchState &st, const DecodedInstr &d, BackingStore &,
-          ExecTrace &tr)
-    {
-        begin(st, d, tr);
-        U64 sraw = VV ? 0 : scalarSrc(st, d);
-        withEw(st.sew, [&](auto ewc) {
-            constexpr unsigned EW = ewc;
-            const unsigned vl = span(st, EW);
-            const double sb = fpIn<EW>(sraw);
-            const std::uint8_t *a = vreg(st, d.rs1), *b = vreg(st, d.rs2);
-            const std::uint8_t *mask = vreg(st, 0);
-            std::uint8_t *r = vreg(st, d.rd);
-            for (unsigned i = 0; i < vl; ++i) {
-                if (Masked && !bit(mask, i))
-                    continue;
-                setBit(r, i, C::test(fpIn<EW>(get<EW>(a, i)),
-                                     VV ? fpIn<EW>(get<EW>(b, i)) : sb));
-            }
-        });
     }
 
     /** vd = vs1 op vs2 over the first vl mask bits, a byte at a time;
@@ -1040,12 +1016,9 @@ Exec::decode(const Instr &in)
     };
 
 // One handler per (op form, masking) for the vector arithmetic.
-#define BVL_VARITH(kernel, F)                                               \
-    (vv ? (m ? &kernel<F, true, true> : &kernel<F, true, false>)            \
-        : (m ? &kernel<F, false, true> : &kernel<F, false, false>))
-#define BVL_VFMA(macc)                                                      \
-    (vv ? (m ? &vFma<macc, true, true> : &vFma<macc, true, false>)          \
-        : (m ? &vFma<macc, false, true> : &vFma<macc, false, false>))
+#define BVL_VEACH(K)                                                        \
+    (vv ? (m ? &vEach<K, true, true> : &vEach<K, true, false>)              \
+        : (m ? &vEach<K, false, true> : &vEach<K, false, false>))
 #define BVL_MASKED(kernel) (m ? &kernel<true> : &kernel<false>)
 #define BVL_FW(kernel) (w == 4 ? &kernel<4> : &kernel<8>)
 #define BVL_FW2(kernel, F) (w == 4 ? &kernel<F, 4> : &kernel<F, 8>)
@@ -1222,19 +1195,19 @@ Exec::decode(const Instr &in)
         d.rs1 = idx(in.rs1);
         d.rs2 = vsrc2(in.rs2);
         switch (in.op) {
-          case Op::vadd: d.exec = BVL_VARITH(vInt, Add); break;
-          case Op::vsub: d.exec = BVL_VARITH(vInt, Sub); break;
-          case Op::vmul: d.exec = BVL_VARITH(vInt, Mul); break;
-          case Op::vdiv: d.exec = BVL_VARITH(vInt, Div); break;
-          case Op::vrem: d.exec = BVL_VARITH(vInt, Rem); break;
-          case Op::vmin: d.exec = BVL_VARITH(vInt, Min); break;
-          case Op::vmax: d.exec = BVL_VARITH(vInt, Max); break;
-          case Op::vand: d.exec = BVL_VARITH(vInt, And); break;
-          case Op::vor: d.exec = BVL_VARITH(vInt, Or); break;
-          case Op::vxor: d.exec = BVL_VARITH(vInt, Xor); break;
-          case Op::vsll: d.exec = BVL_VARITH(vInt, Sll); break;
-          case Op::vsrl: d.exec = BVL_VARITH(vInt, Srl); break;
-          default: d.exec = BVL_VARITH(vInt, Sra); break;
+          case Op::vadd: d.exec = BVL_VEACH(IntK<Add>); break;
+          case Op::vsub: d.exec = BVL_VEACH(IntK<Sub>); break;
+          case Op::vmul: d.exec = BVL_VEACH(IntK<Mul>); break;
+          case Op::vdiv: d.exec = BVL_VEACH(IntK<Div>); break;
+          case Op::vrem: d.exec = BVL_VEACH(IntK<Rem>); break;
+          case Op::vmin: d.exec = BVL_VEACH(IntK<Min>); break;
+          case Op::vmax: d.exec = BVL_VEACH(IntK<Max>); break;
+          case Op::vand: d.exec = BVL_VEACH(IntK<And>); break;
+          case Op::vor: d.exec = BVL_VEACH(IntK<Or>); break;
+          case Op::vxor: d.exec = BVL_VEACH(IntK<Xor>); break;
+          case Op::vsll: d.exec = BVL_VEACH(IntK<Sll>); break;
+          case Op::vsrl: d.exec = BVL_VEACH(IntK<Srl>); break;
+          default: d.exec = BVL_VEACH(IntK<Sra>); break;
         }
         break;
 
@@ -1269,14 +1242,14 @@ Exec::decode(const Instr &in)
         d.rs1 = idx(in.rs1);
         d.rs2 = vsrc2(in.rs2);
         switch (in.op) {
-          case Op::vfadd: d.exec = BVL_VARITH(vFp, FAdd); break;
-          case Op::vfsub: d.exec = BVL_VARITH(vFp, FSub); break;
-          case Op::vfmul: d.exec = BVL_VARITH(vFp, FMul); break;
-          case Op::vfdiv: d.exec = BVL_VARITH(vFp, FDiv); break;
-          case Op::vfmin: d.exec = BVL_VARITH(vFp, FMin); break;
-          case Op::vfmax: d.exec = BVL_VARITH(vFp, FMax); break;
-          case Op::vfmacc: d.exec = BVL_VFMA(true); break;
-          default: d.exec = BVL_VFMA(false); break;
+          case Op::vfadd: d.exec = BVL_VEACH(FpK<FAdd>); break;
+          case Op::vfsub: d.exec = BVL_VEACH(FpK<FSub>); break;
+          case Op::vfmul: d.exec = BVL_VEACH(FpK<FMul>); break;
+          case Op::vfdiv: d.exec = BVL_VEACH(FpK<FDiv>); break;
+          case Op::vfmin: d.exec = BVL_VEACH(FpK<FMin>); break;
+          case Op::vfmax: d.exec = BVL_VEACH(FpK<FMax>); break;
+          case Op::vfmacc: d.exec = BVL_VEACH(FmaK<true>); break;
+          default: d.exec = BVL_VEACH(FmaK<false>); break;
         }
         break;
       case Op::vfsqrt:
@@ -1292,14 +1265,14 @@ Exec::decode(const Instr &in)
         d.rs1 = idx(in.rs1);
         d.rs2 = vsrc2(in.rs2);
         switch (in.op) {
-          case Op::vmseq: d.exec = BVL_VARITH(vCmp, Eq); break;
-          case Op::vmsne: d.exec = BVL_VARITH(vCmp, Ne); break;
-          case Op::vmslt: d.exec = BVL_VARITH(vCmp, Lt); break;
-          case Op::vmsle: d.exec = BVL_VARITH(vCmp, Le); break;
-          case Op::vmsgt: d.exec = BVL_VARITH(vCmp, Gt); break;
-          case Op::vmflt: d.exec = BVL_VARITH(vFCmp, FLt); break;
-          case Op::vmfle: d.exec = BVL_VARITH(vFCmp, FLe); break;
-          default: d.exec = BVL_VARITH(vFCmp, FEq); break;
+          case Op::vmseq: d.exec = BVL_VEACH(CmpK<Eq>); break;
+          case Op::vmsne: d.exec = BVL_VEACH(CmpK<Ne>); break;
+          case Op::vmslt: d.exec = BVL_VEACH(CmpK<Lt>); break;
+          case Op::vmsle: d.exec = BVL_VEACH(CmpK<Le>); break;
+          case Op::vmsgt: d.exec = BVL_VEACH(CmpK<Gt>); break;
+          case Op::vmflt: d.exec = BVL_VEACH(FCmpK<FLt>); break;
+          case Op::vmfle: d.exec = BVL_VEACH(FCmpK<FLe>); break;
+          default: d.exec = BVL_VEACH(FCmpK<FEq>); break;
         }
         break;
 
@@ -1456,8 +1429,7 @@ Exec::decode(const Instr &in)
       case Op::numOps:
         panic("decoded numOps sentinel");
     }
-#undef BVL_VARITH
-#undef BVL_VFMA
+#undef BVL_VEACH
 #undef BVL_MASKED
 #undef BVL_FW
 #undef BVL_FW2
