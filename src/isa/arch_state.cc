@@ -181,6 +181,9 @@ struct FMin
 { static double op(double a, double b) { return std::fmin(a, b); } };
 struct FMax
 { static double op(double a, double b) { return std::fmax(a, b); } };
+struct FSqrt { static double op(double a) { return std::sqrt(a); } };
+struct FNeg { static double op(double a) { return -a; } };
+struct FAbs { static double op(double a) { return std::fabs(a); } };
 
 /** Branch and compare conditions. */
 struct Eq { static bool test(S64 a, S64 b) { return a == b; } };
@@ -375,28 +378,13 @@ struct Exec
             F::op(fpIn<W>(st.f[d.rs1]), fpIn<W>(st.f[d.rs2])));
     }
 
-    template <unsigned W>
+    template <class F, unsigned W>
     static void
-    fsqrt(ArchState &st, const DecodedInstr &d, BackingStore &, ExecTrace &tr)
+    fUnary(ArchState &st, const DecodedInstr &d, BackingStore &,
+           ExecTrace &tr)
     {
         begin(st, d, tr);
-        st.f[d.rd] = fpOut<W>(std::sqrt(fpIn<W>(st.f[d.rs1])));
-    }
-
-    template <unsigned W>
-    static void
-    fneg(ArchState &st, const DecodedInstr &d, BackingStore &, ExecTrace &tr)
-    {
-        begin(st, d, tr);
-        st.f[d.rd] = fpOut<W>(-fpIn<W>(st.f[d.rs1]));
-    }
-
-    template <unsigned W>
-    static void
-    fabs(ArchState &st, const DecodedInstr &d, BackingStore &, ExecTrace &tr)
-    {
-        begin(st, d, tr);
-        st.f[d.rd] = fpOut<W>(std::fabs(fpIn<W>(st.f[d.rs1])));
+        st.f[d.rd] = fpOut<W>(F::op(fpIn<W>(st.f[d.rs1])));
     }
 
     template <unsigned W>
@@ -1095,9 +1083,9 @@ Exec::decode(const Instr &in)
           case Op::fdiv: d.exec = BVL_FW2(fBin, FDiv); break;
           case Op::fmin: d.exec = BVL_FW2(fBin, FMin); break;
           case Op::fmax: d.exec = BVL_FW2(fBin, FMax); break;
-          case Op::fsqrt: d.exec = BVL_FW(fsqrt); break;
-          case Op::fneg: d.exec = BVL_FW(fneg); break;
-          case Op::fabs_: d.exec = BVL_FW(fabs); break;
+          case Op::fsqrt: d.exec = BVL_FW2(fUnary, FSqrt); break;
+          case Op::fneg: d.exec = BVL_FW2(fUnary, FNeg); break;
+          case Op::fabs_: d.exec = BVL_FW2(fUnary, FAbs); break;
           default: d.exec = BVL_FW(fmadd); break;
         }
         break;
