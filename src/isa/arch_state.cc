@@ -177,10 +177,28 @@ struct FAdd { static double op(double a, double b) { return a + b; } };
 struct FSub { static double op(double a, double b) { return a - b; } };
 struct FMul { static double op(double a, double b) { return a * b; } };
 struct FDiv { static double op(double a, double b) { return a / b; } };
+/**
+ * libm's fmin/fmax with the operands in a fixed order. As builtins the
+ * compiler may swap them, and with two NaNs that returns the other
+ * payload; called out of line they keep the payloads the oracle has
+ * always returned.
+ */
+[[gnu::noinline]] double
+fminOrdered(double a, double b)
+{
+    return std::fmin(a, b);
+}
+
+[[gnu::noinline]] double
+fmaxOrdered(double a, double b)
+{
+    return std::fmax(a, b);
+}
+
 struct FMin
-{ static double op(double a, double b) { return std::fmin(a, b); } };
+{ static double op(double a, double b) { return fminOrdered(a, b); } };
 struct FMax
-{ static double op(double a, double b) { return std::fmax(a, b); } };
+{ static double op(double a, double b) { return fmaxOrdered(a, b); } };
 struct FSqrt { static double op(double a) { return std::sqrt(a); } };
 struct FNeg { static double op(double a) { return -a; } };
 struct FAbs { static double op(double a) { return std::fabs(a); } };
@@ -957,12 +975,13 @@ struct FRedSum
 struct FRedMax
 {
     static constexpr double identity = -INFINITY;
-    static double fold(double a, double b) { return std::fmax(a, b); }
+    // The element first: so the reductions have always folded.
+    static double fold(double a, double b) { return fmaxOrdered(b, a); }
 };
 struct FRedMin
 {
     static constexpr double identity = INFINITY;
-    static double fold(double a, double b) { return std::fmin(a, b); }
+    static double fold(double a, double b) { return fminOrdered(b, a); }
 };
 
 } // namespace
