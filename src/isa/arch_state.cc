@@ -180,8 +180,8 @@ struct FDiv { static double op(double a, double b) { return a / b; } };
 /**
  * libm's fmin/fmax with the operands in a fixed order. As builtins the
  * compiler may swap them, and with two NaNs that returns the other
- * payload; called out of line they keep the payloads the oracle has
- * always returned.
+ * payload; called out of line they return the same payload in every
+ * build, so a two-NaN result does not depend on the optimizer.
  */
 [[gnu::noinline]] double
 fminOrdered(double a, double b)
@@ -975,7 +975,8 @@ struct FRedSum
 struct FRedMax
 {
     static constexpr double identity = -INFINITY;
-    // The element first: so the reductions have always folded.
+    // Element first, accumulator second: with two NaNs the order
+    // picks which payload the reduction returns.
     static double fold(double a, double b) { return fmaxOrdered(b, a); }
 };
 struct FRedMin
@@ -1352,41 +1353,28 @@ Exec::decode(const Instr &in)
       case Op::vle: case Op::vse: case Op::vlse: case Op::vsse:
       case Op::vluxei: case Op::vsuxei: {
         widthIs({1, 2, 4, 8});
-        const bool store = opTraits(in.op).isVecStore;
         d.rd = idx(in.rd);
         d.rs1 = xr(in.rs1);
         // vse names its data in rs2, the other stores in rs3.
         d.rs3 = idx(in.op == Op::vse ? in.rs2 : in.rs3);
-        const Walk walk = in.op == Op::vle || in.op == Op::vse
-                              ? Walk::unit
-                          : in.op == Op::vlse || in.op == Op::vsse
-                              ? Walk::strided
-                              : Walk::indexed;
-        d.rs2 = walk == Walk::strided ? xr(in.rs2) : idx(in.rs2);
-        auto pickMem = [&](auto wc) -> ExecFn {
+        d.rs2 = in.op == Op::vlse || in.op == Op::vsse ? xr(in.rs2)
+                                                       : idx(in.rs2);
+#define BVL_VMEM(walk, store)                                               \
+    (m ? &vMem<W, walk, store, true> : &vMem<W, walk, store, false>)
+        withEw(w, [&](auto wc) {
             constexpr unsigned W = wc;
-            auto byMask = [&](auto walkc, auto storec) -> ExecFn {
-                constexpr Walk K = decltype(walkc)::value;
-                constexpr bool S = decltype(storec)::value;
-                return m ? &vMem<W, K, S, true> : &vMem<W, K, S, false>;
-            };
-            auto byWalk = [&](auto storec) -> ExecFn {
-                switch (walk) {
-                  case Walk::unit:
-                    return byMask(std::integral_constant<Walk,
-                                      Walk::unit>{}, storec);
-                  case Walk::strided:
-                    return byMask(std::integral_constant<Walk,
-                                      Walk::strided>{}, storec);
-                  default:
-                    return byMask(std::integral_constant<Walk,
-                                      Walk::indexed>{}, storec);
-                }
-            };
-            return store ? byWalk(std::true_type{})
-                         : byWalk(std::false_type{});
-        };
-        withEw(w, [&](auto wc) { d.exec = pickMem(wc); });
+            switch (in.op) {
+              case Op::vle: d.exec = BVL_VMEM(Walk::unit, false); break;
+              case Op::vse: d.exec = BVL_VMEM(Walk::unit, true); break;
+              case Op::vlse: d.exec = BVL_VMEM(Walk::strided, false); break;
+              case Op::vsse: d.exec = BVL_VMEM(Walk::strided, true); break;
+              case Op::vluxei:
+                d.exec = BVL_VMEM(Walk::indexed, false);
+                break;
+              default: d.exec = BVL_VMEM(Walk::indexed, true); break;
+            }
+        });
+#undef BVL_VMEM
         break;
       }
 
